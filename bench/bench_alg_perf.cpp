@@ -140,6 +140,8 @@ void BM_TraceParseJsonl(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(trace::events_from_jsonl(text).size());
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(syn_trace().size()));
 }
 BENCHMARK(BM_TraceParseJsonl);
 

@@ -1,6 +1,7 @@
 #include "trace/event.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 namespace tetra::trace {
@@ -22,14 +23,23 @@ std::string_view to_string(EventType t) {
 }
 
 EventType event_type_from_string(std::string_view name) {
-  static constexpr EventType all[] = {
-      EventType::RmwCreateNode, EventType::CallbackStart, EventType::TimerCall,
-      EventType::Take,          EventType::TakeTypeErased, EventType::SyncOperator,
-      EventType::CallbackEnd,   EventType::DdsWrite,      EventType::SchedSwitch,
-      EventType::SchedWakeup};
-  for (EventType t : all) {
-    if (to_string(t) == name) return t;
+  // Length (and one letter for the two 12-character names) picks at most
+  // one candidate; to_string confirms it.
+  std::optional<EventType> guess;
+  switch (name.size()) {
+    case 4: guess = EventType::Take; break;
+    case 6: guess = EventType::CallbackEnd; break;
+    case 8: guess = EventType::CallbackStart; break;
+    case 9: guess = EventType::DdsWrite; break;
+    case 10: guess = EventType::TimerCall; break;
+    case 12:
+      guess = name[6] == 's' ? EventType::SchedSwitch : EventType::SchedWakeup;
+      break;
+    case 13: guess = EventType::SyncOperator; break;
+    case 15: guess = EventType::RmwCreateNode; break;
+    case 16: guess = EventType::TakeTypeErased; break;
   }
+  if (guess && to_string(*guess) == name) return *guess;
   throw std::invalid_argument("unknown event type: " + std::string(name));
 }
 

@@ -1,5 +1,6 @@
 #include "trace/probe_id.hpp"
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -30,12 +31,16 @@ std::string_view to_string(ProbeId id) {
 }
 
 ProbeId probe_id_from_string(std::string_view name) {
-  for (int i = 1; i <= 16; ++i) {
-    const auto id = static_cast<ProbeId>(i);
-    if (to_string(id) == name) return id;
+  // Length and characters pick at most one candidate; to_string confirms it.
+  std::optional<ProbeId> guess;
+  if (name.size() == 12) {
+    guess = name[6] == 's' ? ProbeId::SchedSwitch : ProbeId::SchedWakeup;
+  } else if (name.size() == 2 || name.size() == 3) {
+    const int n = name.size() == 2 ? name[1] - '0'
+                                   : 10 * (name[1] - '0') + (name[2] - '0');
+    if (n >= 1 && n <= 16) guess = static_cast<ProbeId>(n);
   }
-  if (name == "sched_switch") return ProbeId::SchedSwitch;
-  if (name == "sched_wakeup") return ProbeId::SchedWakeup;
+  if (guess && to_string(*guess) == name) return *guess;
   throw std::invalid_argument("unknown probe id: " + std::string(name));
 }
 

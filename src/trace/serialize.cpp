@@ -1,12 +1,18 @@
 #include "trace/serialize.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "support/json_parser.hpp"
 #include "support/json_writer.hpp"
-#include "support/string_utils.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace tetra::trace {
@@ -32,6 +38,413 @@ void write_common(JsonWriter& w, const TraceEvent& e) {
   w.kv("pid", static_cast<std::int64_t>(e.pid));
   w.kv("probe", to_string(e.probe));
   w.kv("type", to_string(e.type));
+}
+
+// The keys to_jsonl writes. Every other key is ignored.
+enum Field : std::uint8_t {
+  kTime, kPid, kProbe, kType, kNode, kKind, kCb, kTakeKind, kTopic, kSrcTs,
+  kDispatch, kCpu, kPrevPid, kPrevPrio, kPrevState, kNextPid, kNextPrio,
+  kWokenPid, kFieldCount
+};
+
+// Views of string literals, so data() is NUL-terminated for messages.
+constexpr std::string_view kFieldNames[kFieldCount] = {
+    "t",        "pid",       "probe",     "type",      "node",
+    "kind",     "cb",        "take_kind", "topic",     "src_ts",
+    "dispatch", "cpu",       "prev_pid",  "prev_prio", "prev_state",
+    "next_pid", "next_prio", "woken_pid"};
+
+// Length and first letter pick at most one candidate; one compare confirms
+// it. Returns kFieldCount for a key outside the schema.
+Field field_of(std::string_view key) {
+  if (key.empty()) return kFieldCount;
+  const char c = key[0];
+  Field f = kFieldCount;
+  switch (key.size()) {
+    case 1: f = kTime; break;
+    case 2: f = kCb; break;
+    case 3: f = c == 'p' ? kPid : kCpu; break;
+    case 4: f = c == 't' ? kType : c == 'n' ? kNode : kKind; break;
+    case 5: f = c == 'p' ? kProbe : kTopic; break;
+    case 6: f = kSrcTs; break;
+    case 8: f = c == 'd' ? kDispatch : c == 'p' ? kPrevPid : kNextPid; break;
+    case 9:
+      f = c == 't'   ? kTakeKind
+          : c == 'p' ? kPrevPrio
+          : c == 'n' ? kNextPrio
+                     : kWokenPid;
+      break;
+    case 10: f = kPrevState; break;
+    default: return kFieldCount;
+  }
+  return key == kFieldNames[f] ? f : kFieldCount;
+}
+
+// One scanned value. Deliberately trivial, so a line pays nothing for the
+// slots its keys do not fill; LineDecoder::present_ says which are filled.
+struct Slot {
+  enum Kind : std::uint8_t { Other, Bool, Int, Double, Text, EscapedText };
+  Kind kind;
+  bool boolean;
+  std::int64_t integer;
+  double real;
+  // Text: the characters between the quotes. EscapedText: `begin` is the
+  // opening quote; the string is decoded only if a field reads it.
+  std::size_t begin;
+  std::size_t size;
+};
+
+CallbackKind callback_kind_from_string(std::string_view kind) {
+  if (kind == "timer") return CallbackKind::Timer;
+  if (kind == "subscriber") return CallbackKind::Subscription;
+  if (kind == "service") return CallbackKind::Service;
+  if (kind == "client") return CallbackKind::Client;
+  throw std::runtime_error("bad callback kind: " + std::string(kind));
+}
+
+// Single-pass decoder for one JSONL line. It accepts and rejects exactly
+// what parse_json followed by the schema lookups would, with the same
+// exception types: std::runtime_error for syntax, std::out_of_range for a
+// missing key, std::logic_error for a value of the wrong JSON type and
+// std::invalid_argument for a value outside its field's domain. Duplicate
+// keys keep their first value. Escaped strings and nested values are
+// handed to parse_json_prefix, which validates and decodes them.
+//
+// Nothing with a destructor is alive while a check can throw, so a
+// rejected line unwinds without running cleanups. That keeps lenient
+// decoding of a damaged file cheap, since it pays for every bad line.
+class LineDecoder {
+ public:
+  explicit LineDecoder(std::string_view line) : line_(line) {}
+
+  TraceEvent decode() {
+    scan_object();
+    const TimePoint time{integer(kTime)};
+    const Pid pid = int32(kPid);
+    const ProbeId probe = probe_id_from_string(text(kProbe));
+    const EventType type = event_type_from_string(text(kType));
+    return TraceEvent{time, pid, probe, type, payload(type)};
+  }
+
+ private:
+  EventPayload payload(EventType type) {
+    switch (type) {
+      case EventType::RmwCreateNode:
+        return NodeInfo{std::string(text(kNode))};
+      case EventType::CallbackStart:
+      case EventType::CallbackEnd:
+        return CallbackPhaseInfo{callback_kind_from_string(text(kKind))};
+      case EventType::TimerCall:
+        return TimerCallInfo{static_cast<CallbackId>(integer(kCb))};
+      case EventType::Take: {
+        const TakeKind kind = take_kind_from_int(integer(kTakeKind));
+        const auto cb = static_cast<CallbackId>(integer(kCb));
+        const std::string_view topic = text(kTopic);
+        const TimePoint src_ts{integer(kSrcTs)};
+        return TakeInfo{kind, cb, std::string(topic), src_ts};
+      }
+      case EventType::TakeTypeErased:
+        return TakeTypeErasedInfo{boolean(kDispatch)};
+      case EventType::SyncOperator:
+        return SyncOperatorInfo{static_cast<CallbackId>(integer(kCb))};
+      case EventType::DdsWrite: {
+        const std::string_view topic = text(kTopic);
+        const TimePoint src_ts{integer(kSrcTs)};
+        return DdsWriteInfo{std::string(topic), src_ts};
+      }
+      case EventType::SchedSwitch: {
+        SchedSwitchInfo info;
+        info.cpu = int32(kCpu);
+        info.prev_pid = int32(kPrevPid);
+        info.prev_prio = int32(kPrevPrio);
+        const std::string_view st = text(kPrevState);
+        if (st.size() != 1) {
+          throw std::invalid_argument("bad prev_state: '" + std::string(st) +
+                                      "' (expected a single R/S/D/X letter)");
+        }
+        info.prev_state = thread_run_state_from_char(st[0]);
+        info.next_pid = int32(kNextPid);
+        info.next_prio = int32(kNextPrio);
+        return info;
+      }
+      case EventType::SchedWakeup: {
+        SchedWakeupInfo info;
+        info.woken_pid = int32(kWokenPid);
+        info.target_cpu = int32(kCpu);
+        return info;
+      }
+    }
+    throw std::logic_error("unhandled event type");
+  }
+
+  [[noreturn]] void fail(const char* what) const {
+    char message[96];
+    std::snprintf(message, sizeof message, "JSON parse error at offset %zu: %s",
+                  pos_, what);
+    throw std::runtime_error(message);
+  }
+
+  void skip_ws() {
+    while (pos_ < line_.size()) {
+      const char c = line_[pos_];
+      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+      ++pos_;
+    }
+  }
+
+  char next_char() {
+    if (pos_ >= line_.size()) fail("unexpected end of input");
+    return line_[pos_++];
+  }
+
+  void scan_object() {
+    skip_ws();
+    if (pos_ >= line_.size() || line_[pos_] != '{') {
+      // A syntax error is reported as parse_json words it; valid JSON that
+      // is not an object is a type error.
+      parse_json(line_);
+      throw std::logic_error("JSONL line is not an object");
+    }
+    ++pos_;
+    skip_ws();
+    if (pos_ < line_.size() && line_[pos_] == '}') {
+      ++pos_;
+    } else {
+      while (true) {
+        skip_ws();
+        if (next_char() != '"') fail("expected string");
+        Slot key;
+        scan_string(key);
+        const Field f = field_of(view(key));
+        skip_ws();
+        if (next_char() != ':') fail("expected ':'");
+        // A repeated or unknown key scans into the spare last slot.
+        const std::uint32_t bit = 1u << f;
+        Slot& slot = slots_[(present_ & bit) != 0 ? kFieldCount : f];
+        present_ |= bit;
+        scan_value(slot);
+        skip_ws();
+        const char c = next_char();
+        if (c == '}') break;
+        if (c != ',') fail("expected ',' or '}'");
+      }
+    }
+    skip_ws();
+    if (pos_ != line_.size()) fail("trailing garbage");
+  }
+
+  void scan_value(Slot& slot) {
+    skip_ws();
+    if (pos_ >= line_.size()) fail("unexpected end of input");
+    switch (line_[pos_]) {
+      case '"':
+        ++pos_;
+        scan_string(slot);
+        return;
+      case '{':
+      case '[':
+        parse_json_prefix(line_, pos_);
+        slot.kind = Slot::Other;
+        return;
+      case 't':
+        scan_word("true");
+        slot.kind = Slot::Bool;
+        slot.boolean = true;
+        return;
+      case 'f':
+        scan_word("false");
+        slot.kind = Slot::Bool;
+        slot.boolean = false;
+        return;
+      case 'n':
+        scan_word("null");
+        slot.kind = Slot::Other;
+        return;
+      default:
+        scan_number(slot);
+    }
+  }
+
+  void scan_word(std::string_view word) {
+    if (line_.substr(pos_, word.size()) != word) fail("expected keyword");
+    pos_ += word.size();
+  }
+
+  // pos_ is just past the opening quote.
+  void scan_string(Slot& slot) {
+    const std::size_t begin = pos_;
+    while (pos_ < line_.size() && line_[pos_] != '"' && line_[pos_] != '\\') {
+      ++pos_;
+    }
+    if (pos_ == line_.size()) fail("unexpected end of input");
+    if (line_[pos_] == '"') {
+      slot.kind = Slot::Text;
+      slot.begin = begin;
+      slot.size = pos_ - begin;
+      ++pos_;
+      return;
+    }
+    // An escape: the JSON parser decodes or rejects the string.
+    pos_ = begin - 1;
+    slot.kind = Slot::EscapedText;
+    slot.begin = pos_;
+    parse_json_prefix(line_, pos_);
+  }
+
+  // Takes the same token as the JSON parser. [+-]?digits is read by
+  // from_chars, which agrees with the parser's strtoll; every other token,
+  // and an integer beyond int64, goes to strtod as it does there.
+  void scan_number(Slot& slot) {
+    const std::size_t start = pos_;
+    if (line_[pos_] == '-' || line_[pos_] == '+') ++pos_;
+    bool digits_only = true;
+    while (pos_ < line_.size()) {
+      const char c = line_[pos_];
+      if (c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') {
+        digits_only = false;
+      } else if (c < '0' || c > '9') {
+        break;
+      }
+      ++pos_;
+    }
+    if (pos_ == start) fail("expected number");
+    if (digits_only) {
+      const char* first = line_.data() + start + (line_[start] == '+' ? 1 : 0);
+      const char* last = line_.data() + pos_;
+      const auto [end, ec] = std::from_chars(first, last, slot.integer);
+      if (ec == std::errc{} && end == last) {
+        slot.kind = Slot::Int;
+        return;
+      }
+    }
+    const std::optional<double> real =
+        strtod_whole(line_.substr(start, pos_ - start));
+    if (!real) fail("malformed number");
+    slot.kind = Slot::Double;
+    slot.real = *real;
+  }
+
+  static std::optional<double> strtod_whole(std::string_view token) {
+    const std::string copy(token);
+    char* end = nullptr;
+    const double value = std::strtod(copy.c_str(), &end);
+    if (end != copy.c_str() + copy.size()) return std::nullopt;
+    return value;
+  }
+
+  // The string in `slot`. An escaped string is decoded into a per-thread
+  // buffer, so its view lasts only until the next escaped string is read.
+  std::string_view view(const Slot& slot) const {
+    if (slot.kind == Slot::Text) return line_.substr(slot.begin, slot.size);
+    thread_local std::string decoded;
+    std::size_t pos = slot.begin;
+    decoded = parse_json_prefix(line_, pos).as_string();
+    return decoded;
+  }
+
+  // Throws Error(before + field name + after), built in a local buffer so
+  // that unwinding has nothing to destroy.
+  template <typename Error>
+  [[noreturn]] static void field_error(const char* before, Field f,
+                                       const char* after) {
+    char message[80];
+    std::snprintf(message, sizeof message, "%s%s%s", before,
+                  kFieldNames[f].data(), after);
+    throw Error(message);
+  }
+
+  const Slot& get(Field f) const {
+    if ((present_ & (1u << f)) == 0) {
+      field_error<std::out_of_range>("JSONL: missing key ", f, "");
+    }
+    return slots_[f];
+  }
+
+  std::int64_t integer(Field f) const {
+    const Slot& slot = get(f);
+    if (slot.kind == Slot::Int) return slot.integer;
+    if (slot.kind != Slot::Double) {
+      field_error<std::logic_error>("JSONL: ", f, " is not a number");
+    }
+    return JsonValue::make_double(slot.real).as_int();
+  }
+
+  // Pids, CPUs and priorities are 32-bit; a wider value is rejected, not
+  // truncated.
+  std::int32_t int32(Field f) const {
+    const std::int64_t v = integer(f);
+    if (v < std::numeric_limits<std::int32_t>::min() ||
+        v > std::numeric_limits<std::int32_t>::max()) {
+      char message[96];
+      std::snprintf(message, sizeof message,
+                    "bad %s: %lld (outside the 32-bit range)",
+                    kFieldNames[f].data(), static_cast<long long>(v));
+      throw std::invalid_argument(message);
+    }
+    return static_cast<std::int32_t>(v);
+  }
+
+  bool boolean(Field f) const {
+    const Slot& slot = get(f);
+    if (slot.kind != Slot::Bool) {
+      field_error<std::logic_error>("JSONL: ", f, " is not a bool");
+    }
+    return slot.boolean;
+  }
+
+  std::string_view text(Field f) const {
+    const Slot& slot = get(f);
+    if (slot.kind != Slot::Text && slot.kind != Slot::EscapedText) {
+      field_error<std::logic_error>("JSONL: ", f, " is not a string");
+    }
+    return view(slot);
+  }
+
+  std::string_view line_;
+  std::size_t pos_ = 0;
+  std::uint32_t present_ = 0;  // bit f set once slots_[f] holds a value
+  Slot slots_[kFieldCount + 1];
+};
+
+// Calls `fn` on every non-empty line, without its terminator.
+template <typename Fn>
+void for_each_line(std::string_view text, Fn&& fn) {
+  std::size_t start = 0;
+  while (start < text.size()) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string_view::npos) end = text.size();
+    std::string_view line = text.substr(start, end - start);
+    // Tolerate CRLF (and lone-CR-before-LF) line endings from traces that
+    // passed through Windows tooling.
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (!line.empty()) fn(line);
+    start = end + 1;
+  }
+}
+
+// Room for one event per line, so a decoded segment is held at exact size.
+EventVector with_line_capacity(std::string_view text) {
+  EventVector out;
+  out.reserve(static_cast<std::size_t>(
+                  std::count(text.begin(), text.end(), '\n')) +
+              (!text.empty() && text.back() != '\n' ? 1 : 0));
+  return out;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f) throw std::runtime_error("cannot open for read: " + path);
+  std::error_code size_error;
+  const std::uintmax_t size = std::filesystem::file_size(path, size_error);
+  std::string text(size_error ? 0 : static_cast<std::size_t>(size), '\0');
+  f.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(f.gcount()));
+  // A pipe has no size, and a file may grow after it was measured.
+  char chunk[4096];
+  while (f.read(chunk, sizeof chunk) || f.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(f.gcount()));
+  }
+  return text;
 }
 
 }  // namespace
@@ -93,77 +506,7 @@ std::string to_jsonl(const TraceEvent& e) {
 }
 
 TraceEvent from_jsonl(std::string_view line) {
-  const JsonValue j = parse_json(line);
-  TraceEvent e;
-  e.time = TimePoint{j.at("t").as_int()};
-  e.pid = static_cast<Pid>(j.at("pid").as_int());
-  e.probe = probe_id_from_string(j.at("probe").as_string());
-  e.type = event_type_from_string(j.at("type").as_string());
-  switch (e.type) {
-    case EventType::RmwCreateNode:
-      e.payload = NodeInfo{j.at("node").as_string()};
-      break;
-    case EventType::CallbackStart:
-    case EventType::CallbackEnd: {
-      const std::string& kind = j.at("kind").as_string();
-      CallbackKind k;
-      if (kind == "timer") k = CallbackKind::Timer;
-      else if (kind == "subscriber") k = CallbackKind::Subscription;
-      else if (kind == "service") k = CallbackKind::Service;
-      else if (kind == "client") k = CallbackKind::Client;
-      else throw std::runtime_error("bad callback kind: " + kind);
-      e.payload = CallbackPhaseInfo{k};
-      break;
-    }
-    case EventType::TimerCall:
-      e.payload = TimerCallInfo{
-          static_cast<CallbackId>(j.at("cb").as_int())};
-      break;
-    case EventType::Take: {
-      TakeInfo info;
-      info.kind = take_kind_from_int(j.at("take_kind").as_int());
-      info.callback_id = static_cast<CallbackId>(j.at("cb").as_int());
-      info.topic = j.at("topic").as_string();
-      info.src_ts = TimePoint{j.at("src_ts").as_int()};
-      e.payload = std::move(info);
-      break;
-    }
-    case EventType::TakeTypeErased:
-      e.payload = TakeTypeErasedInfo{j.at("dispatch").as_bool()};
-      break;
-    case EventType::SyncOperator:
-      e.payload = SyncOperatorInfo{
-          static_cast<CallbackId>(j.at("cb").as_int())};
-      break;
-    case EventType::DdsWrite:
-      e.payload = DdsWriteInfo{j.at("topic").as_string(),
-                               TimePoint{j.at("src_ts").as_int()}};
-      break;
-    case EventType::SchedSwitch: {
-      SchedSwitchInfo info;
-      info.cpu = static_cast<CpuId>(j.at("cpu").as_int());
-      info.prev_pid = static_cast<Pid>(j.at("prev_pid").as_int());
-      info.prev_prio = static_cast<int>(j.at("prev_prio").as_int());
-      const std::string& st = j.at("prev_state").as_string();
-      if (st.size() != 1) {
-        throw std::invalid_argument("bad prev_state: '" + st +
-                                    "' (expected a single R/S/D/X letter)");
-      }
-      info.prev_state = thread_run_state_from_char(st[0]);
-      info.next_pid = static_cast<Pid>(j.at("next_pid").as_int());
-      info.next_prio = static_cast<int>(j.at("next_prio").as_int());
-      e.payload = info;
-      break;
-    }
-    case EventType::SchedWakeup: {
-      SchedWakeupInfo info;
-      info.woken_pid = static_cast<Pid>(j.at("woken_pid").as_int());
-      info.target_cpu = static_cast<CpuId>(j.at("cpu").as_int());
-      e.payload = info;
-      break;
-    }
-  }
-  return e;
+  return LineDecoder(line).decode();
 }
 
 std::string to_jsonl(const EventVector& events) {
@@ -176,18 +519,10 @@ std::string to_jsonl(const EventVector& events) {
 }
 
 EventVector events_from_jsonl(std::string_view text) {
-  EventVector out;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    // Tolerate CRLF (and lone-CR-before-LF) line endings from traces that
-    // passed through Windows tooling.
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (!line.empty()) out.push_back(from_jsonl(line));
-    start = end + 1;
-  }
+  EventVector out = with_line_capacity(text);
+  for_each_line(text, [&](std::string_view line) {
+    out.push_back(from_jsonl(line));
+  });
   JsonlMetrics::get().bytes.add(text.size());
   JsonlMetrics::get().events.add(out.size());
   return out;
@@ -195,23 +530,15 @@ EventVector events_from_jsonl(std::string_view text) {
 
 EventVector events_from_jsonl_lenient(std::string_view text,
                                       JsonlParseStats* stats) {
-  EventVector out;
+  EventVector out = with_line_capacity(text);
   std::size_t malformed = 0;
-  std::size_t start = 0;
-  while (start < text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (!line.empty()) {
-      try {
-        out.push_back(from_jsonl(line));
-      } catch (const std::exception&) {
-        ++malformed;
-      }
+  for_each_line(text, [&](std::string_view line) {
+    try {
+      out.push_back(from_jsonl(line));
+    } catch (const std::exception&) {
+      ++malformed;
     }
-    start = end + 1;
-  }
+  });
   JsonlMetrics::get().bytes.add(text.size());
   JsonlMetrics::get().events.add(out.size());
   JsonlMetrics::get().malformed.add(malformed);
@@ -225,11 +552,7 @@ EventVector events_from_jsonl_lenient(std::string_view text,
 
 EventVector read_jsonl_file_lenient(const std::string& path,
                                     JsonlParseStats* stats) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open for read: " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return events_from_jsonl_lenient(ss.str(), stats);
+  return events_from_jsonl_lenient(read_file(path), stats);
 }
 
 void write_jsonl_file(const std::string& path, const EventVector& events) {
@@ -240,11 +563,7 @@ void write_jsonl_file(const std::string& path, const EventVector& events) {
 }
 
 EventVector read_jsonl_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open for read: " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return events_from_jsonl(ss.str());
+  return events_from_jsonl(read_file(path));
 }
 
 std::size_t binary_footprint_bytes(const EventVector& events) {

@@ -2,8 +2,15 @@
 // buffers, merging, the trace database.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+#include <optional>
 
+#include "support/json_parser.hpp"
+#include "support/rng.hpp"
 #include "trace/database.hpp"
 #include "trace/merge.hpp"
 #include "trace/serialize.hpp"
@@ -23,7 +30,21 @@ TEST(ProbeIdTest, RoundTripsAllIds) {
     EXPECT_EQ(probe_id_from_string(std::string(to_string(id))), id);
   }
   EXPECT_EQ(probe_id_from_string("sched_switch"), ProbeId::SchedSwitch);
-  EXPECT_THROW(probe_id_from_string("P99"), std::invalid_argument);
+  EXPECT_EQ(probe_id_from_string("sched_wakeup"), ProbeId::SchedWakeup);
+  for (const char* bad : {"P99", "P0", "P01", "P17", "p1", "P1x", "", "P",
+                          "sched_swatch"}) {
+    EXPECT_THROW(probe_id_from_string(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(EventTypeTest, RoundTripsAllTypes) {
+  for (int i = 0; i <= static_cast<int>(EventType::SchedWakeup); ++i) {
+    const auto type = static_cast<EventType>(i);
+    EXPECT_EQ(event_type_from_string(std::string(to_string(type))), type);
+  }
+  for (const char* bad : {"cb_star", "sched_wakeuq", "take ", "", "?"}) {
+    EXPECT_THROW(event_type_from_string(bad), std::invalid_argument) << bad;
+  }
 }
 
 TEST(EventTest, ConstructorsSetProbeAndType) {
@@ -133,6 +154,44 @@ TEST(SerializeTest, RejectsOutOfRangeTakeKind) {
   EXPECT_THROW(events_from_jsonl(bad), std::invalid_argument);
 }
 
+// Replaces the value of `key` in a line to_jsonl wrote.
+std::string with_field(std::string line, std::string_view key,
+                       std::string_view value) {
+  const std::string quoted = "\"" + std::string(key) + "\":";
+  const std::size_t begin = line.find(quoted);
+  EXPECT_NE(begin, std::string::npos) << key;
+  if (begin == std::string::npos) return line;
+  const std::size_t from = begin + quoted.size();
+  const std::size_t to = line.find_first_of(",}", from);
+  return line.replace(from, to - from, value);
+}
+
+TEST(SerializeTest, RejectsOutOfRangeThirtyTwoBitFields) {
+  // Pids, CPUs and priorities are 32-bit: 2^32 + 1 must not decode as 1.
+  const std::string sw = to_jsonl(make_sched_switch(
+      TimePoint{9},
+      SchedSwitchInfo{2, 10, 5, ThreadRunState::Sleeping, 11, 0}));
+  const std::string wake =
+      to_jsonl(make_sched_wakeup(TimePoint{10}, SchedWakeupInfo{10, 3}));
+  const std::pair<const std::string*, const char*> fields[] = {
+      {&sw, "pid"},      {&sw, "cpu"},      {&sw, "prev_pid"},
+      {&sw, "prev_prio"}, {&sw, "next_pid"}, {&sw, "next_prio"},
+      {&wake, "woken_pid"}, {&wake, "cpu"}};
+  for (const auto& [line, key] : fields) {
+    for (const char* value : {"4294967297", "2147483648", "-2147483649"}) {
+      try {
+        (void)from_jsonl(with_field(*line, key, value));
+        ADD_FAILURE() << key << "=" << value << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_NO_THROW(from_jsonl(with_field(*line, key, "2147483647")));
+    EXPECT_NO_THROW(from_jsonl(with_field(*line, key, "-2147483648")));
+  }
+}
+
 TEST(SerializeTest, RejectsMalformedPrevState) {
   const TraceEvent sw = make_sched_switch(
       TimePoint{9}, SchedSwitchInfo{2, 10, 5, ThreadRunState::Sleeping, 11, 0});
@@ -145,6 +204,281 @@ TEST(SerializeTest, RejectsMalformedPrevState) {
     EXPECT_THROW(events_from_jsonl(bad), std::invalid_argument)
         << "prev_state '" << bad_state << "' must be rejected";
   }
+}
+
+// ---- from_jsonl against the JSON object model -----------------------------
+
+std::int32_t reference_int32(const JsonValue& j, const std::string& key) {
+  const std::int64_t v = j.at(key).as_int();
+  if (v < std::numeric_limits<std::int32_t>::min() ||
+      v > std::numeric_limits<std::int32_t>::max()) {
+    throw std::invalid_argument("bad " + key + ": " + std::to_string(v));
+  }
+  return static_cast<std::int32_t>(v);
+}
+
+// The decoder from_jsonl replaced: parse the line into a JsonValue, then
+// look each field up. It defines what from_jsonl must accept and reject.
+TraceEvent reference_from_jsonl(std::string_view line) {
+  const JsonValue j = parse_json(line);
+  TraceEvent e;
+  e.time = TimePoint{j.at("t").as_int()};
+  e.pid = reference_int32(j, "pid");
+  e.probe = probe_id_from_string(j.at("probe").as_string());
+  e.type = event_type_from_string(j.at("type").as_string());
+  switch (e.type) {
+    case EventType::RmwCreateNode:
+      e.payload = NodeInfo{j.at("node").as_string()};
+      break;
+    case EventType::CallbackStart:
+    case EventType::CallbackEnd: {
+      const std::string& kind = j.at("kind").as_string();
+      CallbackKind k;
+      if (kind == "timer") k = CallbackKind::Timer;
+      else if (kind == "subscriber") k = CallbackKind::Subscription;
+      else if (kind == "service") k = CallbackKind::Service;
+      else if (kind == "client") k = CallbackKind::Client;
+      else throw std::runtime_error("bad callback kind: " + kind);
+      e.payload = CallbackPhaseInfo{k};
+      break;
+    }
+    case EventType::TimerCall:
+      e.payload = TimerCallInfo{static_cast<CallbackId>(j.at("cb").as_int())};
+      break;
+    case EventType::Take: {
+      TakeInfo info;
+      info.kind = take_kind_from_int(j.at("take_kind").as_int());
+      info.callback_id = static_cast<CallbackId>(j.at("cb").as_int());
+      info.topic = j.at("topic").as_string();
+      info.src_ts = TimePoint{j.at("src_ts").as_int()};
+      e.payload = std::move(info);
+      break;
+    }
+    case EventType::TakeTypeErased:
+      e.payload = TakeTypeErasedInfo{j.at("dispatch").as_bool()};
+      break;
+    case EventType::SyncOperator:
+      e.payload =
+          SyncOperatorInfo{static_cast<CallbackId>(j.at("cb").as_int())};
+      break;
+    case EventType::DdsWrite:
+      e.payload = DdsWriteInfo{j.at("topic").as_string(),
+                               TimePoint{j.at("src_ts").as_int()}};
+      break;
+    case EventType::SchedSwitch: {
+      SchedSwitchInfo info;
+      info.cpu = reference_int32(j, "cpu");
+      info.prev_pid = reference_int32(j, "prev_pid");
+      info.prev_prio = reference_int32(j, "prev_prio");
+      const std::string& st = j.at("prev_state").as_string();
+      if (st.size() != 1) throw std::invalid_argument("bad prev_state: " + st);
+      info.prev_state = thread_run_state_from_char(st[0]);
+      info.next_pid = reference_int32(j, "next_pid");
+      info.next_prio = reference_int32(j, "next_prio");
+      e.payload = info;
+      break;
+    }
+    case EventType::SchedWakeup: {
+      SchedWakeupInfo info;
+      info.woken_pid = reference_int32(j, "woken_pid");
+      info.target_cpu = reference_int32(j, "cpu");
+      e.payload = info;
+      break;
+    }
+  }
+  return e;
+}
+
+// What a decoder made of one line: the event, or the kind of exception.
+struct Outcome {
+  std::optional<TraceEvent> event;
+  std::string_view error;
+  bool operator==(const Outcome&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Outcome& o) {
+  if (!o.event) return os << "throws " << o.error;
+  return os << to_jsonl(*o.event);
+}
+
+template <typename Decode>
+Outcome outcome_of(Decode decode, std::string_view line) {
+  try {
+    return {decode(line), ""};
+  } catch (const std::invalid_argument&) {
+    return {std::nullopt, "invalid_argument"};
+  } catch (const std::out_of_range&) {
+    return {std::nullopt, "out_of_range"};
+  } catch (const std::logic_error&) {
+    return {std::nullopt, "logic_error"};
+  } catch (const std::runtime_error&) {
+    return {std::nullopt, "runtime_error"};
+  }
+}
+
+// Decodes `line` both ways, expects the same outcome, and returns it.
+Outcome expect_same_outcome(std::string_view line) {
+  const Outcome expected = outcome_of(reference_from_jsonl, line);
+  const Outcome actual = outcome_of(from_jsonl, line);
+  EXPECT_EQ(actual, expected) << "line: " << line;
+  return actual;
+}
+
+TEST(SerializeTest, DecodesHandWrittenLinesLikeTheObjectModel) {
+  const std::string take = to_jsonl(sample_take());
+  const auto timed = [](std::int64_t t) {
+    TraceEvent e = sample_take();
+    e.time = TimePoint{t};
+    return e;
+  };
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const TraceEvent escaped_take =
+      make_take(TimePoint{123}, 1001, TakeKind::Request, 0xdeadbeef,
+                "/sv1\nRequest\"", TimePoint{100});
+  // Each line with the event it must decode to, or nullopt if it must throw.
+  const std::vector<std::pair<std::string, std::optional<TraceEvent>>> cases = {
+      {take, sample_take()},
+      // Any key order and any JSON whitespace.
+      {R"({"src_ts":100,"topic":"/sv1Request","cb":3735928559,"take_kind":1,)"
+       R"("type":"take","probe":"P10","pid":1001,"t":123})",
+       sample_take()},
+      {" \t{ \"t\" :\t123 ,\r\"pid\":1001,\"probe\" : \"P10\","
+       "\"type\":\"take\",\"take_kind\":1,\"cb\":3735928559,"
+       "\"topic\":\"/sv1Request\",\"src_ts\":100 } \r\t",
+       sample_take()},
+      // Escapes in keys and in values.
+      {with_field(with_field(take, "probe", R"("P10")"), "topic",
+                  R"("/sv1Request")"),
+       sample_take()},
+      {R"({"t":123,"pid":1001,"probe":"P10","type":"take",)"
+       R"("take_kind":1,"cb":3735928559,"topic":"/sv1Request","src_ts":100})",
+       sample_take()},
+      {with_field(take, "topic", R"("/sv1\nRequest\"")"), escaped_take},
+      {with_field(take, "type", R"("take")"), sample_take()},
+      {with_field(take, "topic", R"("/sv1Request\u")"), std::nullopt},
+      {with_field(take, "topic", R"("/sv1Request\q")"), std::nullopt},
+      // Duplicate keys keep the first value; later ones must still parse.
+      {R"({"t":5,"t":7,)" + take.substr(1), timed(5)},
+      {R"({"t":5,"t":"late",)" + take.substr(1), timed(5)},
+      {R"({"t":5,"t":1.2.3,)" + take.substr(1), std::nullopt},
+      // Unknown keys are ignored whatever they hold, if it is valid JSON.
+      {R"({"x":{"a":[1,2,{"b":null}],"c":"é"},"y":true,"z":-1.5e+3,)" +
+           take.substr(1),
+       sample_take()},
+      {R"({"x":[1,)" + take.substr(1), std::nullopt},
+      {R"({"x":nul,)" + take.substr(1), std::nullopt},
+      // Numbers: a sign, exponents and fractions truncate like the parser.
+      {with_field(take, "t", "+5"), timed(5)},
+      {with_field(take, "t", "1e3"), timed(1000)},
+      {with_field(take, "t", "5.9"), timed(5)},
+      {with_field(take, "t", "0.5e1"), timed(5)},
+      {with_field(take, "t", "-0"), timed(0)},
+      {with_field(take, "t", "1e-999"), timed(0)},
+      {with_field(take, "t", "5." + std::string(80, '0') + "1"), timed(5)},
+      {with_field(take, "t", "-"), std::nullopt},
+      {with_field(take, "t", "+"), std::nullopt},
+      {with_field(take, "t", "+-5"), std::nullopt},
+      {with_field(take, "t", "1-2"), std::nullopt},
+      {with_field(take, "t", "1e"), std::nullopt},
+      {with_field(take, "t", "0x10"), std::nullopt},
+      {with_field(take, "t", "1e999"), std::nullopt},
+      {with_field(take, "t", "1e19"), std::nullopt},
+      // The int64 edges. Below the minimum, strtod rounds to -2^63.
+      {with_field(take, "t", "9223372036854775807"), timed(kMax)},
+      {with_field(take, "t", "9223372036854775808"), std::nullopt},
+      {with_field(take, "t", "-9223372036854775808"), timed(kMin)},
+      {with_field(take, "t", "-9223372036854775809"), timed(kMin)},
+      {with_field(take, "t", "-9223372036854776832"), timed(kMin)},
+      {with_field(take, "t", "-9223372036854776833"), std::nullopt},
+      // Wrong JSON types and missing keys.
+      {with_field(take, "t", R"("123")"), std::nullopt},
+      {with_field(take, "topic", "7"), std::nullopt},
+      {with_field(take, "cb", "true"), std::nullopt},
+      {with_field(take, "cb", "{}"), std::nullopt},
+      {R"({"t":123,"pid":1001,"probe":"P10","type":"take"})", std::nullopt},
+      // Trailing commas and garbage; lines that are not objects.
+      {take.substr(0, take.size() - 1) + ",}", std::nullopt},
+      {take + ",", std::nullopt},
+      {take + "}", std::nullopt},
+      {take + " x", std::nullopt},
+      {take.substr(0, take.size() - 1), std::nullopt},
+      {"{}", std::nullopt},
+      {"{", std::nullopt},
+      {"[]", std::nullopt},
+      {"[1,2]", std::nullopt},
+      {"5", std::nullopt},
+      {R"("take")", std::nullopt},
+      {"null", std::nullopt},
+      {"", std::nullopt},
+      {" \t", std::nullopt},
+  };
+  for (const auto& [line, event] : cases) {
+    EXPECT_EQ(expect_same_outcome(line).event, event) << "line: " << line;
+  }
+}
+
+TEST(SerializeTest, DecodesMutatedGoldenLinesLikeTheObjectModel) {
+  // Every line of every golden trace, mutated seven ways by a fixed seed:
+  // substitution from a JSON-flavoured alphabet, insertion, deletion and
+  // truncation, each alone, then the first three followed by one more
+  // mutation of a random kind.
+  static constexpr std::string_view kAlphabet =
+      "{}[]\":,\\ \t\r-+.eE0123456789tfnulrsaPx_\x80";
+  Rng rng(20240612);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_u64() % n);
+  };
+  const auto mutate = [&](std::string& line, std::size_t op) {
+    const char byte = kAlphabet[pick(kAlphabet.size())];
+    switch (op) {
+      case 0:
+        if (!line.empty()) line[pick(line.size())] = byte;
+        break;
+      case 1:
+        line.insert(pick(line.size() + 1), 1, byte);
+        break;
+      case 2:
+        if (!line.empty()) line.erase(pick(line.size()), 1);
+        break;
+      default:
+        line.resize(pick(line.size() + 1));
+    }
+  };
+
+  std::vector<std::filesystem::path> goldens;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(TETRA_TEST_DATA_DIR)) {
+    if (entry.path().extension() == ".jsonl") goldens.push_back(entry.path());
+  }
+  std::sort(goldens.begin(), goldens.end());
+  ASSERT_FALSE(goldens.empty());
+
+  std::size_t cases = 0, decoded = 0, mismatches = 0;
+  for (const auto& path : goldens) {
+    std::ifstream in(path, std::ios::binary);
+    std::string line;
+    while (std::getline(in, line)) {
+      for (std::size_t variant = 0; variant < 7; ++variant) {
+        std::string mutated = line;
+        mutate(mutated, variant % 4);
+        if (variant >= 4) mutate(mutated, pick(4));
+        const Outcome expected = outcome_of(reference_from_jsonl, mutated);
+        const Outcome actual = outcome_of(from_jsonl, mutated);
+        ++cases;
+        if (actual.event) ++decoded;
+        if (!(actual == expected) && ++mismatches <= 10) {
+          ADD_FAILURE() << "line: " << mutated << "\n  from_jsonl: " << actual
+                        << "\n  reference:  " << expected;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GE(cases, 50000u);
+  // Both outcomes must be well represented, or the comparison proves little.
+  EXPECT_GT(decoded, cases / 50);
+  EXPECT_LT(decoded, cases - cases / 50);
 }
 
 TEST(SerializeTest, FootprintCountsCompactBytes) {
