@@ -5,6 +5,9 @@
 // comfortably handles multi-minute traces.
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <vector>
+
 #include "api/session.hpp"
 #include "core/model_synthesis.hpp"
 #include "ebpf/tracers.hpp"
@@ -16,19 +19,24 @@ namespace {
 
 using namespace tetra;
 
-/// One cached SYN trace reused by every benchmark.
-const trace::EventVector& syn_trace() {
-  static const trace::EventVector events = [] {
+/// The SYN app traced for `seconds` simulated seconds, cached per length.
+const trace::EventVector& syn_trace(int seconds = 30) {
+  static std::map<int, trace::EventVector> cache;
+  auto it = cache.find(seconds);
+  if (it == cache.end()) {
     ros2::Context ctx;
     ebpf::TracerSuite suite(ctx);
     suite.start_init();
     workloads::build_syn_app(ctx);
     auto init_trace = suite.stop_init();
     suite.start_runtime();
-    ctx.run_for(Duration::sec(30));
-    return trace::merge_sorted({init_trace, suite.stop_runtime()});
-  }();
-  return events;
+    ctx.run_for(Duration::sec(seconds));
+    it = cache
+             .emplace(seconds,
+                      trace::merge_sorted({init_trace, suite.stop_runtime()}))
+             .first;
+  }
+  return it->second;
 }
 
 void BM_TraceIndexBuild(benchmark::State& state) {
@@ -53,6 +61,30 @@ void BM_Algorithm1Extraction(benchmark::State& state) {
                           static_cast<std::int64_t>(events.size()));
 }
 BENCHMARK(BM_Algorithm1Extraction);
+
+void BM_FindCaller(benchmark::State& state) {
+  // Per-lookup cost over traces of growing length: an indexed FindCaller
+  // stays flat, a walk over the writer's history grows with the trace.
+  const auto& events = syn_trace(static_cast<int>(state.range(0)));
+  const core::TraceIndex index(events);
+  const trace::ColumnsView v = index.view();
+  std::vector<std::size_t> request_takes;
+  for (std::size_t seq = 0; seq < index.size(); ++seq) {
+    if (static_cast<trace::EventType>(v.type[seq]) == trace::EventType::Take &&
+        static_cast<trace::TakeKind>(v.aux[seq]) ==
+            trace::TakeKind::Request) {
+      request_takes.push_back(seq);
+    }
+  }
+  for (auto _ : state) {
+    for (const std::size_t seq : request_takes) {
+      benchmark::DoNotOptimize(core::find_caller(index, seq));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(request_takes.size()));
+}
+BENCHMARK(BM_FindCaller)->Arg(10)->Arg(30)->Arg(60);
 
 void BM_Algorithm2Indexed(benchmark::State& state) {
   const auto& events = syn_trace();

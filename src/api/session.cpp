@@ -138,8 +138,7 @@ Result<SegmentInfo> SynthesisSession::ingest_file(const std::string& path,
                                                   const IngestOptions& options) {
   trace::EventVector events;
   try {
-    events = trace::is_ttb_file(path) ? trace::TtbReader(path).materialize()
-                                      : trace::read_jsonl_file(path);
+    events = trace::read_trace_file(path);
   } catch (const std::exception& e) {
     return make_error(ErrorCode::Io, e.what(), path);
   }

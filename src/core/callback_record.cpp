@@ -81,24 +81,29 @@ std::optional<Duration> CallbackRecord::estimated_period() const {
   return Duration{diffs[diffs.size() / 2]};
 }
 
-CallbackRecord& CallbackList::match_or_insert(const CallbackRecord& instance) {
+CallbackRecord& CallbackList::match_or_insert(CallbackKind kind, CallbackId id,
+                                              Pid pid,
+                                              const std::string& node_name,
+                                              std::string_view in_topic) {
   for (auto& record : records) {
-    if (record.id != instance.id) continue;
-    if (record.kind == CallbackKind::Service &&
-        record.in_topic != instance.in_topic) {
+    if (record.id != id) continue;
+    if (record.kind == CallbackKind::Service && record.in_topic != in_topic) {
       continue;  // services additionally match on the annotated in-topic
     }
     return record;
   }
-  CallbackRecord fresh;
-  fresh.kind = instance.kind;
-  fresh.id = instance.id;
-  fresh.pid = instance.pid;
-  fresh.node_name = instance.node_name;
-  fresh.in_topic = instance.in_topic;
-  fresh.is_sync_subscriber = instance.is_sync_subscriber;
-  records.push_back(std::move(fresh));
-  return records.back();
+  CallbackRecord& fresh = records.emplace_back();
+  fresh.kind = kind;
+  fresh.id = id;
+  fresh.pid = pid;
+  fresh.node_name = node_name;
+  fresh.in_topic = in_topic;
+  return fresh;
+}
+
+CallbackRecord& CallbackList::match_or_insert(const CallbackRecord& instance) {
+  return match_or_insert(instance.kind, instance.id, instance.pid,
+                         instance.node_name, instance.in_topic);
 }
 
 const CallbackRecord* CallbackList::find_by_label(const std::string& label) const {

@@ -4,6 +4,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/ids.hpp"
@@ -91,7 +92,12 @@ struct CallbackList {
   std::vector<CallbackRecord> records;
 
   /// Alg. 1's AddToCallback matching: same id (and, for services, same
-  /// annotated in_topic) => same entry. Returns the matched or new record.
+  /// annotated in_topic) => same entry. Returns the matched record, or a
+  /// new one holding only the given identity fields (no instances).
+  CallbackRecord& match_or_insert(CallbackKind kind, CallbackId id, Pid pid,
+                                  const std::string& node_name,
+                                  std::string_view in_topic);
+  /// Same, with the identity fields taken from `instance`.
   CallbackRecord& match_or_insert(const CallbackRecord& instance);
 
   const CallbackRecord* find_by_label(const std::string& label) const;

@@ -43,27 +43,46 @@ ExecTimeCalculator::ExecTimeCalculator(const trace::SortedEventView& view) {
   finalize_indices();
 }
 
+const ExecTimeCalculator::Slot* ExecTimeCalculator::find_slot(Pid pid) const {
+  auto it = slots_.find(pid);
+  return it == slots_.end() ? nullptr : &it->second;
+}
+
 void ExecTimeCalculator::index_event(const trace::TraceEvent& event) {
   if (event.type == trace::EventType::SchedSwitch) {
     const auto& info = event.as<trace::SchedSwitchInfo>();
     if (info.prev_pid != kIdlePid) {
-      switches_[info.prev_pid].push_back(
+      slots_[info.prev_pid].switches.push_back(
           Switch{event.time, false, info.prev_state});
     }
     if (info.next_pid != kIdlePid) {
-      switches_[info.next_pid].push_back(
+      slots_[info.next_pid].switches.push_back(
           Switch{event.time, true, trace::ThreadRunState::Runnable});
     }
   } else if (event.type == trace::EventType::SchedWakeup) {
-    wakeups_[event.as<trace::SchedWakeupInfo>().woken_pid].push_back(event.time);
+    const Pid pid = event.as<trace::SchedWakeupInfo>().woken_pid;
+    slots_[pid].wakeups.push_back(event.time);
   }
 }
 
-void ExecTimeCalculator::append_columns(const trace::ColumnsView& v,
-                                        std::size_t from) {
-  // First-touch old sizes, so each per-PID list can be re-merged once.
-  std::map<Pid, std::size_t> switch_sizes;
-  std::map<Pid, std::size_t> wakeup_sizes;
+std::vector<Pid> ExecTimeCalculator::append_columns(const trace::ColumnsView& v,
+                                                    std::size_t from) {
+  const std::uint64_t batch = ++batch_;
+  std::vector<Slot*> touched;
+  std::vector<Pid> pids;
+  // Stamps each slot on its first touch in this batch with its old sizes,
+  // so every list is re-merged once below.
+  const auto touch = [&](Pid pid) -> Slot& {
+    Slot& slot = slots_[pid];
+    if (slot.batch != batch) {
+      slot.batch = batch;
+      slot.switches_mark = slot.switches.size();
+      slot.wakeups_mark = slot.wakeups.size();
+      touched.push_back(&slot);
+      pids.push_back(pid);
+    }
+    return slot;
+  };
   for (std::size_t i = from; i < v.count; ++i) {
     const auto type = static_cast<trace::EventType>(v.type[i]);
     if (type == trace::EventType::SchedSwitch) {
@@ -71,59 +90,53 @@ void ExecTimeCalculator::append_columns(const trace::ColumnsView& v,
       const Pid prev = static_cast<Pid>(v.sched_prev_pid(i));
       const Pid next = static_cast<Pid>(v.sched_next_pid(i));
       if (prev != kIdlePid) {
-        auto& list = switches_[prev];
-        switch_sizes.emplace(prev, list.size());
-        list.push_back(Switch{
+        touch(prev).switches.push_back(Switch{
             t, false,
             static_cast<trace::ThreadRunState>(static_cast<char>(v.aux[i]))});
       }
       if (next != kIdlePid) {
-        auto& list = switches_[next];
-        switch_sizes.emplace(next, list.size());
-        list.push_back(Switch{t, true, trace::ThreadRunState::Runnable});
+        touch(next).switches.push_back(
+            Switch{t, true, trace::ThreadRunState::Runnable});
       }
     } else if (type == trace::EventType::SchedWakeup) {
-      const Pid pid = static_cast<Pid>(v.wakeup_pid(i));
-      auto& list = wakeups_[pid];
-      wakeup_sizes.emplace(pid, list.size());
-      list.push_back(TimePoint{v.time[i]});
+      touch(static_cast<Pid>(v.wakeup_pid(i)))
+          .wakeups.push_back(TimePoint{v.time[i]});
     }
   }
   // A stable merge keeps older entries first on time ties — identical to
   // the stable_sort a full rebuild applies over the merged event order.
-  for (const auto& [pid, old_size] : switch_sizes) {
-    auto& list = switches_[pid];
-    if (old_size == 0 || old_size == list.size()) continue;
-    if (!(list[old_size].time < list[old_size - 1].time)) continue;
-    std::inplace_merge(
-        list.begin(), list.begin() + static_cast<std::ptrdiff_t>(old_size),
-        list.end(),
-        [](const Switch& a, const Switch& b) { return a.time < b.time; });
+  for (Slot* slot : touched) {
+    auto& switches = slot->switches;
+    const std::size_t old_switches = slot->switches_mark;
+    if (old_switches > 0 && old_switches < switches.size() &&
+        switches[old_switches].time < switches[old_switches - 1].time) {
+      std::inplace_merge(
+          switches.begin(),
+          switches.begin() + static_cast<std::ptrdiff_t>(old_switches),
+          switches.end(),
+          [](const Switch& a, const Switch& b) { return a.time < b.time; });
+    }
+    auto& wakeups = slot->wakeups;
+    const std::size_t old_wakeups = slot->wakeups_mark;
+    if (old_wakeups > 0 && old_wakeups < wakeups.size() &&
+        wakeups[old_wakeups] < wakeups[old_wakeups - 1]) {
+      std::inplace_merge(
+          wakeups.begin(),
+          wakeups.begin() + static_cast<std::ptrdiff_t>(old_wakeups),
+          wakeups.end());
+    }
   }
-  for (const auto& [pid, old_size] : wakeup_sizes) {
-    auto& list = wakeups_[pid];
-    if (old_size == 0 || old_size == list.size()) continue;
-    if (!(list[old_size] < list[old_size - 1])) continue;
-    std::inplace_merge(
-        list.begin(), list.begin() + static_cast<std::ptrdiff_t>(old_size),
-        list.end());
-  }
+  std::sort(pids.begin(), pids.end());
+  return pids;
 }
 
 void ExecTimeCalculator::finalize_indices() {
-  for (auto& [pid, list] : switches_) {
-    std::stable_sort(list.begin(), list.end(),
-                     [](const Switch& a, const Switch& b) { return a.time < b.time; });
+  for (auto& [pid, slot] : slots_) {
+    std::stable_sort(
+        slot.switches.begin(), slot.switches.end(),
+        [](const Switch& a, const Switch& b) { return a.time < b.time; });
+    std::sort(slot.wakeups.begin(), slot.wakeups.end());
   }
-  for (auto& [pid, list] : wakeups_) {
-    std::sort(list.begin(), list.end());
-  }
-}
-
-const std::vector<ExecTimeCalculator::Switch>* ExecTimeCalculator::switches_for(
-    Pid pid) const {
-  auto it = switches_.find(pid);
-  return it == switches_.end() ? nullptr : &it->second;
 }
 
 Duration ExecTimeCalculator::exec_time(TimePoint start, TimePoint end,
@@ -131,15 +144,16 @@ Duration ExecTimeCalculator::exec_time(TimePoint start, TimePoint end,
   // Inverted windows (corrupt or hand-edited traces) have no well-defined
   // on-CPU intersection; report zero rather than a negative duration.
   if (end < start) return Duration::zero();
-  const auto* list = switches_for(pid);
-  if (list == nullptr) return end - start;  // never switched: ran throughout
+  const Slot* slot = find_slot(pid);
+  if (slot == nullptr) return end - start;  // never switched: ran throughout
+  const std::vector<Switch>& list = slot->switches;
   Duration total = Duration::zero();
   TimePoint last_start = start;
   bool on_cpu = true;
   auto it = std::upper_bound(
-      list->begin(), list->end(), start,
+      list.begin(), list.end(), start,
       [](TimePoint t, const Switch& s) { return t < s.time; });
-  for (; it != list->end() && it->time < end; ++it) {
+  for (; it != list.end() && it->time < end; ++it) {
     if (it->time <= start) continue;
     if (!it->in) {
       if (on_cpu) total += it->time - last_start;
@@ -155,9 +169,9 @@ Duration ExecTimeCalculator::exec_time(TimePoint start, TimePoint end,
 
 std::optional<TimePoint> ExecTimeCalculator::last_wakeup_before(
     Pid pid, TimePoint t) const {
-  auto it = wakeups_.find(pid);
-  if (it == wakeups_.end() || it->second.empty()) return std::nullopt;
-  const auto& list = it->second;
+  const Slot* slot = find_slot(pid);
+  if (slot == nullptr) return std::nullopt;
+  const auto& list = slot->wakeups;
   auto pos = std::upper_bound(list.begin(), list.end(), t);
   if (pos == list.begin()) return std::nullopt;
   return *(pos - 1);
@@ -165,10 +179,10 @@ std::optional<TimePoint> ExecTimeCalculator::last_wakeup_before(
 
 std::size_t ExecTimeCalculator::preemptions_in(TimePoint start, TimePoint end,
                                                Pid pid) const {
-  const auto* list = switches_for(pid);
-  if (list == nullptr) return 0;
+  const Slot* slot = find_slot(pid);
+  if (slot == nullptr) return 0;
   std::size_t count = 0;
-  for (const auto& s : *list) {
+  for (const auto& s : slot->switches) {
     if (s.time <= start) continue;
     if (s.time >= end) break;
     if (!s.in && s.prev_state == trace::ThreadRunState::Runnable) ++count;

@@ -11,8 +11,9 @@
 //    extraction pass.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "support/ids.hpp"
@@ -45,8 +46,10 @@ class ExecTimeCalculator {
   /// Indexes the sched events of columnar rows [from, view.count). Rows of
   /// one batch must be time-sorted; per-PID lists stay sorted by (time,
   /// append order), matching what a full rebuild over the merged trace
-  /// would produce.
-  void append_columns(const trace::ColumnsView& view, std::size_t from);
+  /// would produce. Returns the pids whose switch or wakeup lists grew,
+  /// sorted and unique.
+  std::vector<Pid> append_columns(const trace::ColumnsView& view,
+                                  std::size_t from);
 
   /// Execution time of the window [start, end] for the thread `pid`:
   /// the sum of its on-CPU segments inside the window. The thread is
@@ -67,12 +70,22 @@ class ExecTimeCalculator {
     bool in;  ///< true: pid got the CPU; false: pid left the CPU
     trace::ThreadRunState prev_state;  ///< only meaningful when !in
   };
-  const std::vector<Switch>* switches_for(Pid pid) const;
+  /// Everything indexed for one pid.
+  struct Slot {
+    std::vector<Switch> switches;    ///< sorted by time, ties in append order
+    std::vector<TimePoint> wakeups;  ///< sorted
+    /// The append_columns batch that last grew the lists, and their sizes
+    /// before it, so each list is re-merged once per batch.
+    std::uint64_t batch = 0;
+    std::size_t switches_mark = 0;
+    std::size_t wakeups_mark = 0;
+  };
+  const Slot* find_slot(Pid pid) const;
   void index_event(const trace::TraceEvent& event);
   void finalize_indices();
 
-  std::map<Pid, std::vector<Switch>> switches_;
-  std::map<Pid, std::vector<TimePoint>> wakeups_;
+  std::unordered_map<Pid, Slot> slots_;
+  std::uint64_t batch_ = 0;
 };
 
 }  // namespace tetra::core

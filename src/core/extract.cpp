@@ -19,18 +19,30 @@ bool is_time_sorted(const std::int64_t* time, std::size_t count) {
   return true;
 }
 
+/// (time, seq) order of the indexed rows — the k-way merge order.
+struct ChronoLess {
+  const std::int64_t* time;
+  bool operator()(std::size_t a, std::size_t b) const {
+    return time[a] < time[b] || (time[a] == time[b] && a < b);
+  }
+};
+
 /// Restores (time, seq) order after pushing a batch whose entries are
 /// themselves (time, seq)-sorted: one stable in-place merge, skipped when
 /// the batch already belongs at the tail (the overwhelmingly common case).
 void merge_tail(std::vector<std::size_t>& list, std::size_t old_size,
                 const trace::ColumnsView& v) {
   if (old_size == 0 || old_size == list.size()) return;
-  const auto chrono_less = [&v](std::size_t a, std::size_t b) {
-    return v.time[a] < v.time[b] || (v.time[a] == v.time[b] && a < b);
-  };
+  const ChronoLess chrono_less{v.time};
   if (!chrono_less(list[old_size], list[old_size - 1])) return;
   std::inplace_merge(list.begin(), list.begin() + old_size, list.end(),
                      chrono_less);
+}
+
+template <typename T>
+void sort_unique(std::vector<T>& items) {
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
 }
 
 }  // namespace
@@ -38,11 +50,11 @@ void merge_tail(std::vector<std::size_t>& list, std::size_t old_size,
 const char* ros2_request_suffix() { return "Request"; }
 const char* ros2_reply_suffix() { return "Reply"; }
 
-bool is_service_request_topic(const std::string& topic) {
+bool is_service_request_topic(std::string_view topic) {
   return ends_with(topic, ros2_request_suffix());
 }
 
-bool is_service_reply_topic(const std::string& topic) {
+bool is_service_reply_topic(std::string_view topic) {
   return ends_with(topic, ros2_reply_suffix());
 }
 
@@ -90,85 +102,84 @@ AppendDelta TraceIndex::append(const trace::ColumnsView& view) {
 AppendDelta TraceIndex::index_rows(std::size_t base) {
   AppendDelta delta;
   const trace::ColumnsView v = columns_.view();
-  // Old sizes of every per-pid / per-key list touched by this batch, so
-  // (time, seq) order can be restored with one merge each.
-  std::map<Pid, std::size_t> ros_sizes;
-  std::map<Pid, std::size_t> p14_sizes;
-  std::map<TopicTsKey, std::size_t> response_sizes;
+  // Every list this batch grows is stamped with the batch on first touch
+  // and remembers its old size, so (time, seq) order is restored with one
+  // merge each afterwards.
+  const std::uint64_t batch = ++batch_;
+  std::vector<PidSlot*> touched_slots;
+  std::vector<ResponseList*> touched_responses;
 
   for (std::size_t i = base; i < v.count; ++i) {
     const auto type = static_cast<trace::EventType>(v.type[i]);
-    if (type == trace::EventType::SchedSwitch) {
-      const Pid prev = static_cast<Pid>(v.sched_prev_pid(i));
-      const Pid next = static_cast<Pid>(v.sched_next_pid(i));
-      if (prev != kIdlePid) delta.sched_pids.insert(prev);
-      if (next != kIdlePid) delta.sched_pids.insert(next);
-      continue;
-    }
-    if (type == trace::EventType::SchedWakeup) {
-      delta.sched_pids.insert(static_cast<Pid>(v.wakeup_pid(i)));
+    // Sched rows are indexed by exec_calc_ below.
+    if (type == trace::EventType::SchedSwitch ||
+        type == trace::EventType::SchedWakeup) {
       continue;
     }
 
     const Pid pid = static_cast<Pid>(v.pid[i]);
-    delta.ros_pids.insert(pid);
-    auto& ros = ros_by_pid_[pid];
-    ros_sizes.emplace(pid, ros.size());
-    ros.push_back(i);
+    PidSlot& slot = slots_[pid];
+    if (slot.batch != batch) {
+      slot.batch = batch;
+      slot.ros_mark = slot.ros.size();
+      slot.p14_mark = slot.p14.size();
+      touched_slots.push_back(&slot);
+      delta.ros_pids.push_back(pid);
+    }
+    slot.ros.push_back(i);
 
     switch (type) {
-      case trace::EventType::RmwCreateNode: {
-        const auto key = std::make_pair(v.time[i], i);
-        auto [it, inserted] = node_event_.emplace(pid, key);
+      case trace::EventType::RmwCreateNode:
         // Last event in merged order names the node: the newcomer (larger
         // seq) wins unless it is chronologically earlier.
-        if (inserted || key.first >= it->second.first) {
-          it->second = key;
+        if (slot.node_seq == npos || v.time[i] >= slot.node_time) {
+          slot.node_time = v.time[i];
+          slot.node_seq = i;
           nodes_[pid] = std::string(v.str(v.arg_c[i]));
         }
         break;
-      }
       case trace::EventType::DdsWrite: {
-        TopicTsKey key{std::string(v.str(v.arg_c[i])), v.arg_b[i]};
-        auto [it, inserted] = writes_.emplace(key, i);
+        const TopicTsKey key{v.arg_c[i], v.arg_b[i]};
+        auto [it, inserted] = writes_.try_emplace(key, i);
         // First event in merged order is canonical: replace only when the
         // newcomer is strictly earlier.
         if (!inserted && v.time[i] < v.time[it->second]) it->second = i;
-        delta.write_keys.insert(std::move(key));
+        delta.write_keys.push_back(key);
         break;
       }
-      case trace::EventType::Take: {
+      case trace::EventType::Take:
         if (static_cast<trace::TakeKind>(v.aux[i]) ==
             trace::TakeKind::Response) {
-          TopicTsKey key{std::string(v.str(v.arg_c[i])), v.arg_b[i]};
-          auto& list = take_responses_[key];
-          response_sizes.emplace(key, list.size());
-          list.push_back(i);
-          delta.response_keys.insert(std::move(key));
+          const TopicTsKey key{v.arg_c[i], v.arg_b[i]};
+          ResponseList& list = take_responses_[key];
+          if (list.batch != batch) {
+            list.batch = batch;
+            list.mark = list.seqs.size();
+            touched_responses.push_back(&list);
+            delta.response_keys.push_back(key);
+          }
+          list.seqs.push_back(i);
         }
         break;
-      }
-      case trace::EventType::TakeTypeErased: {
-        auto& list = p14_by_pid_[pid];
-        p14_sizes.emplace(pid, list.size());
-        list.push_back(i);
+      case trace::EventType::TakeTypeErased:
+        slot.p14.push_back(i);
         break;
-      }
       default:
         break;
     }
   }
 
-  for (const auto& [pid, old_size] : ros_sizes) {
-    merge_tail(ros_by_pid_[pid], old_size, v);
+  for (PidSlot* slot : touched_slots) {
+    merge_tail(slot->ros, slot->ros_mark, v);
+    merge_tail(slot->p14, slot->p14_mark, v);
   }
-  for (const auto& [pid, old_size] : p14_sizes) {
-    merge_tail(p14_by_pid_[pid], old_size, v);
+  for (ResponseList* list : touched_responses) {
+    merge_tail(list->seqs, list->mark, v);
   }
-  for (const auto& [key, old_size] : response_sizes) {
-    merge_tail(take_responses_[key], old_size, v);
-  }
-  exec_calc_.append_columns(v, base);
+  delta.sched_pids = exec_calc_.append_columns(v, base);
+  sort_unique(delta.ros_pids);
+  sort_unique(delta.write_keys);
+  sort_unique(delta.response_keys);
   return delta;
 }
 
@@ -176,35 +187,47 @@ trace::TraceEvent TraceIndex::event_at(std::size_t seq) const {
   return trace::materialize_event(columns_.view(), seq);
 }
 
+const TraceIndex::PidSlot* TraceIndex::find_slot(Pid pid) const {
+  auto it = slots_.find(pid);
+  return it == slots_.end() ? nullptr : &it->second;
+}
+
 const std::vector<std::size_t>& TraceIndex::ros_events_of(Pid pid) const {
-  auto it = ros_by_pid_.find(pid);
-  return it == ros_by_pid_.end() ? kEmpty : it->second;
+  const PidSlot* slot = find_slot(pid);
+  return slot == nullptr ? kEmpty : slot->ros;
+}
+
+std::size_t TraceIndex::find_write(const TopicTsKey& key) const {
+  auto it = writes_.find(key);
+  return it == writes_.end() ? npos : it->second;
 }
 
 std::size_t TraceIndex::find_write(const std::string& topic,
                                    TimePoint src_ts) const {
-  auto it = writes_.find(TopicTsKey{topic, src_ts.count_ns()});
-  return it == writes_.end() ? npos : it->second;
+  const auto id = columns_.lookup(topic);
+  return id ? find_write(TopicTsKey{*id, src_ts.count_ns()}) : npos;
+}
+
+const std::vector<std::size_t>& TraceIndex::find_take_responses(
+    const TopicTsKey& key) const {
+  auto it = take_responses_.find(key);
+  return it == take_responses_.end() ? kEmpty : it->second.seqs;
 }
 
 const std::vector<std::size_t>& TraceIndex::find_take_responses(
     const std::string& topic, TimePoint src_ts) const {
-  auto it = take_responses_.find(TopicTsKey{topic, src_ts.count_ns()});
-  return it == take_responses_.end() ? kEmpty : it->second;
+  const auto id = columns_.lookup(topic);
+  return id ? find_take_responses(TopicTsKey{*id, src_ts.count_ns()})
+            : kEmpty;
 }
 
 std::size_t TraceIndex::next_take_type_erased_after(Pid pid,
                                                     std::size_t after) const {
-  auto it = p14_by_pid_.find(pid);
-  if (it == p14_by_pid_.end()) return npos;
-  const trace::ColumnsView v = columns_.view();
-  const auto key = std::make_pair(v.time[after], after);
-  auto pos = std::upper_bound(
-      it->second.begin(), it->second.end(), key,
-      [&v](const std::pair<std::int64_t, std::size_t>& k, std::size_t seq) {
-        return k < std::make_pair(v.time[seq], seq);
-      });
-  return pos == it->second.end() ? npos : *pos;
+  const PidSlot* slot = find_slot(pid);
+  if (slot == nullptr) return npos;
+  auto pos = std::upper_bound(slot->p14.begin(), slot->p14.end(), after,
+                              ChronoLess{columns_.view().time});
+  return pos == slot->p14.end() ? npos : *pos;
 }
 
 CallbackId find_caller(const TraceIndex& index, std::size_t take_seq,
@@ -212,49 +235,46 @@ CallbackId find_caller(const TraceIndex& index, std::size_t take_seq,
   // Step 1: the dds_write with the same topic and source timestamp as the
   // take identifies the writing process and the write instant.
   const trace::ColumnsView v = index.view();
-  const std::string topic(v.str(v.arg_c[take_seq]));
-  const std::int64_t src_ts = v.arg_b[take_seq];
-  if (deps != nullptr) deps->write_keys.insert(TopicTsKey{topic, src_ts});
-  const std::size_t write_seq = index.find_write(topic, TimePoint{src_ts});
+  const TopicTsKey key{v.arg_c[take_seq], v.arg_b[take_seq]};
+  if (deps != nullptr) deps->write_keys.push_back(key);
+  const std::size_t write_seq = index.find_write(key);
   if (write_seq == TraceIndex::npos) return kInvalidCallbackId;
   const Pid writer_pid = static_cast<Pid>(v.pid[write_seq]);
-  const std::int64_t write_time = v.time[write_seq];
-  if (deps != nullptr) deps->pids.insert(writer_pid);
+  if (deps != nullptr) deps->pids.push_back(writer_pid);
 
   // Step 2: in the writer's event stream, the timer_call or take event
   // that chronologically precedes the write and follows the last CB start
-  // identifies the caller callback.
-  CallbackId caller = kInvalidCallbackId;
-  for (std::size_t seq : index.ros_events_of(writer_pid)) {
-    if (v.time[seq] > write_time) break;
+  // identifies the caller callback. The write itself sits in that
+  // (time, seq)-sorted stream, so a binary search finds it and a walk back
+  // to the nearest CB start, timer_call or take decides.
+  const std::vector<std::size_t>& stream = index.ros_events_of(writer_pid);
+  auto pos = std::lower_bound(stream.begin(), stream.end(), write_seq,
+                              ChronoLess{v.time});
+  while (pos != stream.begin()) {
+    const std::size_t seq = *--pos;
     switch (static_cast<trace::EventType>(v.type[seq])) {
       case trace::EventType::CallbackStart:
-        caller = kInvalidCallbackId;  // a new CB instance began
-        break;
+        return kInvalidCallbackId;  // the instance had no caller id yet
       case trace::EventType::TimerCall:
       case trace::EventType::Take:
-        caller = static_cast<CallbackId>(v.arg_a[seq]);
-        break;
+        return static_cast<CallbackId>(v.arg_a[seq]);
       default:
         break;
     }
-    if (seq == write_seq) break;
   }
-  return caller;
+  return kInvalidCallbackId;
 }
 
 CallbackId find_client(const TraceIndex& index, std::size_t write_seq,
                        ExtractDeps* deps) {
   const trace::ColumnsView v = index.view();
-  const std::string topic(v.str(v.arg_c[write_seq]));
-  const std::int64_t src_ts = v.arg_b[write_seq];
-  if (deps != nullptr) deps->response_keys.insert(TopicTsKey{topic, src_ts});
+  const TopicTsKey key{v.arg_c[write_seq], v.arg_b[write_seq]};
+  if (deps != nullptr) deps->response_keys.push_back(key);
   // All take_response events for this response — one per client node of
   // the service (ncl of them). Only the caller's P14 evaluates true.
-  for (std::size_t take_seq :
-       index.find_take_responses(topic, TimePoint{src_ts})) {
+  for (std::size_t take_seq : index.find_take_responses(key)) {
     const Pid take_pid = static_cast<Pid>(v.pid[take_seq]);
-    if (deps != nullptr) deps->pids.insert(take_pid);
+    if (deps != nullptr) deps->pids.push_back(take_pid);
     const std::size_t p14 = index.next_take_type_erased_after(take_pid,
                                                               take_seq);
     if (p14 != TraceIndex::npos && v.aux[p14] != 0) {
@@ -266,27 +286,51 @@ CallbackId find_client(const TraceIndex& index, std::size_t write_seq,
 
 namespace {
 
-/// In-flight callback instance state (Alg. 1's CB.* working set).
+/// A topic as Alg. 1 names it — plain, or cat(topic, id) with "?" for an
+/// unresolved id — kept as a string-table id until a record needs the
+/// string. Equal refs name equal strings.
+struct TopicRef {
+  std::uint32_t topic = 0;  ///< string-table id ("" is 0)
+  bool annotated = false;
+  CallbackId id = kInvalidCallbackId;
+
+  bool operator==(const TopicRef&) const = default;
+
+  /// Writes the topic string into `out`, reusing its capacity.
+  void format(const trace::ColumnsView& v, std::string& out) const {
+    out.assign(v.str(topic));
+    if (!annotated) return;
+    out += kTopicAnnotationSeparator;
+    if (id == kInvalidCallbackId) {
+      out += kUnknownAnnotation;
+    } else {
+      append_hex_id(out, id);
+    }
+  }
+};
+
+/// In-flight callback instance state (Alg. 1's CB.* working set). Reused
+/// across instances: reset() keeps the out-topic capacity.
 struct InFlight {
   bool active = false;
   CallbackKind kind = CallbackKind::Timer;
   CallbackId id = kInvalidCallbackId;
   TimePoint start;
-  std::string in_topic;
-  std::vector<std::string> out_topics;
+  TopicRef in_topic;
+  std::vector<TopicRef> out_topics;
   bool is_sync_subscriber = false;
   /// Probe executions whose cost lands inside the instance's [start, end]
   /// measurement window (the CB-end exit probe fires after `end` and is
   /// excluded; rmw_take contributes an entry and an exit probe).
   std::int64_t probe_hits = 0;
 
-  void reset() { *this = InFlight{}; }
+  void reset() {
+    auto topics = std::move(out_topics);
+    topics.clear();
+    *this = InFlight{};
+    out_topics = std::move(topics);
+  }
 };
-
-std::string id_suffix(CallbackId id) {
-  return id == kInvalidCallbackId ? std::string(kUnknownAnnotation)
-                                  : hex_id(id);
-}
 
 }  // namespace
 
@@ -295,7 +339,7 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
                                ExtractDeps* deps) {
   if (deps != nullptr) {
     *deps = ExtractDeps{};
-    deps->pids.insert(pid);
+    deps->pids.push_back(pid);
   }
   CallbackList list;
   list.pid = pid;
@@ -304,6 +348,8 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
 
   const trace::ColumnsView v = index.view();
   InFlight cb;
+  std::string in_topic;  // scratch strings: formatted topics of one instance
+  std::string out_topic;
   for (std::size_t seq : index.ros_events_of(pid)) {  // chronological
     switch (static_cast<trace::EventType>(v.type[seq])) {
       case trace::EventType::CallbackStart: {  // lines 3-5
@@ -324,17 +370,16 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
         if (!cb.active) break;
         cb.id = static_cast<CallbackId>(v.arg_a[seq]);
         cb.probe_hits += 2;  // rmw_take entry + exit probes
-        const std::string topic(v.str(v.arg_c[seq]));
+        const std::uint32_t topic = v.arg_c[seq];
         switch (static_cast<trace::TakeKind>(v.aux[seq])) {
           case trace::TakeKind::Response:  // lines 10-11
-            cb.in_topic = annotate_topic(topic, id_suffix(cb.id));
+            cb.in_topic = TopicRef{topic, true, cb.id};
             break;
           case trace::TakeKind::Request:  // lines 12-13
-            cb.in_topic = annotate_topic(
-                topic, id_suffix(find_caller(index, seq, deps)));
+            cb.in_topic = TopicRef{topic, true, find_caller(index, seq, deps)};
             break;
           case trace::TakeKind::Data:  // lines 14-15
-            cb.in_topic = topic;
+            cb.in_topic = TopicRef{topic, false, kInvalidCallbackId};
             break;
         }
         break;
@@ -342,16 +387,14 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
       case trace::EventType::DdsWrite: {  // lines 16-23
         if (!cb.active) break;
         ++cb.probe_hits;
-        const std::string topic(v.str(v.arg_c[seq]));
-        std::string top_out;
-        if (is_service_request_topic(topic)) {  // lines 17-18
-          top_out = annotate_topic(topic, id_suffix(cb.id));
-        } else if (is_service_reply_topic(topic)) {  // lines 19-20
-          top_out = annotate_topic(topic,
-                                   id_suffix(find_client(index, seq, deps)));
-        } else {  // lines 21-22
-          top_out = topic;
-        }
+        const std::uint32_t topic = v.arg_c[seq];
+        const std::string_view name = v.str(topic);
+        TopicRef top_out{topic, false, kInvalidCallbackId};
+        if (is_service_request_topic(name)) {  // lines 17-18
+          top_out = TopicRef{topic, true, cb.id};
+        } else if (is_service_reply_topic(name)) {  // lines 19-20
+          top_out = TopicRef{topic, true, find_client(index, seq, deps)};
+        }  // else lines 21-22: the plain topic
         if (std::find(cb.out_topics.begin(), cb.out_topics.end(), top_out) ==
             cb.out_topics.end()) {
           cb.out_topics.push_back(top_out);
@@ -379,17 +422,14 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
           et = et > overhead ? et - overhead : Duration::zero();
         }
 
-        CallbackRecord instance;
-        instance.kind = cb.kind;
-        instance.id = cb.id;
-        instance.pid = pid;
-        instance.node_name = list.node_name;
-        instance.in_topic = cb.in_topic;
-        instance.is_sync_subscriber = cb.is_sync_subscriber;
-
-        CallbackRecord& record = list.match_or_insert(instance);
+        cb.in_topic.format(v, in_topic);
+        CallbackRecord& record = list.match_or_insert(cb.kind, cb.id, pid,
+                                                      list.node_name, in_topic);
         record.is_sync_subscriber |= cb.is_sync_subscriber;
-        for (const auto& topic : cb.out_topics) record.add_out_topic(topic);
+        for (const TopicRef& topic : cb.out_topics) {
+          topic.format(v, out_topic);
+          record.add_out_topic(out_topic);
+        }
 
         std::optional<Duration> wait;
         if (options.compute_waiting_times) {
@@ -404,6 +444,11 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
       default:
         break;
     }
+  }
+  if (deps != nullptr) {
+    sort_unique(deps->pids);
+    sort_unique(deps->write_keys);
+    sort_unique(deps->response_keys);
   }
   return list;
 }

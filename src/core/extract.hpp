@@ -11,9 +11,9 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
-#include <utility>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "core/callback_record.hpp"
@@ -39,27 +39,45 @@ struct ExtractOptions {
 /// them to stay independent of the middleware substrate.
 const char* ros2_request_suffix();
 const char* ros2_reply_suffix();
-bool is_service_request_topic(const std::string& topic);
-bool is_service_reply_topic(const std::string& topic);
+bool is_service_request_topic(std::string_view topic);
+bool is_service_reply_topic(std::string_view topic);
 
-/// Lookup key of the (topic, source-timestamp) matching searches.
-using TopicTsKey = std::pair<std::string, std::int64_t>;
+/// Lookup key of the (topic, source-timestamp) matching searches. The
+/// topic is its string-table id in the owning TraceIndex, so keys compare
+/// only within one index.
+struct TopicTsKey {
+  std::uint32_t topic = 0;
+  std::int64_t src_ts = 0;
+
+  friend auto operator<=>(const TopicTsKey&, const TopicTsKey&) = default;
+};
+
+/// Hash of a TopicTsKey for the index's hash maps.
+struct TopicTsKeyHash {
+  std::size_t operator()(const TopicTsKey& key) const noexcept {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key.src_ts) * 0x9E3779B97F4A7C15ull) ^
+        key.topic);
+  }
+};
 
 /// Everything one per-node extraction read outside the node's own event
 /// stream. Recorded so incremental re-synthesis can invalidate exactly the
-/// nodes whose inputs a new segment touches.
+/// nodes whose inputs a new segment touches. extract_callbacks leaves
+/// every member sorted and unique; find_caller/find_client only append.
 struct ExtractDeps {
-  std::set<Pid> pids;                  ///< event streams walked
-  std::set<TopicTsKey> write_keys;     ///< dds_write lookups (hit or miss)
-  std::set<TopicTsKey> response_keys;  ///< take-response lookups
+  std::vector<Pid> pids;                  ///< event streams walked
+  std::vector<TopicTsKey> write_keys;     ///< dds_write lookups (hit or miss)
+  std::vector<TopicTsKey> response_keys;  ///< take-response lookups
 };
 
-/// What one appended segment contributed, in invalidation terms.
+/// What one appended segment contributed, in invalidation terms. Every
+/// member is sorted and unique.
 struct AppendDelta {
-  std::set<Pid> ros_pids;              ///< pids with new ROS2 events
-  std::set<Pid> sched_pids;            ///< pids with new sched activity
-  std::set<TopicTsKey> write_keys;     ///< new dds_write keys
-  std::set<TopicTsKey> response_keys;  ///< new take-response keys
+  std::vector<Pid> ros_pids;              ///< pids with new ROS2 events
+  std::vector<Pid> sched_pids;            ///< pids with new sched activity
+  std::vector<TopicTsKey> write_keys;     ///< new dds_write keys
+  std::vector<TopicTsKey> response_keys;  ///< new take-response keys
 };
 
 /// Pre-built indices over one trace, shared by per-node extractions and by
@@ -72,6 +90,11 @@ struct AppendDelta {
 /// segment, which always has the smaller sequence number), so an index
 /// grown by appends is indistinguishable from one built over the fully
 /// merged trace — the property incremental re-synthesis relies on.
+///
+/// Per-pid lists live in one slot per pid, found through a hash map; the
+/// (topic, src_ts) lookups are hash maps keyed by interned topic ids.
+/// Neither is ever iterated where the order could reach output: nodes()
+/// stays pid-ordered.
 class TraceIndex {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -103,12 +126,16 @@ class TraceIndex {
   /// Node name per PID from P1 events; empty map entry when unknown.
   const std::map<Pid, std::string>& nodes() const { return nodes_; }
 
-  /// Sequence of the dds_write matching (topic, src_ts), or npos. When
-  /// several match, the chronologically first one wins.
+  /// Sequence of the dds_write matching the key, or npos. When several
+  /// match, the chronologically first one wins.
+  std::size_t find_write(const TopicTsKey& key) const;
+  /// Same by topic name; npos when the trace never names the topic.
   std::size_t find_write(const std::string& topic, TimePoint src_ts) const;
 
-  /// All take-response (P13) sequences matching (topic, src_ts),
-  /// chronological.
+  /// All take-response (P13) sequences matching the key, chronological.
+  const std::vector<std::size_t>& find_take_responses(
+      const TopicTsKey& key) const;
+  /// Same by topic name; empty when the trace never names the topic.
   const std::vector<std::size_t>& find_take_responses(const std::string& topic,
                                                       TimePoint src_ts) const;
 
@@ -119,25 +146,45 @@ class TraceIndex {
   const ExecTimeCalculator& exec_calc() const { return exec_calc_; }
 
  private:
+  /// The ROS2 event lists of one pid.
+  struct PidSlot {
+    std::vector<std::size_t> ros;  ///< all ROS2 events, (time, seq) order
+    std::vector<std::size_t> p14;  ///< TakeTypeErased events, same order
+    /// (time, seq) of the P1 event currently naming the pid; appends only
+    /// replace a name when the newcomer is chronologically no earlier.
+    std::int64_t node_time = 0;
+    std::size_t node_seq = npos;
+    /// The append that last grew the lists, and their sizes before it.
+    std::uint64_t batch = 0;
+    std::size_t ros_mark = 0;
+    std::size_t p14_mark = 0;
+  };
+  struct ResponseList {
+    std::vector<std::size_t> seqs;  ///< (time, seq) order
+    std::uint64_t batch = 0;
+    std::size_t mark = 0;
+  };
+
   AppendDelta index_rows(std::size_t base);
+  const PidSlot* find_slot(Pid pid) const;
 
   trace::EventColumns columns_;
-  std::map<Pid, std::vector<std::size_t>> ros_by_pid_;
-  std::map<TopicTsKey, std::size_t> writes_;
-  std::map<TopicTsKey, std::vector<std::size_t>> take_responses_;
-  std::map<Pid, std::vector<std::size_t>> p14_by_pid_;
-  /// (time, seq) of the P1 event currently naming each pid — appends only
-  /// replace a name when the newcomer is chronologically no earlier.
-  std::map<Pid, std::pair<std::int64_t, std::size_t>> node_event_;
+  std::unordered_map<Pid, PidSlot> slots_;
+  std::unordered_map<TopicTsKey, std::size_t, TopicTsKeyHash> writes_;
+  std::unordered_map<TopicTsKey, ResponseList, TopicTsKeyHash>
+      take_responses_;
   std::map<Pid, std::string> nodes_;
   ExecTimeCalculator exec_calc_;
+  std::uint64_t batch_ = 0;
   static const std::vector<std::size_t> kEmpty;
 };
 
 /// FindCaller (Alg. 1, line 13): resolves which callback issued the
 /// service request that the take_request event at `take_seq` consumed.
 /// Returns kInvalidCallbackId when unresolvable. When `deps` is given,
-/// records everything the search read.
+/// records everything the search read. Costs one hash lookup, one binary
+/// search in the writer's stream and a walk back over the writing
+/// callback's events.
 CallbackId find_caller(const TraceIndex& index, std::size_t take_seq,
                        ExtractDeps* deps = nullptr);
 

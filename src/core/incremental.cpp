@@ -8,13 +8,14 @@ namespace tetra::core {
 
 namespace {
 
+/// Whether two sorted vectors share an element: probes the smaller into
+/// the larger by binary search.
 template <typename T>
-bool intersects(const std::set<T>& a, const std::set<T>& b) {
-  // Walk the smaller set, probe the larger.
-  const std::set<T>& probe = a.size() <= b.size() ? a : b;
-  const std::set<T>& in = a.size() <= b.size() ? b : a;
+bool intersects(const std::vector<T>& a, const std::vector<T>& b) {
+  const std::vector<T>& probe = a.size() <= b.size() ? a : b;
+  const std::vector<T>& in = a.size() <= b.size() ? b : a;
   for (const T& item : probe) {
-    if (in.count(item) > 0) return true;
+    if (std::binary_search(in.begin(), in.end(), item)) return true;
   }
   return false;
 }

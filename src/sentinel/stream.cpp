@@ -181,8 +181,7 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::feed_file(
     const std::string& path) {
   trace::EventVector events;
   try {
-    events = trace::is_ttb_file(path) ? trace::TtbReader(path).materialize()
-                                      : trace::read_jsonl_file(path);
+    events = trace::read_trace_file(path);
   } catch (const std::exception& e) {
     return api::Error{api::ErrorCode::Io, e.what(), path};
   }

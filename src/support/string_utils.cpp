@@ -1,5 +1,6 @@
 #include "support/string_utils.hpp"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <stdexcept>
@@ -53,9 +54,17 @@ std::string format(const char* fmt, ...) {
 }
 
 std::string hex_id(std::uint64_t id) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(id));
-  return buf;
+  std::string out;
+  append_hex_id(out, id);
+  return out;
+}
+
+void append_hex_id(std::string& out, std::uint64_t id) {
+  char digits[16];
+  const std::to_chars_result hex =
+      std::to_chars(digits, digits + sizeof digits, id, 16);
+  out += "0x";
+  out.append(digits, hex.ptr);
 }
 
 TextTable::TextTable(std::vector<std::string> headers) : headers_(std::move(headers)) {}

@@ -27,6 +27,9 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// Renders a pseudo-address callback id the way tracers print pointers.
 std::string hex_id(std::uint64_t id);
 
+/// Appends hex_id(id) to `out` without a temporary string.
+void append_hex_id(std::string& out, std::uint64_t id);
+
 /// A minimal fixed-column text table for report output.
 class TextTable {
  public:

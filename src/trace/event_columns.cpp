@@ -38,6 +38,12 @@ std::uint32_t EventColumns::intern(std::string_view s) {
   return index;
 }
 
+std::optional<std::uint32_t> EventColumns::lookup(std::string_view s) const {
+  auto it = intern_.find(s);
+  if (it == intern_.end()) return std::nullopt;
+  return it->second;
+}
+
 void EventColumns::reserve(std::size_t additional_events) {
   const std::size_t target = time_.size() + additional_events;
   time_.reserve(target);

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -100,6 +101,9 @@ class EventColumns {
 
   /// Interns a string, returning its table index ("" is always 0).
   std::uint32_t intern(std::string_view s);
+
+  /// Table index of an already interned string, or nullopt; never interns.
+  std::optional<std::uint32_t> lookup(std::string_view s) const;
 
  private:
   std::vector<std::int64_t> time_;

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -14,6 +13,7 @@
 #include "support/json_parser.hpp"
 #include "support/json_writer.hpp"
 #include "telemetry/metrics.hpp"
+#include "trace/file_input.hpp"
 
 namespace tetra::trace {
 
@@ -431,22 +431,6 @@ EventVector with_line_capacity(std::string_view text) {
   return out;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open for read: " + path);
-  std::error_code size_error;
-  const std::uintmax_t size = std::filesystem::file_size(path, size_error);
-  std::string text(size_error ? 0 : static_cast<std::size_t>(size), '\0');
-  f.read(text.data(), static_cast<std::streamsize>(text.size()));
-  text.resize(static_cast<std::size_t>(f.gcount()));
-  // A pipe has no size, and a file may grow after it was measured.
-  char chunk[4096];
-  while (f.read(chunk, sizeof chunk) || f.gcount() > 0) {
-    text.append(chunk, static_cast<std::size_t>(f.gcount()));
-  }
-  return text;
-}
-
 }  // namespace
 
 std::string to_jsonl(const TraceEvent& e) {
@@ -550,11 +534,6 @@ EventVector events_from_jsonl_lenient(std::string_view text,
   return out;
 }
 
-EventVector read_jsonl_file_lenient(const std::string& path,
-                                    JsonlParseStats* stats) {
-  return events_from_jsonl_lenient(read_file(path), stats);
-}
-
 void write_jsonl_file(const std::string& path, const EventVector& events) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) throw std::runtime_error("cannot open for write: " + path);
@@ -563,7 +542,9 @@ void write_jsonl_file(const std::string& path, const EventVector& events) {
 }
 
 EventVector read_jsonl_file(const std::string& path) {
-  return events_from_jsonl(read_file(path));
+  std::string text;
+  FileInput(path).read_rest(text);
+  return events_from_jsonl(text);
 }
 
 std::size_t binary_footprint_bytes(const EventVector& events) {

@@ -40,10 +40,6 @@ struct JsonlParseStats {
 EventVector events_from_jsonl_lenient(std::string_view text,
                                       JsonlParseStats* stats = nullptr);
 
-/// Lenient counterpart of read_jsonl_file; still throws on I/O failure.
-EventVector read_jsonl_file_lenient(const std::string& path,
-                                    JsonlParseStats* stats = nullptr);
-
 /// Writes events to a file; throws std::runtime_error on I/O failure.
 void write_jsonl_file(const std::string& path, const EventVector& events);
 

@@ -3,16 +3,16 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "telemetry/metrics.hpp"
+#include "trace/file_input.hpp"
+#include "trace/serialize.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define TETRA_TTB_HAVE_MMAP 1
-#include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 #endif
 
 namespace tetra::trace {
@@ -74,13 +74,20 @@ void write_ttb_file(const std::string& path, const EventVector& events) {
   write_ttb_file(path, columns.view());
 }
 
-bool is_ttb_file(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  char magic[sizeof(kTtbMagic)] = {};
-  f.read(magic, sizeof(magic));
-  return f.gcount() == sizeof(magic) &&
-         std::memcmp(magic, kTtbMagic, sizeof(magic)) == 0;
+EventVector read_trace_file(const std::string& path,
+                            JsonlParseStats* lenient) {
+  FileInput input(path);
+  std::string head(sizeof(kTtbMagic), '\0');
+  head.resize(input.read(head.data(), head.size()));
+  if (head == std::string_view(kTtbMagic, sizeof(kTtbMagic))) {
+    TtbReader reader;
+    reader.load(input, std::move(head), path);
+    return reader.materialize();
+  }
+  std::string text = std::move(head);
+  input.read_rest(text);
+  return lenient != nullptr ? events_from_jsonl_lenient(text, lenient)
+                            : events_from_jsonl(text);
 }
 
 void TtbReader::parse(const char* data, std::size_t size,
@@ -168,43 +175,26 @@ void TtbReader::parse(const char* data, std::size_t size,
 }
 
 TtbReader::TtbReader(const std::string& path) {
-#if TETRA_TTB_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw std::runtime_error("cannot open for read: " + path);
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    throw std::runtime_error("cannot stat: " + path);
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  if (size > 0) {
-    void* p = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (p != MAP_FAILED) {
-      map_ = p;
-      map_size_ = size;
-      mapped_ = true;
-      try {
-        parse(static_cast<const char*>(map_), map_size_, path);
-      } catch (...) {
-        unmap();
-        throw;
-      }
-      return;
+  FileInput input(path);
+  load(input, {}, path);
+}
+
+void TtbReader::load(FileInput& input, std::string head,
+                     const std::string& path) {
+  if (void* map = input.map()) {
+    map_ = map;
+    map_size_ = input.regular_size();
+    mapped_ = true;
+    try {
+      parse(static_cast<const char*>(map_), map_size_, path);
+    } catch (...) {
+      unmap();
+      throw;
     }
-  } else {
-    ::close(fd);
+    return;
   }
-#endif
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  if (!f) throw std::runtime_error("cannot open for read: " + path);
-  const auto end = f.tellg();
-  f.seekg(0, std::ios::beg);
-  fallback_.resize(static_cast<std::size_t>(end));
-  if (!fallback_.empty()) {
-    f.read(fallback_.data(), static_cast<std::streamsize>(fallback_.size()));
-    if (!f) throw std::runtime_error("read failed: " + path);
-  }
+  fallback_ = std::move(head);
+  input.read_rest(fallback_);
   parse(fallback_.data(), fallback_.size(), path);
 }
 

@@ -24,8 +24,19 @@ void write_ttb_file(const std::string& path, const ColumnsView& view);
 void write_ttb_file(const std::string& path, const EventColumns& columns);
 void write_ttb_file(const std::string& path, const EventVector& events);
 
-/// True when the file exists and starts with the .ttb magic.
-bool is_ttb_file(const std::string& path);
+struct JsonlParseStats;
+class FileInput;
+
+/// Reads a whole trace file of either format. The format is sniffed from
+/// the first bytes read — the .ttb magic selects TtbReader, anything else
+/// is JSONL — and the path is opened once and read front to back, so
+/// unseekable inputs such as a pipe on /dev/stdin work. A regular .ttb
+/// file is memory-mapped as TtbReader does. With `lenient`, malformed
+/// JSONL lines are skipped and counted there instead of thrown (.ttb input
+/// is always validated strictly). Throws std::runtime_error on I/O failure
+/// or a corrupt .ttb file, std::invalid_argument on a malformed JSONL line.
+EventVector read_trace_file(const std::string& path,
+                            JsonlParseStats* lenient = nullptr);
 
 /// Read-side handle. Memory-maps the file where the platform allows
 /// (read-only, private) and falls back to a buffered read elsewhere; either
@@ -51,11 +62,20 @@ class TtbReader {
   bool mapped() const { return mapped_; }
 
  private:
+  friend EventVector read_trace_file(const std::string& path,
+                                     JsonlParseStats* lenient);
+
+  TtbReader() = default;
+  /// Maps `input` when it is a regular file, else reads it to the end
+  /// after `head` (the bytes already consumed), then parses.
+  void load(FileInput& input, std::string head, const std::string& path);
   void parse(const char* data, std::size_t size, const std::string& path);
   void unmap();
 
   ColumnsView view_;
-  std::vector<char> fallback_;
+  /// The image when not mapped. A parsed image holds at least a header, so
+  /// it never sits in the small-string buffer and moves keep view_ valid.
+  std::string fallback_;
   void* map_ = nullptr;
   std::size_t map_size_ = 0;
   bool mapped_ = false;

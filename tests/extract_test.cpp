@@ -3,7 +3,15 @@
 // sync marking, CBlist matching, and label normalization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "core/extract.hpp"
+#include "scenario/generator.hpp"
+#include "scenario/runner.hpp"
 #include "support/string_utils.hpp"
 
 namespace tetra::core {
@@ -61,6 +69,13 @@ TEST(TraceIndexTest, DiscoversNodesAndIndexes) {
   EXPECT_NE(index.find_write("/svRequest", TimePoint{150}), TraceIndex::npos);
   EXPECT_EQ(index.find_write("/svRequest", TimePoint{999}), TraceIndex::npos);
   EXPECT_EQ(index.find_take_responses("/svReply", TimePoint{380}).size(), 2u);
+  // A topic the trace never names misses without being interned.
+  const std::size_t strings = index.view().string_count;
+  EXPECT_EQ(index.find_write("/absentRequest", TimePoint{150}),
+            TraceIndex::npos);
+  EXPECT_TRUE(
+      index.find_take_responses("/absentReply", TimePoint{380}).empty());
+  EXPECT_EQ(index.view().string_count, strings);
 }
 
 TEST(FindCallerTest, ResolvesTimerCaller) {
@@ -94,6 +109,190 @@ TEST(FindClientTest, ResolvesDispatchedClientOnly) {
   // Node C's client saw the response first but returned P14=false; the
   // resolution must pick node A's client (0x11).
   EXPECT_EQ(find_client(index, write_seq), 0x11u);
+}
+
+/// Every indexed row in (time, seq) order: the merged trace the index
+/// stands for, rebuilt without any of its per-pid or per-key lists.
+std::vector<std::size_t> chronological_rows(const TraceIndex& index) {
+  const ColumnsView v = index.view();
+  std::vector<std::size_t> rows(index.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  std::stable_sort(rows.begin(), rows.end(),
+                   [&v](std::size_t a, std::size_t b) {
+                     return v.time[a] < v.time[b];
+                   });
+  return rows;
+}
+
+bool is_sched(const ColumnsView& v, std::size_t seq) {
+  const auto type = static_cast<EventType>(v.type[seq]);
+  return type == EventType::SchedSwitch || type == EventType::SchedWakeup;
+}
+
+/// FindCaller as a linear scan for the chronologically first matching
+/// dds_write, then a forward walk over the writer's events up to it — the
+/// pre-index algorithm, kept as the reference.
+CallbackId reference_find_caller(const TraceIndex& index,
+                                 const std::vector<std::size_t>& rows,
+                                 std::size_t take_seq) {
+  const ColumnsView v = index.view();
+  const std::string_view topic = v.str(v.arg_c[take_seq]);
+  std::size_t write_seq = TraceIndex::npos;
+  for (const std::size_t seq : rows) {
+    if (static_cast<EventType>(v.type[seq]) == EventType::DdsWrite &&
+        v.str(v.arg_c[seq]) == topic && v.arg_b[seq] == v.arg_b[take_seq]) {
+      write_seq = seq;
+      break;
+    }
+  }
+  if (write_seq == TraceIndex::npos) return kInvalidCallbackId;
+  CallbackId caller = kInvalidCallbackId;
+  for (const std::size_t seq : rows) {
+    if (v.pid[seq] != v.pid[write_seq] || is_sched(v, seq)) continue;
+    switch (static_cast<EventType>(v.type[seq])) {
+      case EventType::CallbackStart:
+        caller = kInvalidCallbackId;
+        break;
+      case EventType::TimerCall:
+      case EventType::Take:
+        caller = static_cast<CallbackId>(v.arg_a[seq]);
+        break;
+      default:
+        break;
+    }
+    if (seq == write_seq) break;
+  }
+  return caller;
+}
+
+/// FindClient by linear scans: the first matching take_response whose
+/// pid's next P14 dispatches.
+CallbackId reference_find_client(const TraceIndex& index,
+                                 const std::vector<std::size_t>& rows,
+                                 std::size_t write_seq) {
+  const ColumnsView v = index.view();
+  const std::string_view topic = v.str(v.arg_c[write_seq]);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const std::size_t take = rows[i];
+    if (static_cast<EventType>(v.type[take]) != EventType::Take ||
+        static_cast<TakeKind>(v.aux[take]) != TakeKind::Response ||
+        v.str(v.arg_c[take]) != topic || v.arg_b[take] != v.arg_b[write_seq]) {
+      continue;
+    }
+    for (std::size_t j = i + 1; j < rows.size(); ++j) {
+      const std::size_t p14 = rows[j];
+      if (v.pid[p14] != v.pid[take] ||
+          static_cast<EventType>(v.type[p14]) != EventType::TakeTypeErased) {
+        continue;
+      }
+      if (v.aux[p14] != 0) return static_cast<CallbackId>(v.arg_a[take]);
+      break;
+    }
+  }
+  return kInvalidCallbackId;
+}
+
+/// Resolves every request take and reply write of `index` both ways;
+/// returns the number of lookups compared.
+std::size_t expect_lookups_match_reference(const TraceIndex& index,
+                                           const std::string& context) {
+  const ColumnsView v = index.view();
+  const std::vector<std::size_t> rows = chronological_rows(index);
+  std::size_t compared = 0;
+  for (std::size_t seq = 0; seq < index.size(); ++seq) {
+    const auto type = static_cast<EventType>(v.type[seq]);
+    if (type == EventType::Take &&
+        static_cast<TakeKind>(v.aux[seq]) == TakeKind::Request) {
+      EXPECT_EQ(find_caller(index, seq),
+                reference_find_caller(index, rows, seq))
+          << context << ", take row " << seq;
+      ++compared;
+    } else if (type == EventType::DdsWrite &&
+               is_service_reply_topic(v.str(v.arg_c[seq]))) {
+      EXPECT_EQ(find_client(index, seq),
+                reference_find_client(index, rows, seq))
+          << context << ", write row " << seq;
+      ++compared;
+    }
+  }
+  return compared;
+}
+
+/// Node A's timer instances around two request writes, with probes lost:
+/// the first instance's CB end and the third instance's timer_call.
+EventVector dropped_probe_scenario() {
+  EventVector ev;
+  ev.push_back(make_node_event(TimePoint{0}, kNodeA, "node_a"));
+  ev.push_back(make_node_event(TimePoint{0}, kNodeB, "node_b"));
+  ev.push_back(
+      make_callback_start(TimePoint{100}, kNodeA, CallbackKind::Timer));
+  ev.push_back(make_timer_call(TimePoint{101}, kNodeA, 0x10));
+  ev.push_back(make_dds_write(TimePoint{150}, kNodeA, "/svRequest",
+                              TimePoint{150}));
+  ev.push_back(
+      make_callback_start(TimePoint{160}, kNodeA, CallbackKind::Timer));
+  ev.push_back(make_timer_call(TimePoint{161}, kNodeA, 0x12));
+  ev.push_back(make_callback_end(TimePoint{170}, kNodeA, CallbackKind::Timer));
+  ev.push_back(
+      make_callback_start(TimePoint{200}, kNodeA, CallbackKind::Timer));
+  ev.push_back(make_dds_write(TimePoint{250}, kNodeA, "/svRequest",
+                              TimePoint{250}));
+  ev.push_back(make_callback_end(TimePoint{260}, kNodeA, CallbackKind::Timer));
+  for (const std::int64_t src_ts : {150, 250}) {
+    ev.push_back(make_callback_start(TimePoint{src_ts + 100}, kNodeB,
+                                     CallbackKind::Service));
+    ev.push_back(make_take(TimePoint{src_ts + 101}, kNodeB, TakeKind::Request,
+                           0x20, "/svRequest", TimePoint{src_ts}));
+    ev.push_back(make_callback_end(TimePoint{src_ts + 120}, kNodeB,
+                                   CallbackKind::Service));
+  }
+  sort_by_time(ev);
+  return ev;
+}
+
+TEST(FindCallerTest, IndexedLookupsMatchLinearReference) {
+  // The first request resolves to its instance's timer although the next
+  // instance starts right after the write; the second meets its
+  // instance's CB start first and stays unresolved.
+  const TraceIndex crafted(dropped_probe_scenario());
+  EXPECT_EQ(expect_lookups_match_reference(crafted, "dropped probes"), 2u);
+  std::vector<CallbackId> callers;
+  for (std::size_t seq = 0; seq < crafted.size(); ++seq) {
+    const TraceEvent e = crafted.event_at(seq);
+    if (e.type == EventType::Take &&
+        e.as<TakeInfo>().kind == TakeKind::Request) {
+      callers.push_back(find_caller(crafted, seq));
+    }
+  }
+  EXPECT_EQ(callers, (std::vector<CallbackId>{0x10, kInvalidCallbackId}));
+
+  scenario::GeneratorOptions multithreaded;
+  multithreaded.p_multithreaded = 1.0;
+  std::size_t compared = 0;
+  for (const bool mt : {false, true}) {
+    const scenario::ScenarioGenerator generator(
+        mt ? multithreaded : scenario::GeneratorOptions{});
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const std::string context =
+          std::string(mt ? "mt" : "default") + " seed " + std::to_string(seed);
+      const EventVector events = scenario::ScenarioRunner()
+                                     .run(generator.generate(seed).spec)
+                                     .trace;
+      compared += expect_lookups_match_reference(TraceIndex(events), context);
+      // Pid-partitioned appends interleave in time, so per-key lists are
+      // restored by merge_tail.
+      EventVector even, odd;
+      for (const TraceEvent& e : events) {
+        (static_cast<std::uint32_t>(e.pid) % 2 == 0 ? even : odd).push_back(e);
+      }
+      TraceIndex partitioned;
+      partitioned.append(even);
+      partitioned.append(odd);
+      compared += expect_lookups_match_reference(partitioned,
+                                                 context + " partitioned");
+    }
+  }
+  EXPECT_GT(compared, 1000u);
 }
 
 TEST(ExtractTest, TimerCallbackAttributes) {

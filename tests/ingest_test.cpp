@@ -87,6 +87,57 @@ TEST(IncrementalTest, MatchesFullSynthesisOnPerPidPartition) {
   EXPECT_EQ(model_json(inc.model().value()), expected);
 }
 
+TEST(IncrementalTest, LateRequestWriteReextractsExactlyItsReaders) {
+  // Node a's timer calls service /sv on node b; node c is unrelated. The
+  // trace ends before any client takes the reply, so b's only read of
+  // a's activity is FindCaller's (topic, src_ts) key. Holding back the
+  // request write leaves that lookup unresolved ('?'); appending the
+  // write alone must re-extract a (its own stream grew) and b (through
+  // the recorded miss), and nothing else.
+  constexpr Pid kA = 1000, kB = 1001, kC = 1002;
+  const trace::TraceEvent request =
+      trace::make_dds_write(TimePoint{150}, kA, "/svRequest", TimePoint{150});
+  const trace::EventVector early = {
+      trace::make_node_event(TimePoint{0}, kA, "node_a"),
+      trace::make_node_event(TimePoint{0}, kB, "node_b"),
+      trace::make_node_event(TimePoint{0}, kC, "node_c"),
+      trace::make_callback_start(TimePoint{100}, kA, CallbackKind::Timer),
+      trace::make_timer_call(TimePoint{101}, kA, 0x10),
+      trace::make_callback_end(TimePoint{200}, kA, CallbackKind::Timer),
+      trace::make_callback_start(TimePoint{210}, kC, CallbackKind::Timer),
+      trace::make_timer_call(TimePoint{211}, kC, 0x30),
+      trace::make_callback_end(TimePoint{250}, kC, CallbackKind::Timer),
+      trace::make_callback_start(TimePoint{300}, kB, CallbackKind::Service),
+      trace::make_take(TimePoint{301}, kB, trace::TakeKind::Request, 0x20,
+                       "/svRequest", TimePoint{150}),
+      trace::make_dds_write(TimePoint{380}, kB, "/svReply", TimePoint{380}),
+      trace::make_callback_end(TimePoint{400}, kB, CallbackKind::Service),
+  };
+  trace::EventVector events = early;
+  events.push_back(request);
+  trace::sort_by_time(events);
+
+  core::IncrementalSynthesizer inc;
+  inc.append(early);
+  const auto server_in_topic = [&inc] {
+    for (const core::CallbackList& list : inc.model().node_callbacks) {
+      if (list.pid == kB) return list.records.at(0).in_topic;
+    }
+    return std::string();
+  };
+  EXPECT_EQ(core::split_annotated_topic(server_in_topic()).second,
+            core::kUnknownAnnotation);
+
+  inc.append(trace::EventVector{request});
+  const std::string model = model_json(inc.model());
+  EXPECT_EQ(inc.last_extracted(), 2u);
+  EXPECT_EQ(core::split_annotated_topic(server_in_topic()).second,
+            "node_a/T1");
+  api::SynthesisSession full;
+  ASSERT_TRUE(full.ingest(events, {.trace_id = "t", .mode = ""}).ok());
+  EXPECT_EQ(model, model_json(full.model().value()));
+}
+
 TEST(IncrementalTest, RepeatQueryExtractsNothing) {
   core::IncrementalSynthesizer inc;
   inc.append(scenario_trace(5));

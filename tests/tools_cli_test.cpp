@@ -244,6 +244,38 @@ TEST(SynthCliTest, TtbTraceSynthesizesLikeJsonl) {
   std::remove(from_ttb.c_str());
 }
 
+TEST(SynthCliTest, PipedTraceSynthesizesLikeByPath) {
+  REQUIRE_TOOL("tetra_synth");
+  // The format sniff must not consume an unseekable input: the golden
+  // trace piped through /dev/stdin yields the by-path model, in both
+  // formats.
+  const std::string fixture =
+      std::string(TETRA_TEST_DATA_DIR) + "/scenario_seed7_trace.jsonl";
+  const std::string ttb = ::testing::TempDir() + "cli_pipe.ttb";
+  const std::string by_path = ::testing::TempDir() + "model_by_path.json";
+  const std::string piped = ::testing::TempDir() + "model_piped.json";
+  ASSERT_EQ(run_command(binary("tetra_synth") + " --trace " + fixture +
+                        " --to-ttb " + ttb)
+                .exit_code,
+            0);
+  ASSERT_EQ(run_command(binary("tetra_synth") + " --trace " + fixture +
+                        " --json " + by_path)
+                .exit_code,
+            0);
+  for (const std::string& input : {fixture, ttb}) {
+    std::remove(piped.c_str());
+    EXPECT_EQ(run_command("cat " + input + " | " + binary("tetra_synth") +
+                          " --trace /dev/stdin --json " + piped)
+                  .exit_code,
+              0)
+        << input;
+    EXPECT_EQ(slurp(piped), slurp(by_path)) << input;
+  }
+  std::remove(ttb.c_str());
+  std::remove(by_path.c_str());
+  std::remove(piped.c_str());
+}
+
 TEST(SynthCliTest, ConversionUsageErrorsExitTwo) {
   REQUIRE_TOOL("tetra_synth");
   const std::string fixture =

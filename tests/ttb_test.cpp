@@ -85,7 +85,7 @@ TEST(TtbTest, FileRoundTripsEveryEventType) {
   const EventVector events = one_of_each();
   const std::string path = temp_path("roundtrip.ttb");
   write_ttb_file(path, events);
-  ASSERT_TRUE(is_ttb_file(path));
+  EXPECT_EQ(read_trace_file(path), events);  // sniffed as .ttb
   const TtbReader reader(path);
   ASSERT_EQ(reader.size(), events.size());
   EXPECT_EQ(reader.materialize(), events);
@@ -131,10 +131,11 @@ TEST(TtbTest, EmptyTraceRoundTrips) {
 
 TEST(TtbTest, RejectsMissingAndForeignFiles) {
   EXPECT_THROW(TtbReader("/nonexistent/nope.ttb"), std::runtime_error);
-  EXPECT_FALSE(is_ttb_file("/nonexistent/nope.ttb"));
+  EXPECT_THROW(read_trace_file("/nonexistent/nope.ttb"), std::runtime_error);
   const std::string jsonl = temp_path("foreign.jsonl");
-  write_jsonl_file(jsonl, EventVector{make_node_event(TimePoint{1}, 1, "n")});
-  EXPECT_FALSE(is_ttb_file(jsonl));
+  const EventVector events{make_node_event(TimePoint{1}, 1, "n")};
+  write_jsonl_file(jsonl, events);
+  EXPECT_EQ(read_trace_file(jsonl), events);  // sniffed as JSONL
   EXPECT_THROW(TtbReader{jsonl}, std::runtime_error);
 }
 

@@ -180,9 +180,7 @@ int main(int argc, char** argv) {
     }
     try {
       const std::string& in = trace_paths[0];
-      const trace::EventVector events = trace::is_ttb_file(in)
-                                            ? trace::TtbReader(in).materialize()
-                                            : trace::read_jsonl_file(in);
+      const trace::EventVector events = trace::read_trace_file(in);
       if (!to_ttb_path.empty()) {
         trace::write_ttb_file(to_ttb_path, events);
         std::fprintf(stderr, "wrote %zu events to %s\n", events.size(),
@@ -206,12 +204,12 @@ int main(int argc, char** argv) {
       std::size_t malformed_skipped = 0;
       const api::Result<api::SegmentInfo> segment =
           [&]() -> api::Result<api::SegmentInfo> {
-        if (lenient && !trace::is_ttb_file(path)) {
+        if (lenient) {
           // Fleet posture: one corrupt line must not sink the upload. Skips
           // are counted here and in trace.jsonl_malformed_skipped.
           trace::JsonlParseStats parse_stats;
           trace::EventVector events =
-              trace::read_jsonl_file_lenient(path, &parse_stats);
+              trace::read_trace_file(path, &parse_stats);
           malformed_skipped = parse_stats.malformed_skipped;
           api::IngestOptions options;
           options.trace_id = path;
