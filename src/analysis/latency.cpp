@@ -9,8 +9,14 @@ namespace tetra::analysis {
 const std::vector<TimePoint> InstanceTimeline::kNoWrites{};
 
 InstanceTimeline::InstanceTimeline(const trace::EventVector& events) {
-  trace::EventVector sorted = events;
-  trace::sort_by_time(sorted);
+  // Time-sorted input (merged traces, window slices) is walked in place;
+  // only unsorted input pays for a sorted copy.
+  trace::EventVector copy;
+  if (!trace::is_time_sorted(events)) {
+    copy = events;
+    trace::sort_by_time(copy);
+  }
+  const trace::EventVector& sorted = copy.empty() ? events : copy;
   consumers_.reserve(events.size() / 4);
 
   // Per-PID in-flight instance assembly, mirroring the single-threaded

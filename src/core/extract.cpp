@@ -59,12 +59,7 @@ bool is_service_reply_topic(std::string_view topic) {
 }
 
 TraceIndex::TraceIndex(const trace::EventVector& events) {
-  const bool sorted = std::is_sorted(
-      events.begin(), events.end(),
-      [](const trace::TraceEvent& a, const trace::TraceEvent& b) {
-        return a.time < b.time;
-      });
-  if (sorted) {
+  if (trace::is_time_sorted(events)) {
     columns_.append(events);
   } else {
     trace::EventVector copy = events;
@@ -75,12 +70,7 @@ TraceIndex::TraceIndex(const trace::EventVector& events) {
 }
 
 AppendDelta TraceIndex::append(const trace::EventVector& sorted_segment) {
-  const bool sorted = std::is_sorted(
-      sorted_segment.begin(), sorted_segment.end(),
-      [](const trace::TraceEvent& a, const trace::TraceEvent& b) {
-        return a.time < b.time;
-      });
-  if (!sorted) {
+  if (!trace::is_time_sorted(sorted_segment)) {
     throw std::invalid_argument("TraceIndex::append requires a time-sorted "
                                 "segment");
   }

@@ -11,6 +11,7 @@
 #include "support/statistics.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
+#include "trace/ttb.hpp"
 
 namespace tetra::sentinel {
 
@@ -67,6 +68,7 @@ std::set<std::string> vertex_keys(const core::Dag& dag) {
   return keys;
 }
 
+/// (from, to, topic); the same type as DriftEngine::EdgeKey.
 using EdgeKey = std::tuple<std::string, std::string, std::string>;
 
 std::set<EdgeKey> edge_keys(const core::Dag& dag) {
@@ -98,10 +100,10 @@ AxisObservation structural_observation(DriftKind kind, std::string subject,
   return obs;
 }
 
-void add_structural_observations(const core::Dag& baseline,
+void add_structural_observations(const std::set<std::string>& base_vertices,
+                                 const std::set<EdgeKey>& base_edges,
                                  const core::Dag& window,
                                  std::vector<AxisObservation>& observations) {
-  const auto base_vertices = vertex_keys(baseline);
   const auto window_vertices = vertex_keys(window);
   for (const auto& key : base_vertices) {
     if (window_vertices.count(key) == 0) {
@@ -119,7 +121,6 @@ void add_structural_observations(const core::Dag& baseline,
     }
   }
 
-  const auto base_edges = edge_keys(baseline);
   const auto win_edges = edge_keys(window);
   for (const auto& [from, to, topic] : base_edges) {
     if (win_edges.count(EdgeKey{from, to, topic}) == 0) {
@@ -188,6 +189,11 @@ api::Error DriftEngine::ensure_baseline() {
   baseline_.model = std::move(model).take();
   baseline_.events = events.value().size();
   baseline_.exec_samples = collect_exec_samples(baseline_.model);
+  for (auto& [label, samples] : baseline_.exec_samples) {
+    std::sort(samples.begin(), samples.end());
+  }
+  baseline_.vertex_keys = vertex_keys(baseline_.model.dag);
+  baseline_.edge_keys = edge_keys(baseline_.model.dag);
   baseline_.chains.clear();
 
   const analysis::InstanceTimeline timeline(events.value());
@@ -215,35 +221,20 @@ api::Error DriftEngine::ensure_baseline() {
 api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventVector events) {
   const api::Error error = ensure_baseline();
   if (error.code != api::ErrorCode::None) return error;
+  ++window_counter_;
+  SentinelMetrics::get().windows.inc();
+  telemetry::ScopedSpan check_span("sentinel.check");
+  // The timeline reads the window before the session takes it over, so
+  // the session never has to hand a merged copy back.
+  const std::size_t window_events = events.size();
+  const analysis::InstanceTimeline timeline(events);
   api::SynthesisSession window_session(config_.synthesis);
   api::IngestOptions ingest;
   ingest.trace_id = "window";
   auto segment = window_session.ingest(std::move(events), ingest);
   if (!segment.ok()) return segment.error();
-  return analyze_ingested(window_session, ingest.trace_id);
-}
-
-api::Result<WindowAnalysis> DriftEngine::analyze_file(
-    const std::string& path) {
-  const api::Error error = ensure_baseline();
-  if (error.code != api::ErrorCode::None) return error;
-  api::SynthesisSession window_session(config_.synthesis);
-  api::IngestOptions ingest;
-  ingest.trace_id = "window";
-  auto segment = window_session.ingest_file(path, ingest);
-  if (!segment.ok()) return segment.error();
-  return analyze_ingested(window_session, ingest.trace_id);
-}
-
-api::Result<WindowAnalysis> DriftEngine::analyze_ingested(
-    api::SynthesisSession& window_session, const std::string& trace_id) {
-  ++window_counter_;
-  SentinelMetrics::get().windows.inc();
-  telemetry::ScopedSpan check_span("sentinel.check");
-  auto model = window_session.trace_model(trace_id);
+  auto model = window_session.trace_model(ingest.trace_id);
   if (!model.ok()) return model.error();
-  auto events = window_session.merged_events(trace_id);
-  if (!events.ok()) return events.error();
   const core::TimingModel& window = model.value();
 
   WindowAnalysis analysis;
@@ -251,13 +242,13 @@ api::Result<WindowAnalysis> DriftEngine::analyze_ingested(
   verdict.baseline_events = baseline_.events;
   verdict.baseline_vertices = baseline_.model.dag.vertex_count();
   verdict.baseline_edges = baseline_.model.dag.edge_count();
-  verdict.window_events = events.value().size();
+  verdict.window_events = window_events;
   verdict.window_vertices = window.dag.vertex_count();
   verdict.window_edges = window.dag.edge_count();
 
   // Axis 1: structure (vertex and edge sets).
-  add_structural_observations(baseline_.model.dag, window.dag,
-                              analysis.observations);
+  add_structural_observations(baseline_.vertex_keys, baseline_.edge_keys,
+                              window.dag, analysis.observations);
 
   // Axis 2: per-callback execution-time distributions (two-sample KS on
   // the raw samples). The test runs from sequential_min_samples per side
@@ -319,7 +310,6 @@ api::Result<WindowAnalysis> DriftEngine::analyze_ingested(
   }
 
   // Axis 4: chain-latency envelopes (and configured deadlines).
-  const analysis::InstanceTimeline timeline(events.value());
   for (const auto& chain : baseline_.chains) {
     const auto latency =
         analysis::measure_chain_latency(timeline, chain.topics);
@@ -401,6 +391,19 @@ api::Result<WindowAnalysis> DriftEngine::analyze_ingested(
   }
   check_span.set_items(verdict.checks);
   return analysis;
+}
+
+api::Result<WindowAnalysis> DriftEngine::analyze_file(
+    const std::string& path) {
+  const api::Error error = ensure_baseline();
+  if (error.code != api::ErrorCode::None) return error;
+  trace::EventVector events;
+  try {
+    events = trace::read_trace_file(path);
+  } catch (const std::exception& e) {
+    return api::Error{api::ErrorCode::Io, e.what(), path};
+  }
+  return analyze(std::move(events));
 }
 
 }  // namespace tetra::sentinel

@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstddef>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/latency.hpp"
@@ -61,7 +63,9 @@ class DriftEngine {
 
   /// Synthesizes `events` as one window (in an ephemeral session, so
   /// long streams do not accumulate per-window state) and compares it
-  /// against the baseline.
+  /// against the baseline. Per-window work scales with the window: the
+  /// baseline side of every comparison is prepared once, in
+  /// ensure_baseline().
   api::Result<WindowAnalysis> analyze(trace::EventVector events);
   /// Reads a JSONL or .ttb trace file and analyzes it as one window.
   api::Result<WindowAnalysis> analyze_file(const std::string& path);
@@ -77,17 +81,19 @@ class DriftEngine {
     std::vector<std::string> topics;  ///< measure_chain_latency argument
     analysis::ChainLatencyResult latency;
   };
+  /// (from, to, topic) of one DAG edge.
+  using EdgeKey = std::tuple<std::string, std::string, std::string>;
   struct BaselineCache {
     bool valid = false;
     core::TimingModel model;
     std::size_t events = 0;
-    /// Per-label raw execution-time samples (ns), KS baseline side.
+    /// Per-label raw execution-time samples (ns), ascending: the KS
+    /// baseline side, sorted once instead of once per test.
     std::map<std::string, std::vector<double>> exec_samples;
+    std::set<std::string> vertex_keys;
+    std::set<EdgeKey> edge_keys;
     std::vector<BaselineChain> chains;
   };
-
-  api::Result<WindowAnalysis> analyze_ingested(
-      api::SynthesisSession& window_session, const std::string& trace_id);
 
   SentinelConfig config_;
   api::SynthesisSession session_;  ///< baseline segments only

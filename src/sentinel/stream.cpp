@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <tuple>
 
@@ -126,6 +128,20 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
         "never be checked",
         "stream"};
   }
+  if (!(config_.evidence_alpha > 0.0 && config_.evidence_alpha < 1.0)) {
+    return api::Error{api::ErrorCode::InvalidArgument,
+                      "evidence alpha must lie in (0, 1)", "stream"};
+  }
+  // The refresh horizon advance * refresh_after must fit a Duration, or
+  // eviction would wrap and drop events the next window still needs.
+  if (config_.refresh_after >
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max() /
+                                 advance.count_ns())) {
+    return api::Error{api::ErrorCode::InvalidArgument,
+                      "refresh horizon (window advance x refresh-after) "
+                      "overflows the stream clock",
+                      "stream"};
+  }
   const api::Error baseline_error = engine_.ensure_baseline();
   if (baseline_error.code != api::ErrorCode::None) return baseline_error;
 
@@ -160,14 +176,20 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
       }
     }
     const std::size_t old_size = buffer_.size();
+    // A batch that starts at or after the buffered tail is already in
+    // place; only an overlapping one needs the merge.
+    const bool overlaps =
+        old_size > 0 && events.front().time < buffer_.back().time;
     buffer_.insert(buffer_.end(), events.begin(), events.end());
-    std::inplace_merge(buffer_.begin(),
-                       buffer_.begin() + static_cast<std::ptrdiff_t>(old_size),
-                       buffer_.end(),
-                       [](const trace::TraceEvent& a,
-                          const trace::TraceEvent& b) {
-                         return a.time < b.time;
-                       });
+    if (overlaps) {
+      std::inplace_merge(
+          buffer_.begin(),
+          buffer_.begin() + static_cast<std::ptrdiff_t>(old_size),
+          buffer_.end(),
+          [](const trace::TraceEvent& a, const trace::TraceEvent& b) {
+            return a.time < b.time;
+          });
+    }
   }
 
   auto verdicts = advance_windows();
@@ -190,21 +212,24 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::feed_file(
 
 trace::EventVector StreamSentinel::window_slice(TimePoint begin,
                                                 TimePoint end) const {
-  trace::EventVector slice;
-  // The sticky node table rides along even when the creation events fall
-  // outside the window: extraction resolves node names by pid, not time.
-  for (const auto& [pid, event] : node_events_) slice.push_back(event);
+  telemetry::ScopedSpan span("sentinel.slice");
   const auto lo = std::partition_point(
       buffer_.begin(), buffer_.end(),
       [&](const trace::TraceEvent& e) { return e.time < begin; });
   const auto hi = std::partition_point(
       lo, buffer_.end(),
       [&](const trace::TraceEvent& e) { return e.time < end; });
+  trace::EventVector slice;
+  slice.reserve(node_events_.size() + static_cast<std::size_t>(hi - lo));
+  // The sticky node table rides along even when the creation events fall
+  // outside the window: extraction resolves node names by pid, not time.
+  for (const auto& [pid, event] : node_events_) slice.push_back(event);
   for (auto it = lo; it != hi; ++it) {
     if (it->type == trace::EventType::RmwCreateNode) continue;  // already in
     slice.push_back(*it);
   }
   trace::sort_by_time(slice);
+  span.set_items(slice.size());
   return slice;
 }
 

@@ -65,11 +65,13 @@ class StreamSentinel {
 
   /// Feeds one batch of events into the stream and returns the verdicts
   /// of every window that closed. InvalidArgument when the window
-  /// geometry is invalid (advance > span, non-positive span/advance) or
-  /// no baseline was ingested. With config.rebase_segments each batch
-  /// after the first is shifted to start rebase_gap after the previous
-  /// batch's last event; without it, events older than the current
-  /// window start are dropped (and counted in late_events()).
+  /// geometry is invalid (advance > span, non-positive span/advance),
+  /// evidence_alpha lies outside (0, 1), advance * refresh_after
+  /// overflows Duration, or no baseline was ingested. With
+  /// config.rebase_segments each batch after the first is shifted to
+  /// start rebase_gap after the previous batch's last event; without it,
+  /// events older than the current window start are dropped (and
+  /// counted in late_events()).
   api::Result<std::vector<WindowVerdict>> feed(trace::EventVector events);
   /// Reads a JSONL or .ttb trace file and feeds it as one batch.
   api::Result<std::vector<WindowVerdict>> feed_file(const std::string& path);

@@ -119,10 +119,25 @@ double SampleSet::quantile(double q) const {
   return samples_[idx] * (1.0 - frac) + samples_[idx + 1] * frac;
 }
 
-double ks_statistic(std::vector<double> a, std::vector<double> b) {
-  if (a.empty() || b.empty()) return 0.0;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
+namespace {
+
+/// `samples` when already ascending, else a sorted copy held in `copy`.
+const std::vector<double>& ascending(const std::vector<double>& samples,
+                                     std::vector<double>& copy) {
+  if (std::is_sorted(samples.begin(), samples.end())) return samples;
+  copy = samples;
+  std::sort(copy.begin(), copy.end());
+  return copy;
+}
+
+}  // namespace
+
+double ks_statistic(const std::vector<double>& a_samples,
+                    const std::vector<double>& b_samples) {
+  if (a_samples.empty() || b_samples.empty()) return 0.0;
+  std::vector<double> a_copy, b_copy;
+  const std::vector<double>& a = ascending(a_samples, a_copy);
+  const std::vector<double>& b = ascending(b_samples, b_copy);
   const double na = static_cast<double>(a.size());
   const double nb = static_cast<double>(b.size());
   std::size_t ia = 0;

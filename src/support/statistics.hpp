@@ -112,8 +112,10 @@ struct KsTestResult {
 
 /// Two-sample KS statistic, exact for the given samples (ties handled by
 /// advancing both ECDFs past every equal value before comparing). Either
-/// sample empty => 0.0 by definition (nothing to compare).
-double ks_statistic(std::vector<double> a, std::vector<double> b);
+/// sample empty => 0.0 by definition (nothing to compare). A side that is
+/// already ascending is walked in place; only an unsorted side is copied
+/// and sorted, so callers that test one sample many times keep it sorted.
+double ks_statistic(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Complementary CDF of the Kolmogorov distribution,
 /// Q(lambda) = 2 * sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lambda^2), clamped to

@@ -173,7 +173,15 @@ CallbackKind kind_for_phase_probe(ProbeId id) {
   }
 }
 
+bool is_time_sorted(const EventVector& events) {
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    if (events[i].time < events[i - 1].time) return false;
+  }
+  return true;
+}
+
 void sort_by_time(EventVector& events) {
+  if (is_time_sorted(events)) return;
   std::stable_sort(events.begin(), events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.time < b.time;

@@ -163,7 +163,11 @@ CallbackKind kind_for_phase_probe(ProbeId id);
 /// merged view). Kept simple on purpose: analysis passes index into it.
 using EventVector = std::vector<TraceEvent>;
 
-/// Stable sort by (time, original order).
+/// True when `events` is non-decreasing in time.
+bool is_time_sorted(const EventVector& events);
+
+/// Stable sort by (time, original order). Already time-sorted input is
+/// left as is after one O(n) check, since a stable sort would not move it.
 void sort_by_time(EventVector& events);
 
 /// Returns events with the given PID, preserving order.

@@ -6,13 +6,6 @@ namespace tetra::trace {
 
 std::atomic<std::uint64_t> SortedEventView::copied_{0};
 
-bool is_time_sorted(const EventVector& events) {
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    if (events[i].time < events[i - 1].time) return false;
-  }
-  return true;
-}
-
 SortedEventView SortedEventView::over(const EventVector& events) {
   SortedEventView view;
   if (is_time_sorted(events)) {
@@ -28,7 +21,7 @@ SortedEventView SortedEventView::over(const EventVector& events) {
 SortedEventView SortedEventView::adopt(EventVector events) {
   SortedEventView view;
   view.storage_ = std::move(events);
-  if (!is_time_sorted(view.storage_)) sort_by_time(view.storage_);
+  sort_by_time(view.storage_);
   return view;
 }
 

@@ -70,7 +70,4 @@ class SortedEventView {
   static std::atomic<std::uint64_t> copied_;
 };
 
-/// True when `events` is non-decreasing in time (the view borrow check).
-bool is_time_sorted(const EventVector& events);
-
 }  // namespace tetra::trace

@@ -196,6 +196,71 @@ TEST(LatencyTest, InstanceTimelineLinksTakesAndWrites) {
   EXPECT_TRUE(timeline.consumers_of("/in", TimePoint{91}).empty());
 }
 
+TEST(LatencyTest, InstanceTimelineIgnoresInputOrder) {
+  ros2::Context ctx;
+  ebpf::TracerSuite suite(ctx);
+  suite.start_init();
+  workloads::build_syn_app(ctx);
+  auto init_trace = suite.stop_init();
+  suite.start_runtime();
+  ctx.run_for(Duration::sec(2));
+  const auto sorted = trace::merge_sorted({init_trace, suite.stop_runtime()});
+  ASSERT_TRUE(trace::is_time_sorted(sorted));
+
+  // Shuffle whole runs of equal-time events, each run kept in its order,
+  // so sorting the shuffled trace by time restores `sorted` exactly.
+  std::vector<trace::EventVector> runs;
+  for (const auto& event : sorted) {
+    if (runs.empty() || runs.back().back().time != event.time) {
+      runs.emplace_back();
+    }
+    runs.back().push_back(event);
+  }
+  Rng rng(5);
+  for (std::size_t i = runs.size() - 1; i > 0; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i)));
+    std::swap(runs[i], runs[j]);
+  }
+  trace::EventVector shuffled;
+  for (const auto& run : runs) {
+    shuffled.insert(shuffled.end(), run.begin(), run.end());
+  }
+  ASSERT_FALSE(trace::is_time_sorted(shuffled));
+
+  const InstanceTimeline from_sorted(sorted);
+  const InstanceTimeline from_shuffled(shuffled);
+  ASSERT_GT(from_sorted.instances().size(), 100u);
+  ASSERT_EQ(from_shuffled.instances().size(), from_sorted.instances().size());
+  for (std::size_t i = 0; i < from_sorted.instances().size(); ++i) {
+    const CallbackInstance& want = from_sorted.instances()[i];
+    const CallbackInstance& got = from_shuffled.instances()[i];
+    EXPECT_EQ(got.pid, want.pid);
+    EXPECT_EQ(got.callback_id, want.callback_id);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.start, want.start);
+    EXPECT_EQ(got.end, want.end);
+    EXPECT_EQ(got.take, want.take);
+    EXPECT_EQ(got.writes, want.writes);
+  }
+  for (const auto& event : sorted) {
+    if (const auto* write = std::get_if<trace::DdsWriteInfo>(&event.payload)) {
+      EXPECT_EQ(from_shuffled.writes_on(write->topic),
+                from_sorted.writes_on(write->topic));
+    } else if (const auto* take =
+                   std::get_if<trace::TakeInfo>(&event.payload)) {
+      const auto* want =
+          from_sorted.consumer_indices(take->topic, take->src_ts);
+      const auto* got =
+          from_shuffled.consumer_indices(take->topic, take->src_ts);
+      ASSERT_EQ(got == nullptr, want == nullptr);
+      if (want != nullptr) {
+        EXPECT_EQ(*got, *want);
+      }
+    }
+  }
+}
+
 TEST(LatencyTest, SynChainLatencyMeasured) {
   ros2::Context ctx;
   ebpf::TracerSuite suite(ctx);

@@ -23,7 +23,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -266,6 +268,48 @@ TEST(StreamSentinelTest, FeedBeforeBaselineIsInvalidArgument) {
   const auto verdicts = stream.feed(trace::EventVector{});
   ASSERT_FALSE(verdicts.ok());
   EXPECT_EQ(verdicts.error().code, api::ErrorCode::InvalidArgument);
+}
+
+TEST(StreamSentinelTest, EvidenceAlphaOutsideUnitIntervalIsInvalidArgument) {
+  for (const double alpha : {2.0, 1.0, 0.0, -0.5}) {
+    SentinelConfig config;
+    config.evidence_alpha = alpha;
+    config.window_span = Duration::ms(400);
+    config.window_advance = Duration::ms(200);
+    StreamSentinel stream(config);
+    ASSERT_TRUE(
+        stream.ingest_baseline_file(data_path("scenario_seed7_trace.jsonl"))
+            .ok());
+    const auto verdicts =
+        stream.feed_file(data_path("sentinel_seed7_clean.jsonl"));
+    ASSERT_FALSE(verdicts.ok()) << "alpha " << alpha;
+    EXPECT_EQ(verdicts.error().code, api::ErrorCode::InvalidArgument);
+    EXPECT_EQ(stream.windows_advanced(), 0u);
+  }
+}
+
+TEST(StreamSentinelTest, RefreshHorizonOverflowIsInvalidArgument) {
+  // advance * refresh_after must fit the stream clock: a wrapped horizon
+  // would evict events the next window still needs.
+  const Duration advance = Duration::ms(200);
+  const std::size_t first_overflow = static_cast<std::size_t>(
+      std::numeric_limits<std::int64_t>::max() / advance.count_ns() + 1);
+  for (const std::size_t refresh_after :
+       {first_overflow, std::numeric_limits<std::size_t>::max()}) {
+    SentinelConfig config;
+    config.window_span = Duration::ms(400);
+    config.window_advance = advance;
+    config.refresh_after = refresh_after;
+    StreamSentinel stream(config);
+    ASSERT_TRUE(
+        stream.ingest_baseline_file(data_path("scenario_seed7_trace.jsonl"))
+            .ok());
+    const auto verdicts =
+        stream.feed_file(data_path("sentinel_seed7_drift.jsonl"));
+    ASSERT_FALSE(verdicts.ok()) << "refresh_after " << refresh_after;
+    EXPECT_EQ(verdicts.error().code, api::ErrorCode::InvalidArgument);
+    EXPECT_EQ(stream.windows_advanced(), 0u);
+  }
 }
 
 TEST(StreamSentinelTest, StreamShorterThanOneWindowYieldsNoVerdicts) {

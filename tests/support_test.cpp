@@ -2,6 +2,7 @@
 // distributions, JSON round-trips, string utilities.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -229,6 +230,87 @@ TEST(KsTest, DegenerateInputsNeverReject) {
   r = two_sample_ks_test({1.0}, {1000.0});
   EXPECT_DOUBLE_EQ(r.statistic, 1.0);
   EXPECT_DOUBLE_EQ(r.p_value, 1.0);
+}
+
+// The by-value KS algorithm: both sides copied and sorted on every call.
+// ks_statistic walks ascending sides in place instead; it must return
+// the same bits.
+double by_value_ks_statistic(std::vector<double> a, std::vector<double> b) {
+  if (a.empty() || b.empty()) return 0.0;
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  const double na = static_cast<double>(a.size());
+  const double nb = static_cast<double>(b.size());
+  std::size_t ia = 0;
+  std::size_t ib = 0;
+  double d = 0.0;
+  while (ia < a.size() && ib < b.size()) {
+    const double x = std::min(a[ia], b[ib]);
+    while (ia < a.size() && a[ia] == x) ++ia;
+    while (ib < b.size() && b[ib] == x) ++ib;
+    d = std::max(d, std::abs(static_cast<double>(ia) / na -
+                             static_cast<double>(ib) / nb));
+  }
+  return d;
+}
+
+KsTestResult by_value_ks_test(const std::vector<double>& a,
+                              const std::vector<double>& b) {
+  KsTestResult result;
+  result.n1 = a.size();
+  result.n2 = b.size();
+  if (a.empty() || b.empty()) return result;
+  result.statistic = by_value_ks_statistic(a, b);
+  const double na = static_cast<double>(a.size());
+  const double nb = static_cast<double>(b.size());
+  const double ne = na * nb / (na + nb);
+  if (ne <= 1.0) return result;
+  const double root = std::sqrt(ne);
+  result.p_value =
+      kolmogorov_q((root + 0.12 + 0.11 / root) * result.statistic);
+  return result;
+}
+
+TEST(KsTest, SortedAndUnsortedSidesMatchTheByValueAlgorithmExactly) {
+  Rng rng(2024);
+  std::vector<std::vector<double>> drawn = {{}, {5.0}, {3.0}};
+  for (int round = 0; round < 28; ++round) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 48));
+    // Even rounds draw tie-heavy small integers, odd rounds continuous
+    // values.
+    std::vector<double> sample;
+    for (std::size_t i = 0; i < n; ++i) {
+      sample.push_back(round % 2 == 0
+                           ? static_cast<double>(rng.uniform_int(0, 6))
+                           : rng.uniform(0.0, 100.0));
+    }
+    drawn.push_back(std::move(sample));
+  }
+  // Every sample as drawn, ascending, and ascending but for its last pair
+  // (an unsorted side whose only inversion comes last).
+  std::vector<std::vector<double>> sides;
+  for (const auto& sample : drawn) {
+    std::vector<double> ascending = sample;
+    std::sort(ascending.begin(), ascending.end());
+    sides.push_back(sample);
+    sides.push_back(ascending);
+    const std::size_t n = ascending.size();
+    if (n >= 2 && ascending[n - 2] < ascending[n - 1]) {
+      std::swap(ascending[n - 2], ascending[n - 1]);
+      sides.push_back(std::move(ascending));
+    }
+  }
+  for (const auto& a : sides) {
+    for (const auto& b : sides) {
+      EXPECT_EQ(ks_statistic(a, b), by_value_ks_statistic(a, b));
+      const KsTestResult got = two_sample_ks_test(a, b);
+      const KsTestResult want = by_value_ks_test(a, b);
+      EXPECT_EQ(got.statistic, want.statistic);
+      EXPECT_EQ(got.p_value, want.p_value);
+      EXPECT_EQ(got.n1, want.n1);
+      EXPECT_EQ(got.n2, want.n2);
+    }
+  }
 }
 
 TEST(SequentialTest, CalibratorClosedForm) {

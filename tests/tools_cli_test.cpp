@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -172,6 +173,15 @@ TEST(SentinelCliTest, UsageErrorsExitTwo) {
       2);
   EXPECT_EQ(run_command(binary("tetra_sentinel") +
                         " --baseline a.jsonl --window b.jsonl --alpha nope")
+                .exit_code,
+            2);
+  // Parses, but the stream rejects it: the e-process budget ln(1/alpha)
+  // needs alpha in (0, 1).
+  const std::string data = std::string(TETRA_TEST_DATA_DIR);
+  EXPECT_EQ(run_command(binary("tetra_sentinel") + " --baseline " + data +
+                        "/scenario_seed7_trace.jsonl --follow " + data +
+                        "/sentinel_seed7_clean.jsonl --quiet" +
+                        " --evidence-alpha 2")
                 .exit_code,
             2);
 }
@@ -403,7 +413,63 @@ TEST(SentinelCliTest, StatsOutWritesSnapshot) {
   EXPECT_NE(snapshot.find("\"sentinel.windows_checked\":1"),
             std::string::npos);
   EXPECT_NE(snapshot.find("\"name\":\"sentinel.check\""), std::string::npos);
+
+  // A streamed run adds the stream span and the window slices under it.
+  ASSERT_EQ(run_command(binary("tetra_sentinel") + " --baseline " + data +
+                        "/scenario_seed7_trace.jsonl --follow " + data +
+                        "/sentinel_seed7_clean.jsonl --out /dev/null --quiet" +
+                        " --span 400 --advance 200 --stats-out " + stats)
+                .exit_code,
+            0);
+  const std::string streamed = slurp(stats);
+  EXPECT_NE(streamed.find("\"name\":\"sentinel.stream\""), std::string::npos);
+  EXPECT_NE(streamed.find("\"name\":\"sentinel.slice\""), std::string::npos);
   std::remove(stats.c_str());
+}
+
+// tests/data/sentinel_seed1_follow.jsonl pins streamed verdicts, exec-time
+// findings included, across changes. Regenerate it (only after an
+// intentional verdict change) with the commands below, run from a scratch
+// directory holding an empty live/:
+//   tetra_scenario --seed 1 --duration-ms 10000 --quiet --run-index 0
+//       --trace-out base.jsonl
+//   tetra_scenario --seed 1 --duration-ms 10000 --quiet --run-index 1
+//       --trace-out live/000.jsonl
+//   tetra_scenario --seed 1 --duration-ms 10000 --quiet --run-index 3
+//       --mutate scale-exec-time --trace-out live/001.jsonl
+//   tetra_sentinel --baseline base.jsonl --follow live
+//       --out sentinel_seed1_follow.jsonl --quiet     (exits 1)
+TEST(SentinelCliTest, FollowVerdictsMatchGolden) {
+  REQUIRE_TOOL("tetra_scenario");
+  REQUIRE_TOOL("tetra_sentinel");
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "follow_seed1/";
+  fs::remove_all(dir);
+  fs::create_directories(dir + "live");
+  const std::string scenario =
+      binary("tetra_scenario") + " --seed 1 --duration-ms 10000 --quiet";
+  ASSERT_EQ(run_command(scenario + " --run-index 0 --trace-out " + dir +
+                        "base.jsonl")
+                .exit_code,
+            0);
+  ASSERT_EQ(run_command(scenario + " --run-index 1 --trace-out " + dir +
+                        "live/000.jsonl")
+                .exit_code,
+            0);
+  ASSERT_EQ(run_command(scenario + " --run-index 3 --mutate scale-exec-time" +
+                        " --trace-out " + dir + "live/001.jsonl")
+                .exit_code,
+            0);
+  EXPECT_EQ(run_command(binary("tetra_sentinel") + " --baseline " + dir +
+                        "base.jsonl --follow " + dir + "live --out " + dir +
+                        "follow.jsonl --quiet")
+                .exit_code,
+            1);
+  const std::string golden =
+      slurp(std::string(TETRA_TEST_DATA_DIR) + "/sentinel_seed1_follow.jsonl");
+  ASSERT_FALSE(golden.empty());
+  EXPECT_EQ(slurp(dir + "follow.jsonl"), golden);
+  fs::remove_all(dir);
 }
 
 TEST(PredictCliTest, WorkerSweepRuns) {

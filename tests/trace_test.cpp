@@ -84,6 +84,36 @@ TEST(EventTest, SortAndFilter) {
   EXPECT_EQ(pid1.size(), 2u);
 }
 
+TEST(EventTest, SortByTimeKeepsSortedInputAndMatchesStableSort) {
+  // Runs of four equal timestamps: a stable sort keeps each run in the
+  // order given, so sorted input must come back untouched.
+  EventVector sorted;
+  for (int i = 0; i < 200; ++i) {
+    const TimePoint t{(i / 4) * 10};
+    sorted.push_back(make_dds_write(t, i, "/t" + std::to_string(i % 7), t));
+  }
+  ASSERT_TRUE(is_time_sorted(sorted));
+  EventVector same = sorted;
+  sort_by_time(same);
+  EXPECT_EQ(same, sorted);
+
+  Rng rng(11);
+  EventVector shuffled = sorted;
+  for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(i)));
+    std::swap(shuffled[i], shuffled[j]);
+  }
+  ASSERT_FALSE(is_time_sorted(shuffled));
+  EventVector expected = shuffled;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.time < b.time;
+                   });
+  sort_by_time(shuffled);
+  EXPECT_EQ(shuffled, expected);
+}
+
 TEST(SerializeTest, JsonlRoundTripsEveryEventType) {
   EventVector events;
   events.push_back(make_node_event(TimePoint{1}, 10, "node_a"));
