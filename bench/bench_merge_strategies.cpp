@@ -1,11 +1,8 @@
 // Reproduces the §V deployment study: traces collected in segments can be
 // (i) merged first and synthesized once, or (ii) synthesized per segment
 // with the DAGs merged afterwards (the paper's choice). Both must agree
-// structurally; this bench verifies that, reports synthesis costs, and
-// asserts the streaming path's copy footprint: option (i) k-way merges
-// every event exactly once (the old concatenate + re-sort + index-copy
-// pipeline touched each event twice), and option (ii) synthesizes
-// single-segment traces over borrowed storage with zero event copies.
+// structurally; this bench verifies that (the exit status) and reports
+// synthesis costs.
 //
 // Knobs: TETRA_SEGMENTS (default 10), TETRA_DURATION (per-segment s, default 5).
 #include <chrono>
@@ -15,7 +12,6 @@
 #include "bench_util.hpp"
 #include "ebpf/tracers.hpp"
 #include "support/string_utils.hpp"
-#include "trace/event_view.hpp"
 #include "trace/merge.hpp"
 #include "workloads/syn_app.hpp"
 
@@ -52,21 +48,17 @@ int main() {
   for (const auto& segment : traces) {
     merge_traces_session.ingest(segment, {.trace_id = "run", .mode = ""});
   }
-  trace::SortedEventView::reset_copy_counter();
   auto t0 = clock();
   const core::Dag from_traces = merge_traces_session.model().value().dag;
   auto t1 = clock();
-  const std::uint64_t copies_option_i = trace::SortedEventView::events_copied();
 
   // Option (ii): one DAG per segment, merged afterwards.
   api::SynthesisSession merge_dags_session(
       api::SynthesisConfig().merge_strategy(api::MergeStrategy::MergeDags));
   for (const auto& segment : traces) merge_dags_session.ingest(segment);
-  trace::SortedEventView::reset_copy_counter();
   auto t2 = clock();
   const core::Dag from_dags = merge_dags_session.model().value().dag;
   auto t3 = clock();
-  const std::uint64_t copies_option_ii = trace::SortedEventView::events_copied();
 
   std::printf("\n%-40s %12s %12s\n", "", "option (i)", "option (ii)");
   std::printf("%-40s %12zu %12zu\n", "vertices", from_traces.vertex_count(),
@@ -76,9 +68,6 @@ int main() {
   std::printf("%-40s %12.1f %12.1f\n", "synthesis wall time (ms)",
               std::chrono::duration<double, std::milli>(t1 - t0).count(),
               std::chrono::duration<double, std::milli>(t3 - t2).count());
-  std::printf("%-40s %12llu %12llu\n", "events copied into view storage",
-              static_cast<unsigned long long>(copies_option_i),
-              static_cast<unsigned long long>(copies_option_ii));
 
   bool structurally_equal = from_traces.vertex_count() == from_dags.vertex_count() &&
                             from_traces.edge_count() == from_dags.edge_count();
@@ -97,19 +86,9 @@ int main() {
               structurally_equal ? "yes" : "NO");
   std::printf("%-40s %25zu\n", "summed instance-count delta", instance_diff);
 
-  // Copy-footprint guardrails: option (i) must copy each event at most
-  // once (single k-way merge pass), option (ii) must borrow each
-  // single-segment trace without any copy.
-  const bool single_copy_merge = copies_option_i <= total_events;
-  const bool zero_copy_per_trace = copies_option_ii == 0;
-  std::printf("%-40s %25s\n", "option (i) single-copy merge",
-              single_copy_merge ? "yes" : "NO");
-  std::printf("%-40s %25s\n", "option (ii) zero-copy borrow",
-              zero_copy_per_trace ? "yes" : "NO");
-
   bench::note(
       "\nThe paper uses option (ii) for its experiments; option (i) applies "
       "to segments sharing PIDs/ids (one run). Across separate runs only "
       "option (ii) is meaningful because ids and timestamps collide.");
-  return structurally_equal && single_copy_merge && zero_copy_per_trace ? 0 : 1;
+  return structurally_equal ? 0 : 1;
 }

@@ -72,8 +72,8 @@ class SynthesisConfig {
   /// Tracer-overhead compensation (src/overhead/): estimate the per-probe
   /// cost from each trace (or take probe_cost_hint) and subtract
   /// hit-count × cost from every instance's execution time before DAG
-  /// annotation. Disables incremental re-synthesis (the estimate depends
-  /// on the whole trace, so appends invalidate every node).
+  /// annotation. Combines with incremental(): a query whose re-estimated
+  /// cost differs from the last one re-extracts every node.
   SynthesisConfig& compensate_overhead(bool on) {
     compensate_overhead_ = on;
     return *this;

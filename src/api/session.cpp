@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <optional>
 #include <thread>
 #include <utility>
 
-#include "core/dag_builder.hpp"
-#include "core/extract.hpp"
 #include "overhead/estimator.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
-#include "trace/event_view.hpp"
 #include "trace/serialize.hpp"
 #include "trace/ttb.hpp"
 
@@ -59,6 +57,36 @@ core::ExtractOptions compensated_extract(const SynthesisConfig& config,
             : overhead::estimate_probe_cost(index).per_hit;
   }
   return extract;
+}
+
+/// Runs the synthesis pipeline through one core::IncrementalSynthesizer.
+/// An incremental trace passes its own synthesizer (`kept`), which
+/// received every segment at ingest and re-extracts only dirty nodes;
+/// otherwise a short-lived synthesizer receives `segments` in order
+/// (ties keep the earlier segment first: the k-way merge order) and hands
+/// its lists to the model instead of copying them. Overhead compensation
+/// is resolved against the synthesizer's own index either way.
+core::TimingModel synthesize(
+    const SynthesisConfig& config,
+    const std::vector<const trace::EventVector*>& segments,
+    core::IncrementalSynthesizer* kept, std::uint64_t span_parent) {
+  telemetry::ScopedSpan span("synth.trace", span_parent, 0);
+  std::optional<core::IncrementalSynthesizer> local;
+  core::IncrementalSynthesizer& synth =
+      kept != nullptr ? *kept : local.emplace(config.core_options());
+  (kept != nullptr ? SessionMetrics::get().incremental
+                   : SessionMetrics::get().full)
+      .inc();
+  if (!segments.empty()) {
+    telemetry::ScopedSpan merge_span("synth.merge");
+    for (const trace::EventVector* segment : segments) synth.append(*segment);
+    merge_span.set_items(synth.event_count());
+  }
+  span.set_items(synth.event_count());
+  const core::ExtractOptions extract =
+      compensated_extract(config, synth.index());
+  return kept != nullptr ? synth.model(extract)
+                         : std::move(synth).take_model(extract);
 }
 
 }  // namespace
@@ -186,42 +214,10 @@ Result<std::vector<SegmentInfo>> SynthesisSession::ingest_database(
 void SynthesisSession::synthesize_trace(TraceState& trace,
                                         const SynthesisConfig& config,
                                         std::uint64_t span_parent) {
-  const core::SynthesisOptions& options = config.core_options();
-  if (trace.inc) {
-    telemetry::ScopedSpan span("synth.trace", span_parent,
-                               trace.inc->event_count());
-    SessionMetrics::get().incremental.inc();
-    trace.model = trace.inc->model();
-    trace.dirty = false;
-    return;
-  }
-  telemetry::ScopedSpan span("synth.trace", span_parent, 0);
-  SessionMetrics::get().full.inc();
-  // Appending the segments in ingestion order reproduces the k-way merged
-  // chronological stream (the index keeps (time, arrival) order).
-  core::TraceIndex index;
-  {
-    telemetry::ScopedSpan merge_span("synth.merge");
-    for (const auto& segment : trace.segments) index.append(segment);
-    merge_span.set_items(index.size());
-  }
-  span.set_items(index.size());
-  core::TimingModel model;
-  {
-    telemetry::ScopedSpan extract_span("synth.extract", index.size());
-    model.node_callbacks =
-        core::extract_all_nodes(index, compensated_extract(config, index));
-    // Multi-threaded executors yield one per-worker list each; unify them
-    // per node before labels are assigned.
-    core::merge_worker_lists(model.node_callbacks);
-    core::normalize_labels(model.node_callbacks);
-  }
-  {
-    telemetry::ScopedSpan build_span("synth.build",
-                                     model.node_callbacks.size());
-    model.dag = core::build_dag(model.node_callbacks, options.dag);
-  }
-  trace.model = std::move(model);
+  std::vector<const trace::EventVector*> segments;
+  segments.reserve(trace.segments.size());
+  for (const auto& segment : trace.segments) segments.push_back(&segment);
+  trace.model = synthesize(config, segments, trace.inc.get(), span_parent);
   trace.dirty = false;
 }
 
@@ -287,35 +283,15 @@ Result<core::TimingModel> SynthesisSession::model() {
   if (config_.merge_strategy() == MergeStrategy::MergeTraces) {
     if (merged_dirty_) {
       SessionMetrics::get().dirty_rebuilds.inc();
-      SessionMetrics::get().full.inc();
-      // Global merge over every segment, in ingestion order (ties keep
-      // earlier-ingested segments first — the index's (time, arrival)
-      // invariant).
+      // One synthesizer over every segment, in ingestion order.
       try {
-        telemetry::ScopedSpan trace_span("synth.trace", event_count_);
-        core::TraceIndex index;
-        {
-          telemetry::ScopedSpan merge_span("synth.merge");
-          for (const auto& [trace_idx, seg_idx] : segment_locator_) {
-            index.append(traces_[trace_idx].segments[seg_idx]);
-          }
-          merge_span.set_items(index.size());
+        std::vector<const trace::EventVector*> segments;
+        segments.reserve(segment_locator_.size());
+        for (const auto& [trace_idx, seg_idx] : segment_locator_) {
+          segments.push_back(&traces_[trace_idx].segments[seg_idx]);
         }
-        core::TimingModel model;
-        {
-          telemetry::ScopedSpan extract_span("synth.extract", index.size());
-          model.node_callbacks = core::extract_all_nodes(
-              index, compensated_extract(config_, index));
-          core::merge_worker_lists(model.node_callbacks);
-          core::normalize_labels(model.node_callbacks);
-        }
-        {
-          telemetry::ScopedSpan build_span("synth.build",
-                                           model.node_callbacks.size());
-          model.dag =
-              core::build_dag(model.node_callbacks, config_.core_options().dag);
-        }
-        merged_model_ = std::move(model);
+        merged_model_ = synthesize(config_, segments, nullptr,
+                                   telemetry::ScopedSpan::current_id());
       } catch (const std::exception& e) {
         return make_error(ErrorCode::SynthesisFailed, e.what(),
                           "merged stream");
@@ -397,11 +373,15 @@ Result<trace::EventVector> SynthesisSession::merged_events(
     return make_error(ErrorCode::InvalidArgument,
                       "trace events were released", trace_id);
   }
-  if (trace.inc) return trace.inc->merged_events();
-  std::vector<const trace::EventVector*> parts;
-  parts.reserve(trace.segments.size());
-  for (const auto& segment : trace.segments) parts.push_back(&segment);
-  return trace::SortedEventView::merged(parts).to_vector();
+  // Rows in ingestion order; the stable sort restores (time, ingestion)
+  // order, which is the k-way merge of the time-sorted segments.
+  trace::EventVector events;
+  if (trace.inc) events = trace::materialize(trace.inc->index().view());
+  for (const auto& segment : trace.segments) {
+    events.insert(events.end(), segment.begin(), segment.end());
+  }
+  trace::sort_by_time(events);
+  return events;
 }
 
 Result<std::size_t> SynthesisSession::release_events(

@@ -12,9 +12,12 @@
 //   session.ingest(more_events, {.trace_id = "run-1"});
 //   model = session.model();                 // re-synthesizes ONLY run-1
 //
-// Segments ingested under one trace id are k-way merged into a single
-// sorted event view (no concatenate+re-sort, no per-call trace copy);
-// distinct trace ids are synthesized independently — in parallel on a
+// Segments ingested under one trace id are appended, in ingestion order,
+// into one core::IncrementalSynthesizer — the only place the synthesis
+// pipeline runs. By default a trace keeps its segments and a synthesizer
+// is built from them at query time, so ingest stays O(segment);
+// config.incremental(true) keeps the synthesizer across queries instead.
+// Distinct trace ids are synthesized independently — in parallel on a
 // small worker pool when config.threads(N) > 1 — and combined per the
 // configured merge strategy. Results carry typed api::Error diagnostics
 // instead of bare exceptions.
@@ -88,10 +91,11 @@ class SynthesisSession {
   /// each trace was tagged with.
   Result<core::MultiModeDag> multi_mode_model();
 
-  /// The model of one logical trace (its segments k-way merged).
+  /// The model of one logical trace (its segments merged by time).
   Result<core::TimingModel> trace_model(const std::string& trace_id);
 
-  /// The chronologically merged event stream of one trace (a copy).
+  /// The chronologically merged event stream of one trace (a copy; ties
+  /// keep ingestion order).
   Result<trace::EventVector> merged_events(const std::string& trace_id) const;
 
   /// Replays the session's combined model (predict::ModelSimulator) and
@@ -128,8 +132,8 @@ class SynthesisSession {
     std::string id;
     std::string mode;
     std::vector<trace::EventVector> segments;  ///< each time-sorted
-    /// Set under config.incremental(): owns the appendable index and the
-    /// per-node dependency cache; `segments` stays empty then.
+    /// Set under config.incremental(): the trace's synthesizer, kept
+    /// across queries; `segments` stays empty then.
     std::unique_ptr<core::IncrementalSynthesizer> inc;
     core::TimingModel model;                   ///< cache, valid when !dirty
     bool dirty = true;
@@ -138,11 +142,8 @@ class SynthesisSession {
 
   TraceState& trace_for(const IngestOptions& options);
   bool use_incremental() const {
-    // Overhead compensation estimates the probe cost from the whole trace,
-    // so appends invalidate every node — incremental caching cannot help.
     return config_.incremental() &&
-           config_.merge_strategy() == MergeStrategy::MergeDags &&
-           !config_.compensate_overhead();
+           config_.merge_strategy() == MergeStrategy::MergeDags;
   }
   /// Synthesizes every dirty trace (worker pool when threads > 1).
   /// Returns an error naming the first failing trace, if any.
@@ -159,7 +160,8 @@ class SynthesisSession {
   std::map<std::string, std::size_t> trace_index_;
   std::vector<SegmentInfo> segments_;
   /// Per-segment (trace index, segment index) in ingestion order — the
-  /// deterministic global tie-break for the MergeTraces k-way merge.
+  /// order MergeTraces appends every segment in, which breaks time ties
+  /// deterministically.
   std::vector<std::pair<std::size_t, std::size_t>> segment_locator_;
   std::size_t event_count_ = 0;
   std::size_t auto_trace_counter_ = 0;

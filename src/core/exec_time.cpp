@@ -38,11 +38,6 @@ ExecTimeCalculator::ExecTimeCalculator(const trace::EventVector& events) {
   finalize_indices();
 }
 
-ExecTimeCalculator::ExecTimeCalculator(const trace::SortedEventView& view) {
-  for (const auto& event : view) index_event(event);
-  finalize_indices();
-}
-
 const ExecTimeCalculator::Slot* ExecTimeCalculator::find_slot(Pid pid) const {
   auto it = slots_.find(pid);
   return it == slots_.end() ? nullptr : &it->second;

@@ -20,7 +20,6 @@
 #include "support/time.hpp"
 #include "trace/event.hpp"
 #include "trace/event_columns.hpp"
-#include "trace/event_view.hpp"
 
 namespace tetra::core {
 
@@ -39,9 +38,6 @@ class ExecTimeCalculator {
   /// Builds per-PID indices from any event stream (non-sched events are
   /// ignored). Events need not be sorted.
   explicit ExecTimeCalculator(const trace::EventVector& events);
-
-  /// Same, over a sorted view (no intermediate event copy).
-  explicit ExecTimeCalculator(const trace::SortedEventView& view);
 
   /// Indexes the sched events of columnar rows [from, view.count). Rows of
   /// one batch must be time-sorted; per-PID lists stay sorted by (time,

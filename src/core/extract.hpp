@@ -31,6 +31,9 @@ struct ExtractOptions {
   /// the number of probe executions inside its [start, end] window
   /// (clamped at zero). Zero keeps measurements as-is.
   Duration compensate_per_hit = Duration::zero();
+
+  friend bool operator==(const ExtractOptions&,
+                         const ExtractOptions&) = default;
 };
 
 /// Topic-name suffix conventions by which Alg. 1 classifies dds_write

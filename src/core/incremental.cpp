@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/dag_builder.hpp"
+#include "telemetry/span.hpp"
 
 namespace tetra::core {
 
@@ -31,7 +32,6 @@ void IncrementalSynthesizer::append(const trace::ColumnsView& view) {
 }
 
 void IncrementalSynthesizer::apply_delta(const AppendDelta& delta) {
-  model_dirty_ = true;
   // A node is invalidated when the segment touched its own event stream
   // (ROS or sched — Alg. 2 reads the node's sched windows) …
   dirty_.insert(delta.ros_pids.begin(), delta.ros_pids.end());
@@ -49,44 +49,49 @@ void IncrementalSynthesizer::apply_delta(const AppendDelta& delta) {
   }
 }
 
-const TimingModel& IncrementalSynthesizer::model() {
-  if (!model_dirty_) {
-    last_extracted_ = 0;
-    return model_;
-  }
-  std::size_t extracted = 0;
-  for (const auto& [pid, name] : index_.nodes()) {
-    if (lists_.count(pid) > 0 && dirty_.count(pid) == 0) continue;
-    ExtractDeps deps;
-    lists_[pid] = extract_callbacks(index_, pid, options_.extract, &deps);
-    deps_[pid] = std::move(deps);
-    ++extracted;
-  }
-  dirty_.clear();
-  last_extracted_ = extracted;
-
+TimingModel IncrementalSynthesizer::synthesize(const ExtractOptions& extract,
+                                               bool take) {
   TimingModel model;
-  model.node_callbacks.reserve(lists_.size());
-  // nodes() iterates pid-ascending — the same order extract_all_nodes
-  // produces, so downstream label ordinals match a full synthesis.
-  for (const auto& [pid, name] : index_.nodes()) {
-    auto it = lists_.find(pid);
-    if (it != lists_.end()) model.node_callbacks.push_back(it->second);
+  {
+    telemetry::ScopedSpan span("synth.extract", index_.size());
+    // Lists extracted under other options are stale whatever their inputs.
+    const bool stale = extract != extracted_with_;
+    extracted_with_ = extract;
+    last_extracted_ = 0;
+    model.node_callbacks.reserve(index_.nodes().size());
+    // nodes() iterates pid-ascending — the same order extract_all_nodes
+    // produces, so downstream label ordinals match a full synthesis.
+    for (const auto& [pid, name] : index_.nodes()) {
+      auto cached = lists_.find(pid);
+      if (!stale && cached != lists_.end() && dirty_.count(pid) == 0) {
+        model.node_callbacks.push_back(take ? std::move(cached->second)
+                                            : cached->second);
+        continue;
+      }
+      ++last_extracted_;
+      if (take) {
+        model.node_callbacks.push_back(extract_callbacks(index_, pid, extract));
+        continue;
+      }
+      ExtractDeps deps;
+      CallbackList list = extract_callbacks(index_, pid, extract, &deps);
+      deps_[pid] = std::move(deps);
+      model.node_callbacks.push_back(list);
+      lists_.insert_or_assign(pid, std::move(list));
+    }
+    dirty_.clear();
+    if (take) {
+      lists_.clear();
+      deps_.clear();
+    }
+    // Multi-threaded executors yield one per-worker list each; unify them
+    // per node before labels are assigned.
+    merge_worker_lists(model.node_callbacks);
+    normalize_labels(model.node_callbacks);
   }
-  merge_worker_lists(model.node_callbacks);
-  normalize_labels(model.node_callbacks);
+  telemetry::ScopedSpan span("synth.build", model.node_callbacks.size());
   model.dag = build_dag(model.node_callbacks, options_.dag);
-  model_ = std::move(model);
-  model_dirty_ = false;
-  return model_;
-}
-
-trace::EventVector IncrementalSynthesizer::merged_events() const {
-  trace::EventVector events = trace::materialize(index_.view());
-  // Rows are stored in append order; the stable sort restores the (time,
-  // append-sequence) merged order.
-  trace::sort_by_time(events);
-  return events;
+  return model;
 }
 
 }  // namespace tetra::core

@@ -1,7 +1,8 @@
 // The synthesized model and the option bundle the synthesis pipeline
-// takes. Synthesis itself is driven through api::SynthesisSession
-// (api/session.hpp): incremental segment ingestion, k-way merged
-// zero-copy event views, a worker pool and structured errors.
+// takes. The pipeline itself runs in core::IncrementalSynthesizer
+// (core/incremental.hpp), driven through api::SynthesisSession
+// (api/session.hpp): segment ingestion, a worker pool and structured
+// errors.
 #pragma once
 
 #include <string>

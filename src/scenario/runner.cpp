@@ -174,8 +174,8 @@ ScenarioRunResult ScenarioRunner::run(const ScenarioSpec& spec,
   TracedRun traced = trace_run(spec, demand_scale, run_index);
 
   // Merge the init and runtime tracer outputs once; ingested as a single
-  // sorted segment, the session synthesizes over borrowed storage with no
-  // further copy, and merged_events() is a plain copy (no re-merge).
+  // sorted segment, merged_events() is a plain copy (its sort finds the
+  // events already in order).
   api::SynthesisSession session(
       session_config(api::MergeStrategy::MergeTraces));
   session.ingest(trace::merge_sorted({std::move(traced.init_trace),

@@ -1,5 +1,5 @@
 // SentinelConfig: the one configuration shared by both sentinel entry
-// points — the one-shot ModelSentinel::check and the streaming
+// points — the one-shot DriftEngine::analyze and the streaming
 // StreamSentinel::feed. Per-window thresholds come first (they also gate
 // the transient findings of every streaming window); the streaming
 // window geometry and sequential-evidence knobs follow.
@@ -20,6 +20,7 @@ struct SentinelConfig {
   /// Significance level of the two-sample KS execution-time test. The
   /// default trades detection lag for a near-zero false-alarm rate over
   /// the hundreds of per-callback tests a long-running sentinel performs.
+  /// Must lie in (0, 1).
   double alpha = 1e-4;
   /// Minimum samples per side before the KS test can produce a
   /// per-window finding; below this the asymptotic p-value is unreliable
@@ -91,9 +92,5 @@ struct SentinelConfig {
   /// absorbed before it alarms. 0 disables auto-refresh (default).
   std::size_t refresh_after = 0;
 };
-
-/// Historical name of the one-shot configuration; both entry points now
-/// share SentinelConfig.
-using SentinelOptions = SentinelConfig;
 
 }  // namespace tetra::sentinel

@@ -219,6 +219,10 @@ api::Error DriftEngine::ensure_baseline() {
 }
 
 api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventVector events) {
+  if (!(config_.alpha > 0.0 && config_.alpha < 1.0)) {
+    return api::Error{api::ErrorCode::InvalidArgument,
+                      "KS alpha must lie in (0, 1)", "sentinel"};
+  }
   const api::Error error = ensure_baseline();
   if (error.code != api::ErrorCode::None) return error;
   ++window_counter_;

@@ -1,9 +1,16 @@
-// DriftEngine: the comparison core shared by the one-shot and streaming
-// sentinels. It owns the baseline (ingested through api::SynthesisSession
-// and cached as model + exec samples + chain envelopes) and evaluates one
-// window of events against it, reporting both the per-window verdict
-// (one-shot thresholds) and the raw per-axis observations the streaming
-// layer feeds into its sequential accumulators.
+// DriftEngine: the one-shot sentinel, and the comparison core the
+// streaming StreamSentinel (sentinel/stream.hpp) builds on. It owns the
+// baseline (ingested through api::SynthesisSession and cached as model +
+// exec samples + chain envelopes) and evaluates one window of events
+// against it, reporting both the per-window verdict (one-shot
+// thresholds) and the raw per-axis observations the streaming layer
+// feeds into its sequential accumulators.
+//
+//   sentinel::DriftEngine engine(config);
+//   engine.ingest_baseline_file("baseline.jsonl");
+//   auto analysis = engine.analyze_file("window.jsonl");
+//   if (analysis.ok() && analysis->verdict.drifted)
+//     alert(verdict_to_json(analysis->verdict));
 #pragma once
 
 #include <cstddef>
@@ -65,7 +72,8 @@ class DriftEngine {
   /// long streams do not accumulate per-window state) and compares it
   /// against the baseline. Per-window work scales with the window: the
   /// baseline side of every comparison is prepared once, in
-  /// ensure_baseline().
+  /// ensure_baseline(). InvalidArgument when config.alpha lies outside
+  /// (0, 1) or no baseline was ingested.
   api::Result<WindowAnalysis> analyze(trace::EventVector events);
   /// Reads a JSONL or .ttb trace file and analyzes it as one window.
   api::Result<WindowAnalysis> analyze_file(const std::string& path);

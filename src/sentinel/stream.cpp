@@ -99,20 +99,6 @@ api::Result<core::TimingModel> StreamSentinel::baseline_model() {
   return engine_.baseline_model();
 }
 
-api::Result<DriftVerdict> StreamSentinel::check_window(
-    trace::EventVector events) {
-  auto analysis = engine_.analyze(std::move(events));
-  if (!analysis.ok()) return analysis.error();
-  return std::move(analysis).take().verdict;
-}
-
-api::Result<DriftVerdict> StreamSentinel::check_window_file(
-    const std::string& path) {
-  auto analysis = engine_.analyze_file(path);
-  if (!analysis.ok()) return analysis.error();
-  return std::move(analysis).take().verdict;
-}
-
 api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
     trace::EventVector events) {
   const Duration span = config_.window_span;
@@ -127,6 +113,10 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
         "window advance exceeds the span: events between windows would "
         "never be checked",
         "stream"};
+  }
+  if (!(config_.alpha > 0.0 && config_.alpha < 1.0)) {
+    return api::Error{api::ErrorCode::InvalidArgument,
+                      "KS alpha must lie in (0, 1)", "stream"};
   }
   if (!(config_.evidence_alpha > 0.0 && config_.evidence_alpha < 1.0)) {
     return api::Error{api::ErrorCode::InvalidArgument,

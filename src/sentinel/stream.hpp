@@ -3,7 +3,7 @@
 // Events arrive incrementally (feed / feed_file); a sliding window of
 // configurable span and advance is maintained over the stream, and every
 // window advance re-runs the drift axes against the baseline through the
-// shared DriftEngine. Unlike the one-shot ModelSentinel, per-axis
+// shared DriftEngine. Unlike a one-shot DriftEngine::analyze, per-axis
 // evidence accumulates *sequentially* across windows — a one-sided CUSUM
 // over period/latency deltas and structural presence, and a restarted
 // e-process over the per-window KS p-values — so an alarm fires when the
@@ -53,20 +53,12 @@ class StreamSentinel {
   /// The baseline model (synthesizing it first if dirty).
   api::Result<core::TimingModel> baseline_model();
 
-  // -- one-shot windows (ModelSentinel compatibility) ---------------------
-
-  /// Synthesizes `events` as one independent window and compares it
-  /// against the baseline; no streaming state is touched.
-  api::Result<DriftVerdict> check_window(trace::EventVector events);
-  /// Reads a JSONL or .ttb trace file and checks it as one window.
-  api::Result<DriftVerdict> check_window_file(const std::string& path);
-
   // -- streaming ----------------------------------------------------------
 
   /// Feeds one batch of events into the stream and returns the verdicts
   /// of every window that closed. InvalidArgument when the window
   /// geometry is invalid (advance > span, non-positive span/advance),
-  /// evidence_alpha lies outside (0, 1), advance * refresh_after
+  /// alpha or evidence_alpha lies outside (0, 1), advance * refresh_after
   /// overflows Duration, or no baseline was ingested. With
   /// config.rebase_segments each batch after the first is shifted to
   /// start rebase_gap after the previous batch's last event; without it,
@@ -79,7 +71,8 @@ class StreamSentinel {
   // -- introspection ------------------------------------------------------
 
   const SentinelConfig& config() const { return config_; }
-  /// Windows evaluated in total (streaming advances + one-shot checks).
+  /// Windows evaluated against the baseline (empty windows skipped over
+  /// stream gaps are not).
   std::size_t windows_checked() const { return engine_.windows_analyzed(); }
   /// Streaming windows closed so far.
   std::size_t windows_advanced() const { return windows_advanced_; }

@@ -1,4 +1,4 @@
-// Drift verdict types shared by the one-shot (ModelSentinel) and
+// Drift verdict types shared by the one-shot (DriftEngine) and
 // streaming (StreamSentinel) entry points, plus their byte-stable JSON
 // renderings (schema documented in docs/SENTINEL.md).
 #pragma once

@@ -127,7 +127,7 @@ double kolmogorov_q(double lambda);
 /// inputs never reject: an empty side or a single-point effective sample
 /// yields p = 1. The p-value is approximate below ~8 samples per side;
 /// callers gate on a minimum sample count for decisions that must not
-/// false-alarm (see sentinel::SentinelOptions::min_samples).
+/// false-alarm (see sentinel::SentinelConfig::min_samples).
 KsTestResult two_sample_ks_test(const std::vector<double>& a,
                                 const std::vector<double>& b);
 

@@ -17,7 +17,6 @@
 #include "scenario/generator.hpp"
 #include "scenario/runner.hpp"
 #include "trace/database.hpp"
-#include "trace/event_view.hpp"
 #include "trace/serialize.hpp"
 
 namespace tetra::api {

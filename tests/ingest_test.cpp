@@ -1,7 +1,9 @@
 // Tests for the fleet-scale ingest path: incremental re-synthesis must be
 // byte-identical to full synthesis over many generated scenarios and
 // arbitrary segmentations, and the sharded ingest service must produce the
-// same model regardless of shard count.
+// same model regardless of shard count. The reference is the core free-
+// function pipeline, which shares no code path with the session's
+// synthesizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,7 @@
 
 #include "api/ingest_service.hpp"
 #include "api/session.hpp"
+#include "core/dag_builder.hpp"
 #include "core/export.hpp"
 #include "core/incremental.hpp"
 #include "scenario/generator.hpp"
@@ -27,6 +30,18 @@ trace::EventVector scenario_trace(std::uint64_t seed) {
 
 std::string model_json(const core::TimingModel& model) {
   return core::to_json(model.dag);
+}
+
+/// Full synthesis from the core functions alone: one index over the whole
+/// trace, Alg. 1 per node, worker merging, labels, the DAG.
+core::Dag reference_dag(const trace::EventVector& events,
+                        const core::ExtractOptions& extract = {}) {
+  const core::TraceIndex index(events);
+  std::vector<core::CallbackList> lists =
+      core::extract_all_nodes(index, extract);
+  core::merge_worker_lists(lists);
+  core::normalize_labels(lists);
+  return core::build_dag(lists, core::DagOptions{});
 }
 
 /// Splits `events` into `parts` contiguous chunks at pseudo-random cut
@@ -53,9 +68,7 @@ TEST(IncrementalTest, MatchesFullSynthesisAcrossSeeds) {
   // model byte-identical to one full-synthesis pass.
   for (std::uint64_t seed = 1; seed <= 22; ++seed) {
     const trace::EventVector events = scenario_trace(seed);
-    api::SynthesisSession full;
-    ASSERT_TRUE(full.ingest(events, {.trace_id = "t", .mode = ""}).ok());
-    const std::string expected = model_json(full.model().value());
+    const std::string expected = core::to_json(reference_dag(events));
 
     api::SynthesisSession inc(api::SynthesisConfig().incremental(true));
     for (auto& segment : random_cuts(events, 4, seed * 7919)) {
@@ -73,9 +86,7 @@ TEST(IncrementalTest, MatchesFullSynthesisOnPerPidPartition) {
   // Out-of-order arrival: segments partitioned by pid overlap completely in
   // time, so every append lands in the middle of the existing index.
   const trace::EventVector events = scenario_trace(3);
-  api::SynthesisSession full;
-  ASSERT_TRUE(full.ingest(events, {.trace_id = "t", .mode = ""}).ok());
-  const std::string expected = model_json(full.model().value());
+  const std::string expected = core::to_json(reference_dag(events));
 
   api::SynthesisSession inc(api::SynthesisConfig().incremental(true));
   trace::EventVector odd, even;
@@ -133,9 +144,7 @@ TEST(IncrementalTest, LateRequestWriteReextractsExactlyItsReaders) {
   EXPECT_EQ(inc.last_extracted(), 2u);
   EXPECT_EQ(core::split_annotated_topic(server_in_topic()).second,
             "node_a/T1");
-  api::SynthesisSession full;
-  ASSERT_TRUE(full.ingest(events, {.trace_id = "t", .mode = ""}).ok());
-  EXPECT_EQ(model, model_json(full.model().value()));
+  EXPECT_EQ(model, core::to_json(reference_dag(events)));
 }
 
 TEST(IncrementalTest, RepeatQueryExtractsNothing) {
@@ -149,16 +158,73 @@ TEST(IncrementalTest, RepeatQueryExtractsNothing) {
   EXPECT_EQ(inc.last_extracted(), 0u);
 }
 
-TEST(IncrementalTest, MergedEventsReproducesChronologicalStream) {
-  const trace::EventVector events = scenario_trace(2);
-  api::SynthesisSession inc(api::SynthesisConfig().incremental(true));
-  for (auto& segment : random_cuts(events, 3, 99)) {
-    ASSERT_TRUE(
-        inc.ingest(std::move(segment), {.trace_id = "t", .mode = ""}).ok());
+TEST(IncrementalTest, ChangedExtractOptionsReextractEveryNode) {
+  // The session passes per-query options (a re-estimated compensation
+  // cost); lists cached under other options must all be re-extracted.
+  const trace::EventVector events = scenario_trace(5);
+  core::IncrementalSynthesizer inc;
+  inc.append(events);
+  inc.model();
+  core::ExtractOptions compensated;
+  compensated.compensate_per_hit = Duration::us(1);
+  const std::string model = model_json(inc.model(compensated));
+  EXPECT_EQ(inc.last_extracted(), inc.index().nodes().size());
+  EXPECT_EQ(model, core::to_json(reference_dag(events, compensated)));
+  inc.model(compensated);
+  EXPECT_EQ(inc.last_extracted(), 0u);
+}
+
+TEST(IncrementalTest, TakeModelMatchesModel) {
+  // take_model() moves the lists out instead of copying them; the model
+  // must not change, whether an earlier query cached the lists or the
+  // take extracts them itself.
+  const trace::EventVector events = scenario_trace(4);
+  core::IncrementalSynthesizer queried;
+  core::IncrementalSynthesizer fresh;
+  for (const auto& segment : random_cuts(events, 3, 4242)) {
+    queried.append(segment);
+    fresh.append(segment);
+    queried.model();
   }
-  const auto merged = inc.merged_events("t");
-  ASSERT_TRUE(merged.ok());
-  EXPECT_EQ(trace::to_jsonl(merged.value()), trace::to_jsonl(events));
+  const core::TimingModel expected = queried.model();
+  const core::TimingModel from_cache =
+      std::move(queried).take_model(core::ExtractOptions{});
+  const core::TimingModel extracted =
+      std::move(fresh).take_model(core::ExtractOptions{});
+  for (const core::TimingModel* taken : {&from_cache, &extracted}) {
+    EXPECT_EQ(model_json(*taken), model_json(expected));
+    ASSERT_EQ(taken->node_callbacks.size(), expected.node_callbacks.size());
+    for (std::size_t i = 0; i < expected.node_callbacks.size(); ++i) {
+      EXPECT_EQ(taken->node_callbacks[i].records.size(),
+                expected.node_callbacks[i].records.size());
+    }
+  }
+}
+
+TEST(IncrementalTest, MergedEventsReproducesChronologicalStream) {
+  // Whether segments arrive in order or newest first, the merged stream
+  // is time-ordered with ties in ingestion order.
+  const trace::EventVector events = scenario_trace(2);
+  for (const bool newest_first : {false, true}) {
+    std::vector<trace::EventVector> segments = random_cuts(events, 3, 99);
+    if (newest_first) std::reverse(segments.begin(), segments.end());
+    trace::EventVector expected;
+    for (const auto& segment : segments) {
+      expected.insert(expected.end(), segment.begin(), segment.end());
+    }
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const trace::TraceEvent& a,
+                        const trace::TraceEvent& b) { return a.time < b.time; });
+    api::SynthesisSession inc(api::SynthesisConfig().incremental(true));
+    for (auto& segment : segments) {
+      ASSERT_TRUE(
+          inc.ingest(std::move(segment), {.trace_id = "t", .mode = ""}).ok());
+    }
+    const auto merged = inc.merged_events("t");
+    ASSERT_TRUE(merged.ok());
+    EXPECT_EQ(trace::to_jsonl(merged.value()), trace::to_jsonl(expected))
+        << (newest_first ? "newest first" : "in order");
+  }
 }
 
 TEST(ShardedIngestTest, ModelIndependentOfShardCount) {
@@ -184,13 +250,12 @@ TEST(ShardedIngestTest, ModelIndependentOfShardCount) {
   }
   ASSERT_FALSE(expected.empty());
 
-  // And the service agrees with a plain single session over the same fleet
-  // (trace ids ingested in the service's lexicographic combine order).
-  api::SynthesisSession session;
-  for (const auto& [id, events] : fleet) {
-    ASSERT_TRUE(session.ingest(events, {.trace_id = id, .mode = ""}).ok());
-  }
-  EXPECT_EQ(model_json(session.model().value()), expected);
+  // And the service agrees with the per-robot reference DAGs merged in
+  // the service's lexicographic combine order (the fleet's ids already
+  // sort that way).
+  core::Dag merged;
+  for (const auto& [id, events] : fleet) merged.merge(reference_dag(events));
+  EXPECT_EQ(core::to_json(merged), expected);
 }
 
 TEST(ShardedIngestTest, JsonlSubmissionMatchesParsedSubmission) {

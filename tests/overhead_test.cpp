@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "api/session.hpp"
+#include "core/dag_builder.hpp"
+#include "core/export.hpp"
 #include "core/extract.hpp"
 #include "overhead/estimator.hpp"
 #include "overhead/profile.hpp"
@@ -262,15 +265,71 @@ TEST(OverheadCompensationTest, OversizedCostClampsAtZero) {
   }
 }
 
-TEST(OverheadCompensationTest, CompensationDisablesIncremental) {
-  api::SynthesisConfig config;
-  config.incremental(true).compensate_overhead(true);
-  api::SynthesisSession session(config);
-  const scenario::ScenarioSpec spec = pipeline_spec(43);
-  const auto probed = run_with_profile(spec, *ProbeCostProfile::parse("5us"));
-  session.ingest(probed.trace, {.trace_id = "probed", .mode = ""});
-  // The query succeeds via the full (non-incremental) path.
-  EXPECT_TRUE(session.model().ok());
+/// A full compensated synthesis from the core functions alone: one index
+/// over `events`, the per-hit cost estimated from it, Alg. 1 and the DAG.
+std::string compensated_reference(const trace::EventVector& events) {
+  const core::TraceIndex index(events);
+  core::ExtractOptions extract;
+  extract.compensate_per_hit = overhead::estimate_probe_cost(index).per_hit;
+  std::vector<core::CallbackList> lists =
+      core::extract_all_nodes(index, extract);
+  core::merge_worker_lists(lists);
+  core::normalize_labels(lists);
+  return core::to_json(core::build_dag(lists, core::DagOptions{}));
+}
+
+TEST(OverheadCompensationTest, IncrementalCompensationMatchesFullSynthesis) {
+  // Every query re-estimates the probe cost from the events so far; an
+  // incremental session must re-extract whatever a changed estimate moves
+  // and match a full compensated synthesis of the same events, byte for
+  // byte. The jittered profile makes the estimate move between queries.
+  for (const char* profile : {"5us", "5us~2us"}) {
+    const trace::EventVector events =
+        run_with_profile(pipeline_spec(43), *ProbeCostProfile::parse(profile))
+            .trace;
+    // Contiguous cuts touch every node. Holding back one node's ROS2
+    // events leaves the other node untouched by the last segment, so only
+    // the changed estimate can re-extract it.
+    std::vector<std::vector<trace::EventVector>> splits(1);
+    constexpr std::size_t kCuts = 4;
+    for (std::size_t i = 0; i < kCuts; ++i) {
+      splits[0].emplace_back(events.begin() + events.size() * i / kCuts,
+                             events.begin() + events.size() * (i + 1) / kCuts);
+    }
+    Pid held = 0;
+    for (const trace::TraceEvent& e : events) {
+      if (e.type == trace::EventType::RmwCreateNode) held = e.pid;
+    }
+    trace::EventVector rest, held_ros;
+    for (const trace::TraceEvent& e : events) {
+      const bool sched = e.type == trace::EventType::SchedSwitch ||
+                         e.type == trace::EventType::SchedWakeup;
+      (e.pid == held && !sched ? held_ros : rest).push_back(e);
+    }
+    splits.push_back({rest, held_ros});
+    if (std::string(profile) != "5us") {
+      EXPECT_NE(overhead::estimate_probe_cost(rest).per_hit,
+                overhead::estimate_probe_cost(events).per_hit);
+    }
+
+    for (const auto& segments : splits) {
+      api::SynthesisSession session(
+          api::SynthesisConfig().incremental(true).compensate_overhead(true));
+      trace::EventVector seen;
+      for (const trace::EventVector& segment : segments) {
+        ASSERT_TRUE(
+            session.ingest(segment, {.trace_id = "probed", .mode = ""}).ok());
+        seen.insert(seen.end(), segment.begin(), segment.end());
+        trace::sort_by_time(seen);
+        const auto model = session.model();
+        ASSERT_TRUE(model.ok()) << model.error().to_string();
+        EXPECT_EQ(core::to_json(model.value().dag),
+                  compensated_reference(seen))
+            << profile << ", " << segments.size() << " segments, "
+            << seen.size() << " events so far";
+      }
+    }
+  }
 }
 
 // ---- adaptive sampling ---------------------------------------------------

@@ -35,7 +35,8 @@
 
 #include "scenario/generator.hpp"
 #include "scenario/runner.hpp"
-#include "sentinel/sentinel.hpp"
+#include "sentinel/engine.hpp"
+#include "sentinel/stream.hpp"
 #include "trace/serialize.hpp"
 
 namespace tetra::sentinel {
@@ -56,28 +57,57 @@ std::string read_file(const std::string& path) {
 // ---- unit behaviour ---------------------------------------------------------
 
 TEST(SentinelTest, CheckBeforeBaselineIsInvalidArgument) {
-  ModelSentinel sentinel;
-  const auto verdict = sentinel.check(trace::EventVector{});
-  ASSERT_FALSE(verdict.ok());
-  EXPECT_EQ(verdict.error().code, api::ErrorCode::InvalidArgument);
-  EXPECT_EQ(sentinel.windows_checked(), 0u);
+  DriftEngine engine(SentinelConfig{});
+  const auto analysis = engine.analyze(trace::EventVector{});
+  ASSERT_FALSE(analysis.ok());
+  EXPECT_EQ(analysis.error().code, api::ErrorCode::InvalidArgument);
+  EXPECT_EQ(engine.windows_analyzed(), 0u);
+}
+
+TEST(SentinelTest, AlphaOutsideUnitIntervalIsInvalidArgument) {
+  // The per-window KS level must be a probability; the one-shot check and
+  // the stream both refuse anything else before analyzing a window.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double alpha : {2.0, 1.0, 0.0, -0.5, nan}) {
+    SentinelConfig config;
+    config.alpha = alpha;
+    DriftEngine engine(config);
+    ASSERT_TRUE(
+        engine.ingest_baseline_file(data_path("scenario_seed7_trace.jsonl"))
+            .ok());
+    const auto analysis =
+        engine.analyze_file(data_path("sentinel_seed7_clean.jsonl"));
+    ASSERT_FALSE(analysis.ok()) << "alpha " << alpha;
+    EXPECT_EQ(analysis.error().code, api::ErrorCode::InvalidArgument);
+    EXPECT_EQ(engine.windows_analyzed(), 0u);
+
+    StreamSentinel stream(config);
+    ASSERT_TRUE(
+        stream.ingest_baseline_file(data_path("scenario_seed7_trace.jsonl"))
+            .ok());
+    const auto verdicts =
+        stream.feed_file(data_path("sentinel_seed7_clean.jsonl"));
+    ASSERT_FALSE(verdicts.ok()) << "alpha " << alpha;
+    EXPECT_EQ(verdicts.error().code, api::ErrorCode::InvalidArgument);
+    EXPECT_EQ(stream.windows_advanced(), 0u);
+  }
 }
 
 TEST(SentinelTest, BaselineModelSynthesizesFromFixture) {
-  ModelSentinel sentinel;
+  DriftEngine engine(SentinelConfig{});
   ASSERT_TRUE(
-      sentinel.ingest_baseline_file(data_path("scenario_seed7_trace.jsonl"))
+      engine.ingest_baseline_file(data_path("scenario_seed7_trace.jsonl"))
           .ok());
-  const auto model = sentinel.baseline_model();
+  const auto model = engine.baseline_model();
   ASSERT_TRUE(model.ok()) << model.error().to_string();
   EXPECT_GT(model->dag.vertex_count(), 0u);
   EXPECT_GT(model->dag.edge_count(), 0u);
 }
 
 TEST(SentinelTest, UnreadableBaselineFileIsIoError) {
-  ModelSentinel sentinel;
+  DriftEngine engine(SentinelConfig{});
   const auto segment =
-      sentinel.ingest_baseline_file("/nonexistent/sentinel.jsonl");
+      engine.ingest_baseline_file("/nonexistent/sentinel.jsonl");
   ASSERT_FALSE(segment.ok());
   EXPECT_EQ(segment.error().code, api::ErrorCode::Io);
 }
@@ -180,21 +210,22 @@ TEST(SentinelSweepTest, DetectsDriftWithoutFalseAlarms) {
 
   for (std::uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
     const scenario::Scenario scen = generator.generate(seed);
-    ModelSentinel sentinel;
+    DriftEngine engine(SentinelConfig{});
     {
       scenario::ScenarioRunResult baseline = runner.run(scen.spec, 1.0, 0);
-      ASSERT_TRUE(sentinel.ingest_baseline(std::move(baseline.trace)).ok());
+      ASSERT_TRUE(engine.ingest_baseline(std::move(baseline.trace)).ok());
     }
 
     // No-drift pair: the identical spec, resampled (fresh run index).
     {
       scenario::ScenarioRunResult clean = runner.run(scen.spec, 1.0, 1);
-      const auto verdict = sentinel.check(std::move(clean.trace));
-      ASSERT_TRUE(verdict.ok()) << verdict.error().to_string();
-      if (verdict->drifted) {
+      const auto analysis = engine.analyze(std::move(clean.trace));
+      ASSERT_TRUE(analysis.ok()) << analysis.error().to_string();
+      if (analysis->verdict.drifted) {
         ++false_positive;
         failures.push_back("seed " + std::to_string(seed) +
-                           " false alarm: " + verdict_to_json(*verdict));
+                           " false alarm: " +
+                           verdict_to_json(analysis->verdict));
       } else {
         ++true_negative;
       }
@@ -207,9 +238,9 @@ TEST(SentinelSweepTest, DetectsDriftWithoutFalseAlarms) {
       if (!mutant.applied) continue;
       ++applied[kind];
       scenario::ScenarioRunResult drifted = runner.run(mutant.spec, 1.0, 1);
-      const auto verdict = sentinel.check(std::move(drifted.trace));
-      ASSERT_TRUE(verdict.ok()) << verdict.error().to_string();
-      if (verdict->drifted) {
+      const auto analysis = engine.analyze(std::move(drifted.trace));
+      ASSERT_TRUE(analysis.ok()) << analysis.error().to_string();
+      if (analysis->verdict.drifted) {
         ++true_positive;
       } else {
         ++false_negative;
@@ -563,53 +594,54 @@ TEST(StreamSentinelSweepTest, DetectsMidStreamMutantsWithoutFalseAlarms) {
 class SentinelGoldenTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(sentinel_
+    ASSERT_TRUE(engine_
                     .ingest_baseline_file(
                         data_path("scenario_seed7_trace.jsonl"))
                     .ok());
   }
-  ModelSentinel sentinel_;
+  DriftEngine engine_{SentinelConfig{}};
 };
 
 TEST_F(SentinelGoldenTest, CleanWindowIsClean) {
-  const auto verdict =
-      sentinel_.check_file(data_path("sentinel_seed7_clean.jsonl"));
-  ASSERT_TRUE(verdict.ok()) << verdict.error().to_string();
-  EXPECT_FALSE(verdict->drifted) << verdict_to_json(*verdict);
-  EXPECT_TRUE(verdict->findings.empty());
-  EXPECT_GT(verdict->checks, 0u);
-  EXPECT_EQ(sentinel_.windows_checked(), 1u);
+  const auto analysis =
+      engine_.analyze_file(data_path("sentinel_seed7_clean.jsonl"));
+  ASSERT_TRUE(analysis.ok()) << analysis.error().to_string();
+  const DriftVerdict& verdict = analysis->verdict;
+  EXPECT_FALSE(verdict.drifted) << verdict_to_json(verdict);
+  EXPECT_TRUE(verdict.findings.empty());
+  EXPECT_GT(verdict.checks, 0u);
+  EXPECT_EQ(engine_.windows_analyzed(), 1u);
 }
 
 TEST_F(SentinelGoldenTest, DriftWindowMatchesGoldenVerdict) {
-  const auto verdict =
-      sentinel_.check_file(data_path("sentinel_seed7_drift.jsonl"));
-  ASSERT_TRUE(verdict.ok()) << verdict.error().to_string();
-  EXPECT_TRUE(verdict->drifted);
+  const auto analysis =
+      engine_.analyze_file(data_path("sentinel_seed7_drift.jsonl"));
+  ASSERT_TRUE(analysis.ok()) << analysis.error().to_string();
+  EXPECT_TRUE(analysis->verdict.drifted);
   std::string golden = read_file(data_path("sentinel_seed7_verdict.json"));
   if (!golden.empty() && golden.back() == '\n') golden.pop_back();
-  EXPECT_EQ(verdict_to_json(*verdict), golden);
+  EXPECT_EQ(verdict_to_json(analysis->verdict), golden);
 }
 
 TEST_F(SentinelGoldenTest, DeadlineViolationFiresOnConfiguredChain) {
   // The drifted window's service chain mean moved to ~1.8ms; a 1ms
   // deadline on that chain must raise DeadlineViolation on top of the
   // envelope finding.
-  SentinelOptions options;
-  options.chain_deadlines["/svc0Request -> /svc0Reply"] = Duration::ms(1);
-  ModelSentinel strict(options);
+  SentinelConfig config;
+  config.chain_deadlines["/svc0Request -> /svc0Reply"] = Duration::ms(1);
+  DriftEngine strict(config);
   ASSERT_TRUE(
       strict.ingest_baseline_file(data_path("scenario_seed7_trace.jsonl"))
           .ok());
-  const auto verdict =
-      strict.check_file(data_path("sentinel_seed7_drift.jsonl"));
-  ASSERT_TRUE(verdict.ok()) << verdict.error().to_string();
+  const auto analysis =
+      strict.analyze_file(data_path("sentinel_seed7_drift.jsonl"));
+  ASSERT_TRUE(analysis.ok()) << analysis.error().to_string();
   bool deadline_finding = false;
-  for (const auto& finding : verdict->findings) {
+  for (const auto& finding : analysis->verdict.findings) {
     deadline_finding =
         deadline_finding || finding.kind == DriftKind::DeadlineViolation;
   }
-  EXPECT_TRUE(deadline_finding) << verdict_to_json(*verdict);
+  EXPECT_TRUE(deadline_finding) << verdict_to_json(analysis->verdict);
 }
 
 }  // namespace

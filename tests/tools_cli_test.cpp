@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
@@ -110,6 +111,31 @@ TEST(PredictCliTest, ChainlessPredictionExitsNonZeroEvenQuiet) {
   std::remove(trace_path.c_str());
 }
 
+TEST(PredictCliTest, UsageErrorsExitTwo) {
+  REQUIRE_TOOL("tetra_predict");
+  const std::string fixture =
+      std::string(TETRA_TEST_DATA_DIR) + "/scenario_seed7_trace.jsonl";
+  EXPECT_EQ(run_command(binary("tetra_predict")).exit_code, 2);
+  EXPECT_EQ(run_command(binary("tetra_predict") + " --bogus").exit_code, 2);
+  // Every number is parsed whole and checked against its domain: no
+  // trailing characters, no fractions where counts are expected, no
+  // negative or non-finite scales.
+  for (const char* flags :
+       {"--cpus 4x", "--threads 4x", "--scale-exec-all -2",
+        "--scale-exec-all nan", "--scale-exec-all inf",
+        "--scale-exec node0/T1=-1", "--workers node0=2.7",
+        "--workers node0", "--sweep-cpus 2,x", "--sweep-exec 1,nan",
+        "--sweep-workers node0=1,2.5", "--horizon 0", "--horizon nan",
+        "--hop-us 5:1", "--input-period /tp0=-3", "--seed -1",
+        "--objective fastest", "--merge-dags --merge-traces"}) {
+    EXPECT_EQ(run_command(binary("tetra_predict") + " --trace " + fixture +
+                          " --quiet " + flags)
+                  .exit_code,
+              2)
+        << flags;
+  }
+}
+
 TEST(PredictCliTest, MissingTraceExitsNonZero) {
   REQUIRE_TOOL("tetra_predict");
   EXPECT_EQ(run_command(binary("tetra_predict") +
@@ -175,15 +201,26 @@ TEST(SentinelCliTest, UsageErrorsExitTwo) {
                         " --baseline a.jsonl --window b.jsonl --alpha nope")
                 .exit_code,
             2);
+  // The KS level is a probability in (0, 1), in both modes; non-finite
+  // numbers (alphas, deadlines) do not even parse.
+  const std::string data = std::string(TETRA_TEST_DATA_DIR);
+  const std::string clean_check =
+      binary("tetra_sentinel") + " --baseline " + data +
+      "/scenario_seed7_trace.jsonl --window " + data +
+      "/sentinel_seed7_clean.jsonl --quiet";
+  const std::string clean_follow =
+      binary("tetra_sentinel") + " --baseline " + data +
+      "/scenario_seed7_trace.jsonl --follow " + data +
+      "/sentinel_seed7_clean.jsonl --quiet";
+  for (const char* alpha : {"nan", "inf", "2", "1"}) {
+    EXPECT_EQ(run_command(clean_check + " --alpha " + alpha).exit_code, 2)
+        << alpha;
+  }
+  EXPECT_EQ(run_command(clean_check + " --deadline '/tp0=inf'").exit_code, 2);
+  EXPECT_EQ(run_command(clean_follow + " --alpha 2").exit_code, 2);
   // Parses, but the stream rejects it: the e-process budget ln(1/alpha)
   // needs alpha in (0, 1).
-  const std::string data = std::string(TETRA_TEST_DATA_DIR);
-  EXPECT_EQ(run_command(binary("tetra_sentinel") + " --baseline " + data +
-                        "/scenario_seed7_trace.jsonl --follow " + data +
-                        "/sentinel_seed7_clean.jsonl --quiet" +
-                        " --evidence-alpha 2")
-                .exit_code,
-            2);
+  EXPECT_EQ(run_command(clean_follow + " --evidence-alpha 2").exit_code, 2);
 }
 
 TEST(SentinelCliTest, UnreadableFilesExitThree) {
@@ -227,31 +264,64 @@ TEST(SynthCliTest, TtbConversionRoundTripsByteIdentical) {
   std::remove(back.c_str());
 }
 
-TEST(SynthCliTest, TtbTraceSynthesizesLikeJsonl) {
+// tests/data/model_seed7.json pins the synthesized model across changes.
+// Regenerate it (only after an intentional model change) with:
+//   tetra_synth --trace tests/data/scenario_seed7_trace.jsonl
+//       --json tests/data/model_seed7.json
+TEST(SynthCliTest, EverySynthesisModeReproducesModelGolden) {
   REQUIRE_TOOL("tetra_synth");
-  // Binary ingestion is transparent: synthesizing from the .ttb twin must
-  // produce the identical model JSON, with or without --incremental.
+  // Every way of synthesizing the golden trace must write the same model,
+  // byte for byte: the merge strategies, incremental synthesizers, the
+  // trace cut into two segment files, the .ttb twin, and overhead
+  // compensation (a no-op on this probe-free trace).
+  namespace fs = std::filesystem;
   const std::string fixture =
       std::string(TETRA_TEST_DATA_DIR) + "/scenario_seed7_trace.jsonl";
-  const std::string ttb = ::testing::TempDir() + "cli_synth.ttb";
+  const std::string golden =
+      slurp(std::string(TETRA_TEST_DATA_DIR) + "/model_seed7.json");
+  ASSERT_FALSE(golden.empty());
+  const std::string dir = ::testing::TempDir() + "model_golden/";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string ttb = dir + "seed7.ttb";
   ASSERT_EQ(run_command(binary("tetra_synth") + " --trace " + fixture +
                         " --to-ttb " + ttb)
                 .exit_code,
             0);
-  const std::string from_jsonl = ::testing::TempDir() + "model_jsonl.json";
-  const std::string from_ttb = ::testing::TempDir() + "model_ttb.json";
-  ASSERT_EQ(run_command(binary("tetra_synth") + " --trace " + fixture +
-                        " --json " + from_jsonl)
-                .exit_code,
-            0);
-  ASSERT_EQ(run_command(binary("tetra_synth") + " --trace " + ttb +
-                        " --incremental --json " + from_ttb)
-                .exit_code,
-            0);
-  EXPECT_EQ(slurp(from_ttb), slurp(from_jsonl));
-  std::remove(ttb.c_str());
-  std::remove(from_jsonl.c_str());
-  std::remove(from_ttb.c_str());
+  {
+    // Lines are events in time order, so each half is a sorted segment.
+    std::istringstream in(slurp(fixture));
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    std::ofstream first(dir + "part0.jsonl", std::ios::binary);
+    std::ofstream second(dir + "part1.jsonl", std::ios::binary);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      (2 * i < lines.size() ? first : second) << lines[i] << '\n';
+    }
+  }
+  const std::string segments =
+      "--trace " + dir + "part0.jsonl --trace " + dir + "part1.jsonl";
+  const std::vector<std::string> modes = {
+      "--trace " + fixture,
+      "--trace " + fixture + " --incremental",
+      "--trace " + fixture + " --merge-traces",
+      segments + " --merge-traces",
+      "--trace " + ttb,
+      "--trace " + ttb + " --incremental",
+      "--trace " + fixture + " --compensate-overhead",
+      "--trace " + fixture + " --compensate-overhead --incremental",
+  };
+  const std::string out = dir + "model.json";
+  for (const std::string& mode : modes) {
+    std::remove(out.c_str());
+    EXPECT_EQ(run_command(binary("tetra_synth") + " " + mode + " --json " +
+                          out)
+                  .exit_code,
+              0)
+        << mode;
+    EXPECT_EQ(slurp(out), golden) << mode;
+  }
+  fs::remove_all(dir);
 }
 
 TEST(SynthCliTest, PipedTraceSynthesizesLikeByPath) {
@@ -298,6 +368,16 @@ TEST(SynthCliTest, ConversionUsageErrorsExitTwo) {
   EXPECT_EQ(run_command(binary("tetra_synth") + " --to-ttb /tmp/x.ttb")
                 .exit_code,
             2);
+  // Malformed numbers and conflicting modes are usage errors too.
+  for (const char* flags :
+       {"--threads 4x", "--threads 99999999999", "--threads 0",
+        "--probe-cost -5us", "--merge-dags --merge-traces"}) {
+    EXPECT_EQ(run_command(binary("tetra_synth") + " --trace " + fixture +
+                          " " + flags)
+                  .exit_code,
+              2)
+        << flags;
+  }
 }
 
 TEST(ScenarioCliTest, TtbOutMatchesTraceOut) {

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -29,6 +30,30 @@
 #include <vector>
 
 namespace tetra::tools {
+
+/// Whole-string integer parse into [min, INT_MAX]: rejects trailing
+/// characters ("4x"), fractions ("2.7") and out-of-range values.
+inline bool parse_int(const std::string& text, int min, int* out) {
+  char* end = nullptr;
+  const long parsed = std::strtol(text.c_str(), &end, 10);
+  if (end == text.c_str() || *end != '\0' || parsed < min ||
+      parsed > std::numeric_limits<int>::max()) {
+    return false;
+  }
+  *out = static_cast<int>(parsed);
+  return true;
+}
+
+/// Whole-string parse of a finite floating-point number (no nan/inf).
+inline bool parse_finite(const std::string& text, double* out) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
 
 class FlagRegistry {
  public:
@@ -83,16 +108,10 @@ class FlagRegistry {
                      int min = std::numeric_limits<int>::min()) {
     return add(name, metavar, help, true,
                [name, min, out](const std::string& value, std::string* error) {
-                 char* end = nullptr;
-                 const long parsed = std::strtol(value.c_str(), &end, 10);
-                 if (end == value.c_str() || *end != '\0' || parsed < min ||
-                     parsed > std::numeric_limits<int>::max()) {
-                   *error = name + " expects an integer >= " +
-                            std::to_string(min) + ", got '" + value + "'";
-                   return false;
-                 }
-                 *out = static_cast<int>(parsed);
-                 return true;
+                 if (parse_int(value, min, out)) return true;
+                 *error = name + " expects an integer >= " +
+                          std::to_string(min) + ", got '" + value + "'";
+                 return false;
                });
   }
 
@@ -115,15 +134,14 @@ class FlagRegistry {
                });
   }
 
-  /// Strictly positive floating-point value.
+  /// Strictly positive, finite floating-point value.
   FlagRegistry& flag(const std::string& name, const std::string& metavar,
                      const std::string& help, double* out) {
     return add(name, metavar, help, true,
                [name, out](const std::string& value, std::string* error) {
-                 char* end = nullptr;
-                 const double parsed = std::strtod(value.c_str(), &end);
-                 if (end == value.c_str() || *end != '\0' || parsed <= 0.0) {
-                   *error = name + " expects a positive number, got '" +
+                 double parsed = 0.0;
+                 if (!parse_finite(value, &parsed) || parsed <= 0.0) {
+                   *error = name + " expects a finite positive number, got '" +
                             value + "'";
                    return false;
                  }

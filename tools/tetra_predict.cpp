@@ -30,62 +30,29 @@
 // prediction that measured nothing is a failed round trip, --quiet or
 // not. 1 on errors/empty predictions, 2 on usage errors.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "api/session.hpp"
+#include "cli.hpp"
 #include "predict/report.hpp"
 #include "predict/what_if.hpp"
-#include "support/string_utils.hpp"
 #include "tool_stats.hpp"
 
 namespace {
 
 using namespace tetra;
 
-void usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s --trace FILE [--trace FILE ...]\n"
-      "          [--merge-dags | --merge-traces] [--threads N]\n"
-      "          [--horizon SEC] [--seed N] [--hop-us LO:HI]\n"
-      "          [--input-period TOPIC=MS] [--timer-period KEY=MS]\n"
-      "          [--scale-exec KEY=F] [--scale-exec-all F] [--prune KEY]\n"
-      "          [--cpus N] [--workers NODE=N]\n"
-      "          [--sweep-timer KEY=MS1,MS2,...] [--sweep-exec F1,F2,...]\n"
-      "          [--sweep-cpus N1,N2,...] [--sweep-workers NODE=N1,N2,...]\n"
-      "          [--objective worst-mean|worst-p99|worst-max|mean-mean]\n"
-      "          [--json FILE] [--report] [--quiet]\n"
-      "          [--stats] [--stats-out FILE]\n"
-      "--report additionally prints the best candidate's chain table in\n"
-      "sweep mode (single predictions always print theirs).\n",
-      argv0);
-}
-
-[[noreturn]] void die(const std::string& message) {
-  std::fprintf(stderr, "error: %s\n", message.c_str());
-  std::exit(2);
-}
-
-/// Splits "key=value"; dies when '=' is missing.
-std::pair<std::string, std::string> split_kv(const std::string& arg,
-                                             const std::string& flag) {
+/// Splits "KEY=VALUE" at the first '='; false when KEY is empty or '='
+/// is missing.
+bool split_kv(const std::string& arg, std::string* key, std::string* value) {
   const std::size_t eq = arg.find('=');
-  if (eq == std::string::npos || eq == 0) {
-    die(flag + " expects KEY=VALUE, got '" + arg + "'");
-  }
-  return {arg.substr(0, eq), arg.substr(eq + 1)};
-}
-
-double parse_double(const std::string& value, const std::string& flag) {
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') {
-    die(flag + " expects a number, got '" + value + "'");
-  }
-  return parsed;
+  if (eq == std::string::npos || eq == 0) return false;
+  *key = arg.substr(0, eq);
+  *value = arg.substr(eq + 1);
+  return true;
 }
 
 std::vector<std::string> split_list(const std::string& csv) {
@@ -103,9 +70,52 @@ std::vector<std::string> split_list(const std::string& csv) {
   return out;
 }
 
+/// Parses a comma list with `parse_item`; false on the first bad item.
+template <typename T, typename Parse>
+bool parse_list(const std::string& csv, std::vector<T>* out, Parse parse_item) {
+  for (const std::string& item : split_list(csv)) {
+    T value{};
+    if (!parse_item(item, &value)) return false;
+    out->push_back(value);
+  }
+  return true;
+}
+
+/// A worker or CPU count: an integer >= 1.
+bool parse_count(const std::string& text, int* out) {
+  return tools::parse_int(text, 1, out);
+}
+
+/// A period in ms: finite and > 0.
+bool parse_period_ms(const std::string& text, Duration* out) {
+  double ms = 0.0;
+  if (!tools::parse_finite(text, &ms) || ms <= 0.0) return false;
+  *out = Duration::ms_f(ms);
+  return true;
+}
+
+/// An execution-time scale: finite and >= 0.
+bool parse_scale(const std::string& text, double* out) {
+  return tools::parse_finite(text, out) && *out >= 0.0;
+}
+
+/// Flag handler for KEY=VALUE arguments: `apply` parses VALUE and stores
+/// it under KEY, returning false to reject it as `expects`.
+std::function<bool(const std::string&, std::string*)> kv_flag(
+    const std::string& flag, const std::string& expects,
+    std::function<bool(const std::string& key, const std::string& value)>
+        apply) {
+  return [flag, expects, apply](const std::string& arg, std::string* error) {
+    std::string key, value;
+    if (split_kv(arg, &key, &value) && apply(key, value)) return true;
+    *error = flag + " expects " + expects + ", got '" + arg + "'";
+    return false;
+  };
+}
+
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream f(path, std::ios::trunc);
-  if (!f) die("cannot write " + path);
+  if (!f) throw std::runtime_error("cannot write " + path);
   f << content;
 }
 
@@ -115,7 +125,11 @@ int main(int argc, char** argv) {
   std::vector<std::string> trace_paths;
   std::string json_path;
   bool report = false;
-  api::SynthesisConfig synth_config;
+  bool merge_dags = false;
+  bool merge_traces = false;
+  int threads = 1;
+  double horizon_s = 0.0;
+  int cpus = 0;
   predict::PredictionConfig prediction;
 
   // Sweep requests are collected as flags and applied onto the explorer.
@@ -125,134 +139,165 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::vector<int>>> worker_sweeps;
   predict::Objective objective = predict::Objective::WorstChainP99;
   bool quiet = false;
-  tetra::tools::StatsOptions stats;
+  tools::StatsOptions stats;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) die(arg + " requires a value");
-      return argv[++i];
-    };
-    if (arg == "--trace") {
-      trace_paths.push_back(next());
-    } else if (arg == "--merge-traces") {
-      synth_config.merge_strategy(api::MergeStrategy::MergeTraces);
-    } else if (arg == "--merge-dags") {
-      synth_config.merge_strategy(api::MergeStrategy::MergeDags);
-    } else if (arg == "--threads") {
-      const int threads = std::atoi(next().c_str());
-      if (threads < 1) die("--threads expects a positive integer");
-      synth_config.threads(threads);
-    } else if (arg == "--horizon") {
-      prediction.horizon =
-          Duration::ms_f(parse_double(next(), "--horizon") * 1e3);
-      if (prediction.horizon <= Duration::zero()) {
-        die("--horizon expects a positive number of seconds");
-      }
-    } else if (arg == "--seed") {
-      const std::string value = next();
-      char* end = nullptr;
-      prediction.seed = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        die("--seed expects an unsigned integer, got '" + value + "'");
-      }
-    } else if (arg == "--hop-us") {
-      const std::string value = next();
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos) die("--hop-us expects LO:HI");
-      prediction.hop_latency.lo = Duration::ms_f(
-          parse_double(value.substr(0, colon), "--hop-us") / 1e3);
-      prediction.hop_latency.hi = Duration::ms_f(
-          parse_double(value.substr(colon + 1), "--hop-us") / 1e3);
-    } else if (arg == "--input-period") {
-      const auto [topic, ms] = split_kv(next(), "--input-period");
-      prediction.input_period[topic] =
-          Duration::ms_f(parse_double(ms, "--input-period"));
-    } else if (arg == "--timer-period") {
-      const auto [key, ms] = split_kv(next(), "--timer-period");
-      prediction.timer_period[key] =
-          Duration::ms_f(parse_double(ms, "--timer-period"));
-    } else if (arg == "--scale-exec") {
-      const auto [key, factor] = split_kv(next(), "--scale-exec");
-      prediction.exec_scale[key] = parse_double(factor, "--scale-exec");
-    } else if (arg == "--scale-exec-all") {
-      prediction.global_exec_scale = parse_double(next(), "--scale-exec-all");
-    } else if (arg == "--prune") {
-      prediction.pruned.insert(next());
-    } else if (arg == "--cpus") {
-      const int cpus = std::atoi(next().c_str());
-      if (cpus < 1) die("--cpus expects a positive integer");
-      predict::ExecutorMapping mapping;
-      mapping.num_cpus = cpus;
-      prediction.executors = mapping;
-    } else if (arg == "--workers") {
-      const auto [node, count] = split_kv(next(), "--workers");
-      const int workers =
-          static_cast<int>(parse_double(count, "--workers"));
-      if (workers < 1) die("--workers expects NODE=N with N >= 1");
-      prediction.workers[node] = workers;
-    } else if (arg == "--sweep-workers") {
-      const auto [node, csv] = split_kv(next(), "--sweep-workers");
-      std::vector<int> counts;
-      for (const std::string& n : split_list(csv)) {
-        const int workers = static_cast<int>(parse_double(n, "--sweep-workers"));
-        if (workers < 1) die("--sweep-workers expects counts >= 1");
-        counts.push_back(workers);
-      }
-      worker_sweeps.push_back({node, std::move(counts)});
-    } else if (arg == "--sweep-timer") {
-      const auto [key, csv] = split_kv(next(), "--sweep-timer");
-      std::vector<Duration> periods;
-      for (const std::string& ms : split_list(csv)) {
-        periods.push_back(Duration::ms_f(parse_double(ms, "--sweep-timer")));
-      }
-      timer_sweeps.push_back({key, std::move(periods)});
-    } else if (arg == "--sweep-exec") {
-      for (const std::string& f : split_list(next())) {
-        exec_sweep.push_back(parse_double(f, "--sweep-exec"));
-      }
-    } else if (arg == "--sweep-cpus") {
-      for (const std::string& n : split_list(next())) {
-        const int cpus = static_cast<int>(parse_double(n, "--sweep-cpus"));
-        if (cpus < 1) die("--sweep-cpus expects positive integers");
-        cpu_sweep.push_back(cpus);
-      }
-    } else if (arg == "--objective") {
-      const std::string value = next();
-      if (value == "worst-mean") {
-        objective = predict::Objective::WorstChainMean;
-      } else if (value == "worst-p99") {
-        objective = predict::Objective::WorstChainP99;
-      } else if (value == "worst-max") {
-        objective = predict::Objective::WorstChainMax;
-      } else if (value == "mean-mean") {
-        objective = predict::Objective::MeanOfMeans;
-      } else {
-        die("unknown objective '" + value + "'");
-      }
-    } else if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--report") {
-      report = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--stats") {
-      stats.summary = true;
-    } else if (arg == "--stats-out") {
-      stats.out_path = next();
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      std::fprintf(stderr, "error: unknown argument '%s'\n", arg.c_str());
-      usage(argv[0]);
-      return 2;
-    }
+  tools::FlagRegistry cli("tetra_predict");
+  cli.flag("--trace", "FILE", "input trace, JSONL or .ttb (repeatable)",
+           &trace_paths)
+      .flag("--merge-dags",
+            "synthesize per trace, then merge the DAGs (default)",
+            &merge_dags)
+      .flag("--merge-traces",
+            "merge the event streams first (segments of one run)",
+            &merge_traces)
+      .flag("--threads", "N", "worker threads for per-trace synthesis",
+            &threads, 1)
+      .flag("--horizon", "SEC", "simulated horizon in seconds", &horizon_s)
+      .flag("--seed", "N", "seed of every sampling stream", &prediction.seed)
+      .flag("--hop-us", "LO:HI", "per-hop delivery latency range in us",
+            [&prediction](const std::string& value, std::string* error) {
+              const std::size_t colon = value.find(':');
+              double lo = 0.0;
+              double hi = 0.0;
+              if (colon == std::string::npos ||
+                  !tools::parse_finite(value.substr(0, colon), &lo) ||
+                  !tools::parse_finite(value.substr(colon + 1), &hi) ||
+                  lo < 0.0 || lo > hi) {
+                *error = "--hop-us expects LO:HI with 0 <= LO <= HI, got '" +
+                         value + "'";
+                return false;
+              }
+              prediction.hop_latency.lo = Duration::ms_f(lo / 1e3);
+              prediction.hop_latency.hi = Duration::ms_f(hi / 1e3);
+              return true;
+            })
+      .flag("--input-period", "TOPIC=MS", "period of an external input topic",
+            kv_flag("--input-period", "TOPIC=MS with MS > 0",
+                    [&prediction](const std::string& topic,
+                                  const std::string& ms) {
+                      return parse_period_ms(ms,
+                                             &prediction.input_period[topic]);
+                    }))
+      .flag("--timer-period", "KEY=MS", "override a timer's period",
+            kv_flag("--timer-period", "KEY=MS with MS > 0",
+                    [&prediction](const std::string& key,
+                                  const std::string& ms) {
+                      return parse_period_ms(ms,
+                                             &prediction.timer_period[key]);
+                    }))
+      .flag("--scale-exec", "KEY=F", "scale one callback's execution time",
+            kv_flag("--scale-exec", "KEY=F with F >= 0",
+                    [&prediction](const std::string& key,
+                                  const std::string& factor) {
+                      return parse_scale(factor, &prediction.exec_scale[key]);
+                    }))
+      .flag("--scale-exec-all", "F", "scale every execution time",
+            [&prediction](const std::string& value, std::string* error) {
+              if (parse_scale(value, &prediction.global_exec_scale)) {
+                return true;
+              }
+              *error = "--scale-exec-all expects a number >= 0, got '" +
+                       value + "'";
+              return false;
+            })
+      .flag("--prune", "KEY", "drop a vertex from the replay (repeatable)",
+            [&prediction](const std::string& key, std::string*) {
+              prediction.pruned.insert(key);
+              return true;
+            })
+      .flag("--cpus", "N", "replay on N simulated CPUs (contention-aware)",
+            &cpus, 1)
+      .flag("--workers", "NODE=N", "override a node's executor workers",
+            kv_flag("--workers", "NODE=N with an integer N >= 1",
+                    [&prediction](const std::string& node,
+                                  const std::string& count) {
+                      return parse_count(count, &prediction.workers[node]);
+                    }))
+      .flag("--sweep-timer", "KEY=MS1,MS2,...", "sweep a timer's period",
+            kv_flag("--sweep-timer", "KEY=MS1,MS2,... with every MS > 0",
+                    [&timer_sweeps](const std::string& key,
+                                    const std::string& csv) {
+                      std::vector<Duration> periods;
+                      if (!parse_list(csv, &periods, parse_period_ms)) {
+                        return false;
+                      }
+                      timer_sweeps.push_back({key, std::move(periods)});
+                      return true;
+                    }))
+      .flag("--sweep-exec", "F1,F2,...", "sweep the global exec-time scale",
+            [&exec_sweep](const std::string& csv, std::string* error) {
+              if (parse_list(csv, &exec_sweep, parse_scale)) {
+                return true;
+              }
+              *error = "--sweep-exec expects numbers >= 0, got '" + csv + "'";
+              return false;
+            })
+      .flag("--sweep-cpus", "N1,N2,...", "sweep the simulated CPU count",
+            [&cpu_sweep](const std::string& csv, std::string* error) {
+              if (parse_list(csv, &cpu_sweep, parse_count)) return true;
+              *error = "--sweep-cpus expects integers >= 1, got '" + csv + "'";
+              return false;
+            })
+      .flag("--sweep-workers", "NODE=N1,N2,...",
+            "sweep a node's executor worker count",
+            kv_flag("--sweep-workers", "NODE=N1,N2,... with integers >= 1",
+                    [&worker_sweeps](const std::string& node,
+                                     const std::string& csv) {
+                      std::vector<int> counts;
+                      if (!parse_list(csv, &counts, parse_count)) {
+                        return false;
+                      }
+                      worker_sweeps.push_back({node, std::move(counts)});
+                      return true;
+                    }))
+      .flag("--objective", "NAME",
+            "sweep ranking: worst-mean, worst-p99, worst-max or mean-mean",
+            [&objective](const std::string& value, std::string* error) {
+              if (value == "worst-mean") {
+                objective = predict::Objective::WorstChainMean;
+              } else if (value == "worst-p99") {
+                objective = predict::Objective::WorstChainP99;
+              } else if (value == "worst-max") {
+                objective = predict::Objective::WorstChainMax;
+              } else if (value == "mean-mean") {
+                objective = predict::Objective::MeanOfMeans;
+              } else {
+                *error = "unknown objective '" + value + "'";
+                return false;
+              }
+              return true;
+            })
+      .flag("--json", "FILE", "write the prediction JSON", &json_path)
+      .flag("--report",
+            "also print the best candidate's chain table (sweep mode)",
+            &report)
+      .flag("--quiet", "suppress the tables", &quiet)
+      .flag("--stats", "print the telemetry summary table", &stats.summary)
+      .flag("--stats-out", "FILE", "write the telemetry JSON snapshot",
+            &stats.out_path);
+
+  switch (cli.parse(argc, argv)) {
+    case tools::FlagRegistry::Parse::Help: return 0;
+    case tools::FlagRegistry::Parse::Error: return 2;
+    case tools::FlagRegistry::Parse::Ok: break;
   }
   if (trace_paths.empty()) {
-    std::fprintf(stderr, "error: at least one --trace FILE is required\n");
-    usage(argv[0]);
-    return 2;
+    return cli.usage_error(argv[0], "at least one --trace FILE is required");
+  }
+  if (merge_dags && merge_traces) {
+    return cli.usage_error(argv[0],
+                           "--merge-dags and --merge-traces are exclusive");
+  }
+  api::SynthesisConfig synth_config;
+  if (merge_traces) {
+    synth_config.merge_strategy(api::MergeStrategy::MergeTraces);
+  }
+  synth_config.threads(threads);
+  if (horizon_s > 0.0) prediction.horizon = Duration::ms_f(horizon_s * 1e3);
+  if (cpus > 0) {
+    predict::ExecutorMapping mapping;
+    mapping.num_cpus = cpus;
+    prediction.executors = mapping;
   }
 
   try {
@@ -349,5 +394,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  return tetra::tools::emit_stats(stats);
+  return tools::emit_stats(stats);
 }

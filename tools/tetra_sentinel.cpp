@@ -34,7 +34,8 @@
 #include <vector>
 
 #include "cli.hpp"
-#include "sentinel/sentinel.hpp"
+#include "sentinel/engine.hpp"
+#include "sentinel/stream.hpp"
 #include "tool_stats.hpp"
 
 namespace {
@@ -136,10 +137,9 @@ int main(int argc, char** argv) {
                 *error = "--deadline expects 'TOPICS=MS', got '" + value + "'";
                 return false;
               }
-              char* end = nullptr;
               const std::string ms_text = value.substr(eq + 1);
-              const double ms = std::strtod(ms_text.c_str(), &end);
-              if (end == ms_text.c_str() || *end != '\0' || ms <= 0.0) {
+              double ms = 0.0;
+              if (!tools::parse_finite(ms_text, &ms) || ms <= 0.0) {
                 *error = "--deadline expects a positive number of ms, got '" +
                          ms_text + "'";
                 return false;
@@ -252,9 +252,9 @@ int main(int argc, char** argv) {
     return any_alarm ? 1 : stats_rc;
   }
 
-  sentinel::ModelSentinel sentinel(config);
+  sentinel::DriftEngine engine(config);
   for (const auto& path : baseline_files) {
-    const auto segment = sentinel.ingest_baseline_file(path);
+    const auto segment = engine.ingest_baseline_file(path);
     if (!segment.ok()) {
       std::fprintf(stderr, "error: %s\n", segment.error().to_string().c_str());
       return 3;
@@ -264,18 +264,20 @@ int main(int argc, char** argv) {
   bool any_drift = false;
   std::vector<std::string> verdict_jsons;
   for (const auto& path : window_files) {
-    const auto verdict = sentinel.check_file(path);
-    if (!verdict.ok()) {
-      std::fprintf(stderr, "error: %s\n", verdict.error().to_string().c_str());
-      return 3;
+    const auto analysis = engine.analyze_file(path);
+    if (!analysis.ok()) {
+      std::fprintf(stderr, "error: %s\n",
+                   analysis.error().to_string().c_str());
+      return analysis.error().code == api::ErrorCode::InvalidArgument ? 2 : 3;
     }
-    any_drift = any_drift || verdict->drifted;
-    verdict_jsons.push_back(sentinel::verdict_to_json(*verdict));
+    const sentinel::DriftVerdict& verdict = analysis.value().verdict;
+    any_drift = any_drift || verdict.drifted;
+    verdict_jsons.push_back(sentinel::verdict_to_json(verdict));
     if (!quiet) {
       std::printf("%s: %s (%zu findings, %zu checks)\n", path.c_str(),
-                  verdict->drifted ? "DRIFT" : "clean",
-                  verdict->findings.size(), verdict->checks);
-      for (const auto& finding : verdict->findings) {
+                  verdict.drifted ? "DRIFT" : "clean",
+                  verdict.findings.size(), verdict.checks);
+      for (const auto& finding : verdict.findings) {
         std::printf("  [%s] %s: %s\n",
                     std::string(to_string(finding.kind)).c_str(),
                     finding.subject.c_str(), finding.detail.c_str());

@@ -17,8 +17,9 @@
 // With several --trace inputs, --merge-dags (default; §V option ii)
 // synthesizes per trace — on N worker threads with --threads — and
 // merges the DAGs; --merge-traces (option i, for segments of one run)
-// k-way merges the event streams first. --incremental keeps appendable
-// per-trace indexes so repeat queries only re-extract touched nodes.
+// merges the event streams first. --incremental appends every segment
+// into its trace's synthesizer at ingest instead of at the model query
+// (the session's incremental mode; the model is the same).
 //
 // --compensate-overhead subtracts the per-probe tracer cost — estimated
 // from the trace, or given via --probe-cost (e.g. "5us", implies
@@ -28,54 +29,29 @@
 // exactly one --trace input, event order preserved byte-for-byte, no
 // synthesis. Either format is accepted as input (.ttb detected by magic),
 // so jsonl -> ttb -> jsonl is an identity.
+//
+// Exit status: 0 on success, 1 on runtime errors (unreadable or malformed
+// trace, synthesis failure, unwritable output), 2 on usage errors.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "analysis/chains.hpp"
 #include "api/session.hpp"
+#include "cli.hpp"
 #include "core/export.hpp"
 #include "overhead/profile.hpp"
-#include "support/string_utils.hpp"
 #include "tool_stats.hpp"
 #include "trace/serialize.hpp"
 #include "trace/ttb.hpp"
 
 namespace {
 
-void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --trace FILE [--trace FILE ...]\n"
-               "          [--merge-dags | --merge-traces] [--threads N]\n"
-               "          [--incremental]\n"
-               "          [--dot FILE] [--json FILE] [--report]\n"
-               "          [--no-service-split] [--no-and-junction]\n"
-               "          [--waiting-times]\n"
-               "          [--compensate-overhead] [--probe-cost DUR]\n"
-               "          [--lenient] [--stats] [--stats-out FILE]\n"
-               "       %s --trace FILE --to-ttb FILE | --to-jsonl FILE\n",
-               argv0, argv0);
-}
-
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream f(path, std::ios::trunc);
   if (!f) throw std::runtime_error("cannot write " + path);
   f << content;
-}
-
-int reject_argument(const char* argv0, const std::string& arg) {
-  if (arg.rfind("--", 0) == 0) {
-    std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
-  } else {
-    std::fprintf(stderr,
-                 "error: unexpected positional argument '%s' (trace files "
-                 "must be passed via --trace FILE)\n",
-                 arg.c_str());
-  }
-  usage(argv0);
-  return 2;
 }
 
 }  // namespace
@@ -87,96 +63,85 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string to_ttb_path;
   std::string to_jsonl_path;
+  bool merge_dags = false;
+  bool merge_traces = false;
+  int threads = 1;
   bool report = false;
   bool lenient = false;
   tools::StatsOptions stats;
   api::SynthesisConfig config;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", arg.c_str());
-        usage(argv[0]);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--trace") {
-      trace_paths.push_back(next());
-    } else if (arg == "--dot") {
-      dot_path = next();
-    } else if (arg == "--json") {
-      json_path = next();
-    } else if (arg == "--to-ttb") {
-      to_ttb_path = next();
-    } else if (arg == "--to-jsonl") {
-      to_jsonl_path = next();
-    } else if (arg == "--incremental") {
-      config.incremental(true);
-    } else if (arg == "--report") {
-      report = true;
-    } else if (arg == "--merge-traces") {
-      config.merge_strategy(api::MergeStrategy::MergeTraces);
-    } else if (arg == "--merge-dags") {
-      config.merge_strategy(api::MergeStrategy::MergeDags);
-    } else if (arg == "--threads") {
-      const std::string value = next();
-      const int threads = std::atoi(value.c_str());
-      if (threads < 1) {
-        std::fprintf(stderr, "error: --threads expects a positive integer, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      config.threads(threads);
-    } else if (arg == "--no-service-split") {
-      config.split_service_per_caller(false);
-    } else if (arg == "--no-and-junction") {
-      config.model_sync_with_and_junction(false);
-    } else if (arg == "--waiting-times") {
-      config.compute_waiting_times(true);
-    } else if (arg == "--compensate-overhead") {
-      config.compensate_overhead(true);
-    } else if (arg == "--probe-cost") {
-      const std::string value = next();
-      const auto cost = overhead::parse_duration(value);
-      if (!cost.has_value() || *cost < Duration::zero()) {
-        std::fprintf(stderr,
-                     "error: --probe-cost expects a duration like 5us or "
-                     "200ns, got '%s'\n",
-                     value.c_str());
-        return 2;
-      }
-      config.compensate_overhead(true).probe_cost_hint(*cost);
-    } else if (arg == "--lenient") {
-      lenient = true;
-    } else if (arg == "--stats") {
-      stats.summary = true;
-    } else if (arg == "--stats-out") {
-      stats.out_path = next();
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else {
-      return reject_argument(argv[0], arg);
-    }
+  tools::FlagRegistry cli("tetra_synth");
+  cli.flag("--trace", "FILE", "input trace, JSONL or .ttb (repeatable)",
+           &trace_paths)
+      .flag("--merge-dags",
+            "synthesize per trace, then merge the DAGs (default)",
+            &merge_dags)
+      .flag("--merge-traces",
+            "merge the event streams first (segments of one run)",
+            &merge_traces)
+      .flag("--threads", "N", "worker threads for per-trace synthesis",
+            &threads, 1)
+      .flag("--incremental",
+            "keep each trace's synthesizer across model queries",
+            [&config] { config.incremental(true); })
+      .flag("--dot", "FILE", "write the model as Graphviz DOT", &dot_path)
+      .flag("--json", "FILE", "write the model JSON", &json_path)
+      .flag("--report", "print the exec-time table and the chains", &report)
+      .flag("--no-service-split", "one vertex per service, not per caller",
+            [&config] { config.split_service_per_caller(false); })
+      .flag("--no-and-junction", "no AND-junction vertices for sync nodes",
+            [&config] { config.model_sync_with_and_junction(false); })
+      .flag("--waiting-times", "also compute waiting times",
+            [&config] { config.compute_waiting_times(true); })
+      .flag("--compensate-overhead",
+            "subtract the estimated per-probe tracer cost",
+            [&config] { config.compensate_overhead(true); })
+      .flag("--probe-cost", "DUR",
+            "known per-probe cost, e.g. 5us (implies compensation)",
+            [&config](const std::string& value, std::string* error) {
+              const auto cost = overhead::parse_duration(value);
+              if (!cost.has_value() || *cost < Duration::zero()) {
+                *error = "--probe-cost expects a duration like 5us or "
+                         "200ns, got '" + value + "'";
+                return false;
+              }
+              config.compensate_overhead(true).probe_cost_hint(*cost);
+              return true;
+            })
+      .flag("--lenient", "skip malformed JSONL lines instead of failing",
+            &lenient)
+      .flag("--to-ttb", "FILE", "convert the one --trace to .ttb",
+            &to_ttb_path)
+      .flag("--to-jsonl", "FILE", "convert the one --trace to JSONL",
+            &to_jsonl_path)
+      .flag("--stats", "print the telemetry summary table", &stats.summary)
+      .flag("--stats-out", "FILE", "write the telemetry JSON snapshot",
+            &stats.out_path);
+
+  switch (cli.parse(argc, argv)) {
+    case tools::FlagRegistry::Parse::Help: return 0;
+    case tools::FlagRegistry::Parse::Error: return 2;
+    case tools::FlagRegistry::Parse::Ok: break;
   }
   if (trace_paths.empty()) {
-    std::fprintf(stderr, "error: at least one --trace FILE is required\n");
-    usage(argv[0]);
-    return 2;
+    return cli.usage_error(argv[0], "at least one --trace FILE is required");
   }
+  if (merge_dags && merge_traces) {
+    return cli.usage_error(argv[0],
+                           "--merge-dags and --merge-traces are exclusive");
+  }
+  if (merge_traces) config.merge_strategy(api::MergeStrategy::MergeTraces);
+  config.threads(threads);
 
   // Conversion mode: no synthesis, no session — the raw event sequence is
   // read in file order and re-emitted as-is, so converting back and forth
   // reproduces the original file byte-for-byte.
   if (!to_ttb_path.empty() || !to_jsonl_path.empty()) {
     if (trace_paths.size() != 1) {
-      std::fprintf(stderr,
-                   "error: --to-ttb/--to-jsonl convert exactly one --trace "
-                   "input (got %zu)\n",
-                   trace_paths.size());
-      return 2;
+      return cli.usage_error(
+          argv[0], "--to-ttb/--to-jsonl convert exactly one --trace input "
+                   "(got " + std::to_string(trace_paths.size()) + ")");
     }
     try {
       const std::string& in = trace_paths[0];
