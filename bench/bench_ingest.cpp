@@ -5,7 +5,8 @@
 // Three measurements:
 //   1. single-thread file -> TraceIndex: memory-mapped .ttb vs JSONL parse
 //      (gate: >= 2x events/sec, the format exists to beat per-line JSON;
-//      the JSONL side is a single-pass field scanner, not a JSON DOM)
+//      the JSONL side is read_trace_file's single-pass field scanner
+//      writing columns the index adopts, as SynthesisSession does)
 //   2. sharded submit_jsonl throughput, 1 shard vs TETRA_SHARDS
 //      (gate: >= 0.7 scaling efficiency when the host has enough cores)
 //   3. incremental re-synthesis after a small per-pid delta vs a full
@@ -117,8 +118,11 @@ int main() {
   bench::note(format("collected %zu events", total_events));
 
   // ---- 1. single-thread file -> TraceIndex --------------------------------
+  // The session's path: decode straight into columns, which an empty
+  // index adopts whole.
   const auto jsonl_ingest = [&](const std::string& path) {
-    core::TraceIndex index(trace::read_jsonl_file(path));
+    core::TraceIndex index;
+    index.append(trace::read_trace_file(path));
     return index.size();
   };
   const auto ttb_ingest = [&](const std::string& path) {
@@ -208,17 +212,22 @@ int main() {
     (held ? delta : base).push_back(e);
   }
 
+  const auto columns_of = [](const trace::EventVector& segment) {
+    trace::EventColumns columns;
+    columns.append(segment);
+    return columns;
+  };
   core::IncrementalSynthesizer full;
-  full.append(events);
+  full.append(columns_of(events));
   t0 = std::chrono::steady_clock::now();
   const std::string full_json = core::to_json(full.model().dag);
   const double full_s = bench::seconds_since(t0);
   const std::size_t nodes_total = full.index().nodes().size();
 
   core::IncrementalSynthesizer inc;
-  inc.append(base);
+  inc.append(columns_of(base));
   inc.model();
-  inc.append(delta);
+  inc.append(columns_of(delta));
   t0 = std::chrono::steady_clock::now();
   const std::string inc_json = core::to_json(inc.model().dag);
   const double inc_s = bench::seconds_since(t0);

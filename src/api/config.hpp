@@ -60,20 +60,11 @@ class SynthesisConfig {
     core_.extract.compute_waiting_times = on;
     return *this;
   }
-  /// Incremental per-trace re-synthesis under MergeDags: each trace keeps
-  /// an appendable index plus per-node dependency sets, so a model query
-  /// after new segments re-extracts only the nodes those segments touched
-  /// (instead of the trace's full history). Produces byte-identical models
-  /// to full re-synthesis. Ignored under MergeTraces.
-  SynthesisConfig& incremental(bool on) {
-    incremental_ = on;
-    return *this;
-  }
   /// Tracer-overhead compensation (src/overhead/): estimate the per-probe
   /// cost from each trace (or take probe_cost_hint) and subtract
   /// hit-count × cost from every instance's execution time before DAG
-  /// annotation. Combines with incremental(): a query whose re-estimated
-  /// cost differs from the last one re-extracts every node.
+  /// annotation. A query whose re-estimated cost differs from the last one
+  /// re-extracts every node of the trace.
   SynthesisConfig& compensate_overhead(bool on) {
     compensate_overhead_ = on;
     return *this;
@@ -93,7 +84,6 @@ class SynthesisConfig {
   MergeStrategy merge_strategy() const { return merge_strategy_; }
   int threads() const { return threads_; }
   const std::string& default_mode() const { return default_mode_; }
-  bool incremental() const { return incremental_; }
   bool compensate_overhead() const { return compensate_overhead_; }
   Duration probe_cost_hint() const { return probe_cost_hint_; }
   const core::SynthesisOptions& core_options() const { return core_; }
@@ -102,7 +92,6 @@ class SynthesisConfig {
   MergeStrategy merge_strategy_ = MergeStrategy::MergeDags;
   int threads_ = 1;
   std::string default_mode_ = "nominal";
-  bool incremental_ = false;
   bool compensate_overhead_ = false;
   Duration probe_cost_hint_ = Duration::zero();
   core::SynthesisOptions core_;

@@ -139,15 +139,15 @@ void ShardedIngestService::worker(Shard& shard) {
           error = result.error();
         }
       } else {
-        trace::EventVector events = item.parse
-                                        ? trace::events_from_jsonl(item.jsonl)
-                                        : std::move(item.events);
-        ingested = events.size();
         IngestOptions options;
         options.trace_id = item.trace_id;
+        trace::EventColumns parsed;
+        if (item.parse) parsed = trace::columns_from_jsonl(item.jsonl);
         Result<SegmentInfo> result =
-            shard.session.ingest(std::move(events), options);
+            item.parse ? shard.session.ingest(std::move(parsed), options)
+                       : shard.session.ingest(std::move(item.events), options);
         if (!result.ok()) error = result.error();
+        ingested = result.ok() ? result->event_count : 0;
       }
     } catch (const std::exception& e) {
       error = Error{ErrorCode::Io, e.what(), item.trace_id};

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <optional>
 #include <thread>
 #include <utility>
 
 #include "overhead/estimator.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
-#include "trace/serialize.hpp"
 #include "trace/ttb.hpp"
 
 namespace tetra::api {
@@ -59,34 +57,24 @@ core::ExtractOptions compensated_extract(const SynthesisConfig& config,
   return extract;
 }
 
-/// Runs the synthesis pipeline through one core::IncrementalSynthesizer.
-/// An incremental trace passes its own synthesizer (`kept`), which
-/// received every segment at ingest and re-extracts only dirty nodes;
-/// otherwise a short-lived synthesizer receives `segments` in order
-/// (ties keep the earlier segment first: the k-way merge order) and hands
-/// its lists to the model instead of copying them. Overhead compensation
-/// is resolved against the synthesizer's own index either way.
-core::TimingModel synthesize(
-    const SynthesisConfig& config,
-    const std::vector<const trace::EventVector*>& segments,
-    core::IncrementalSynthesizer* kept, std::uint64_t span_parent) {
+/// Runs the pipeline through `synth` once `append` has fed it the new
+/// segments, resolving overhead compensation against its own index. A
+/// kept synthesizer returns a model and keeps its lists; one about to be
+/// discarded (`take`) hands them over instead.
+template <typename Append>
+core::TimingModel synthesize(const SynthesisConfig& config,
+                             core::IncrementalSynthesizer& synth, bool take,
+                             std::uint64_t span_parent, Append&& append) {
   telemetry::ScopedSpan span("synth.trace", span_parent, 0);
-  std::optional<core::IncrementalSynthesizer> local;
-  core::IncrementalSynthesizer& synth =
-      kept != nullptr ? *kept : local.emplace(config.core_options());
-  (kept != nullptr ? SessionMetrics::get().incremental
-                   : SessionMetrics::get().full)
-      .inc();
-  if (!segments.empty()) {
+  {
     telemetry::ScopedSpan merge_span("synth.merge");
-    for (const trace::EventVector* segment : segments) synth.append(*segment);
+    append();
     merge_span.set_items(synth.event_count());
   }
   span.set_items(synth.event_count());
   const core::ExtractOptions extract =
       compensated_extract(config, synth.index());
-  return kept != nullptr ? synth.model(extract)
-                         : std::move(synth).take_model(extract);
+  return take ? std::move(synth).take_model(extract) : synth.model(extract);
 }
 
 }  // namespace
@@ -107,6 +95,7 @@ SynthesisSession::TraceState& SynthesisSession::trace_for(
     TraceState state;
     state.id = id;
     state.mode = options.mode;
+    state.synth = core::IncrementalSynthesizer(config_.core_options());
     traces_.push_back(std::move(state));
   }
   return traces_[it->second];
@@ -114,6 +103,25 @@ SynthesisSession::TraceState& SynthesisSession::trace_for(
 
 Result<SegmentInfo> SynthesisSession::ingest(trace::EventVector events,
                                              const IngestOptions& options) {
+  const bool arrived_sorted = trace::is_time_sorted(events);
+  if (!arrived_sorted) trace::sort_by_time(events);
+  trace::EventColumns columns;
+  columns.append(events);
+  Result<SegmentInfo> result = ingest(std::move(columns), options);
+  if (!result.ok()) return result;
+  segments_.back().arrived_sorted = arrived_sorted;
+  return segments_.back();
+}
+
+Result<SegmentInfo> SynthesisSession::ingest(trace::EventColumns columns,
+                                             const IngestOptions& options) {
+  const bool arrived_sorted = trace::is_time_sorted(columns.view());
+  if (!arrived_sorted) {
+    trace::EventVector events = trace::materialize(columns.view());
+    trace::sort_by_time(events);
+    columns = trace::EventColumns();
+    columns.append(events);
+  }
   TraceState& trace = trace_for(options);
   if (trace.sealed) {
     return make_error(ErrorCode::InvalidArgument,
@@ -136,26 +144,16 @@ Result<SegmentInfo> SynthesisSession::ingest(trace::EventVector events,
   info.trace_id = trace.id;
   info.mode = trace.mode;
   info.source = "events";
-  info.event_count = events.size();
-  info.arrived_sorted = trace::is_time_sorted(events);
-  if (!info.arrived_sorted) trace::sort_by_time(events);
+  info.event_count = columns.size();
+  info.arrived_sorted = arrived_sorted;
 
-  event_count_ += events.size();
+  event_count_ += columns.size();
   SessionMetrics::get().segments.inc();
-  SessionMetrics::get().events.add(events.size());
-  if (use_incremental()) {
-    // Events go straight into the trace's appendable index; no per-segment
-    // copy is retained.
-    if (!trace.inc) {
-      trace.inc = std::make_unique<core::IncrementalSynthesizer>(
-          config_.core_options());
-    }
-    trace.inc->append(events);
-  } else {
-    segment_locator_.push_back(
-        {trace_index_.at(trace.id), trace.segments.size()});
-    trace.segments.push_back(std::move(events));
-  }
+  SessionMetrics::get().events.add(columns.size());
+  segment_locator_.push_back(
+      {trace_index_.at(trace.id), trace.segment_rows.size()});
+  trace.segment_rows.push_back(columns.size());
+  trace.pending.push_back(std::move(columns));
   trace.dirty = true;
   merged_dirty_ = true;
   segments_.push_back(info);
@@ -164,15 +162,15 @@ Result<SegmentInfo> SynthesisSession::ingest(trace::EventVector events,
 
 Result<SegmentInfo> SynthesisSession::ingest_file(const std::string& path,
                                                   const IngestOptions& options) {
-  trace::EventVector events;
+  trace::EventColumns columns;
   try {
-    events = trace::read_trace_file(path);
+    columns = trace::read_trace_file(path);
   } catch (const std::exception& e) {
     return make_error(ErrorCode::Io, e.what(), path);
   }
   IngestOptions resolved = options;
   if (resolved.trace_id.empty()) resolved.trace_id = path;
-  Result<SegmentInfo> result = ingest(std::move(events), resolved);
+  Result<SegmentInfo> result = ingest(std::move(columns), resolved);
   if (result.ok()) {
     segments_.back().source = path;
     return segments_.back();
@@ -214,11 +212,24 @@ Result<std::vector<SegmentInfo>> SynthesisSession::ingest_database(
 void SynthesisSession::synthesize_trace(TraceState& trace,
                                         const SynthesisConfig& config,
                                         std::uint64_t span_parent) {
-  std::vector<const trace::EventVector*> segments;
-  segments.reserve(trace.segments.size());
-  for (const auto& segment : trace.segments) segments.push_back(&segment);
-  trace.model = synthesize(config, segments, trace.inc.get(), span_parent);
+  SessionMetrics::get().incremental.inc();
+  trace.model = synthesize(config, trace.synth, false, span_parent, [&] {
+    for (trace::EventColumns& segment : trace.pending) {
+      trace.synth.append(std::move(segment));
+    }
+    trace.pending.clear();
+  });
   trace.dirty = false;
+}
+
+trace::ColumnsView SynthesisSession::segment_view(std::size_t trace_idx,
+                                                  std::size_t ordinal) const {
+  const TraceState& trace = traces_[trace_idx];
+  const std::size_t drained = trace.segment_rows.size() - trace.pending.size();
+  if (ordinal >= drained) return trace.pending[ordinal - drained].view();
+  std::size_t first = 0;
+  for (std::size_t k = 0; k < ordinal; ++k) first += trace.segment_rows[k];
+  return trace.synth.index().view().rows(first, trace.segment_rows[ordinal]);
 }
 
 Error SynthesisSession::synthesize_dirty() {
@@ -236,28 +247,22 @@ Error SynthesisSession::synthesize_dirty() {
   std::vector<std::string> failures(dirty.size());
   const std::uint64_t span_parent = telemetry::ScopedSpan::current_id();
 
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < dirty.size(); ++i) {
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (std::size_t i = next.fetch_add(1); i < dirty.size();
+         i = next.fetch_add(1)) {
       try {
         synthesize_trace(*dirty[i], config_, span_parent);
       } catch (const std::exception& e) {
         failures[i] = e.what();
+      } catch (...) {
+        failures[i] = "unknown synthesis failure";
       }
     }
+  };
+  if (workers <= 1) {
+    worker();  // inline, on the calling thread
   } else {
-    std::atomic<std::size_t> next{0};
-    auto worker = [&] {
-      for (std::size_t i = next.fetch_add(1); i < dirty.size();
-           i = next.fetch_add(1)) {
-        try {
-          synthesize_trace(*dirty[i], config_, span_parent);
-        } catch (const std::exception& e) {
-          failures[i] = e.what();
-        } catch (...) {
-          failures[i] = "unknown synthesis failure";
-        }
-      }
-    };
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
@@ -283,15 +288,19 @@ Result<core::TimingModel> SynthesisSession::model() {
   if (config_.merge_strategy() == MergeStrategy::MergeTraces) {
     if (merged_dirty_) {
       SessionMetrics::get().dirty_rebuilds.inc();
-      // One synthesizer over every segment, in ingestion order.
+      SessionMetrics::get().full.inc();
+      // One short-lived synthesizer over every segment, in ingestion
+      // order, each read where it lives.
       try {
-        std::vector<const trace::EventVector*> segments;
-        segments.reserve(segment_locator_.size());
-        for (const auto& [trace_idx, seg_idx] : segment_locator_) {
-          segments.push_back(&traces_[trace_idx].segments[seg_idx]);
-        }
-        merged_model_ = synthesize(config_, segments, nullptr,
-                                   telemetry::ScopedSpan::current_id());
+        core::IncrementalSynthesizer synth(config_.core_options());
+        const auto append_all = [&] {
+          for (const auto& [trace_idx, ordinal] : segment_locator_) {
+            synth.append(segment_view(trace_idx, ordinal));
+          }
+        };
+        merged_model_ = synthesize(config_, synth, true,
+                                   telemetry::ScopedSpan::current_id(),
+                                   append_all);
       } catch (const std::exception& e) {
         return make_error(ErrorCode::SynthesisFailed, e.what(),
                           "merged stream");
@@ -343,7 +352,7 @@ Result<core::MultiModeDag> SynthesisSession::multi_mode_model() {
   return multi;
 }
 
-Result<core::TimingModel> SynthesisSession::trace_model(
+Result<SynthesisSession::TraceState*> SynthesisSession::synthesized(
     const std::string& trace_id) {
   auto it = trace_index_.find(trace_id);
   if (it == trace_index_.end()) {
@@ -358,7 +367,14 @@ Result<core::TimingModel> SynthesisSession::trace_model(
       return make_error(ErrorCode::SynthesisFailed, e.what(), trace_id);
     }
   }
-  return trace.model;
+  return &trace;
+}
+
+Result<core::TimingModel> SynthesisSession::trace_model(
+    const std::string& trace_id) {
+  Result<TraceState*> trace = synthesized(trace_id);
+  if (!trace.ok()) return trace.error();
+  return (*trace)->model;
 }
 
 Result<trace::EventVector> SynthesisSession::merged_events(
@@ -375,10 +391,10 @@ Result<trace::EventVector> SynthesisSession::merged_events(
   }
   // Rows in ingestion order; the stable sort restores (time, ingestion)
   // order, which is the k-way merge of the time-sorted segments.
-  trace::EventVector events;
-  if (trace.inc) events = trace::materialize(trace.inc->index().view());
-  for (const auto& segment : trace.segments) {
-    events.insert(events.end(), segment.begin(), segment.end());
+  trace::EventVector events = trace::materialize(trace.synth.index().view());
+  for (const trace::EventColumns& segment : trace.pending) {
+    const trace::EventVector rows = trace::materialize(segment.view());
+    events.insert(events.end(), rows.begin(), rows.end());
   }
   trace::sort_by_time(events);
   return events;
@@ -391,29 +407,12 @@ Result<std::size_t> SynthesisSession::release_events(
                       "release_events requires the MergeDags strategy",
                       trace_id);
   }
-  auto it = trace_index_.find(trace_id);
-  if (it == trace_index_.end()) {
-    return make_error(ErrorCode::UnknownTrace, "no such trace in session",
-                      trace_id);
-  }
-  TraceState& trace = traces_[it->second];
-  if (trace.dirty) {
-    try {
-      synthesize_trace(trace, config_, telemetry::ScopedSpan::current_id());
-    } catch (const std::exception& e) {
-      return make_error(ErrorCode::SynthesisFailed, e.what(), trace_id);
-    }
-  }
-  std::size_t freed = 0;
-  if (trace.inc) {
-    freed = trace.inc->event_count();
-    trace.inc.reset();
-  } else {
-    for (const auto& segment : trace.segments) freed += segment.size();
-    trace.segments.clear();
-    trace.segments.shrink_to_fit();
-  }
-  trace.sealed = true;
+  Result<TraceState*> trace = synthesized(trace_id);
+  if (!trace.ok()) return trace.error();
+  // Synthesis drained every pending segment into the synthesizer.
+  const std::size_t freed = (*trace)->synth.event_count();
+  (*trace)->synth = core::IncrementalSynthesizer();
+  (*trace)->sealed = true;
   return freed;
 }
 

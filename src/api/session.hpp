@@ -12,21 +12,20 @@
 //   session.ingest(more_events, {.trace_id = "run-1"});
 //   model = session.model();                 // re-synthesizes ONLY run-1
 //
-// Segments ingested under one trace id are appended, in ingestion order,
-// into one core::IncrementalSynthesizer — the only place the synthesis
-// pipeline runs. By default a trace keeps its segments and a synthesizer
-// is built from them at query time, so ingest stays O(segment);
-// config.incremental(true) keeps the synthesizer across queries instead.
-// Distinct trace ids are synthesized independently — in parallel on a
-// small worker pool when config.threads(N) > 1 — and combined per the
-// configured merge strategy. Results carry typed api::Error diagnostics
-// instead of bare exceptions.
+// Every trace id owns one core::IncrementalSynthesizer — the only place
+// the synthesis pipeline runs. Ingest decodes a segment into
+// trace::EventColumns and queues it, so ingest stays O(segment) and does
+// no index work; a model query appends the queued segments, in ingestion
+// order, to the trace's synthesizer, which re-extracts only the nodes they
+// touched. Distinct trace ids are synthesized independently — in parallel
+// on a small worker pool when config.threads(N) > 1 — and combined per
+// the configured merge strategy. Results carry typed api::Error
+// diagnostics instead of bare exceptions.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,6 +36,7 @@
 #include "predict/model_simulator.hpp"
 #include "trace/database.hpp"
 #include "trace/event.hpp"
+#include "trace/event_columns.hpp"
 
 namespace tetra::api {
 
@@ -56,15 +56,19 @@ class SynthesisSession {
 
   // -- ingestion ----------------------------------------------------------
 
-  /// Adds one event segment. Unsorted segments are sorted on ingest (and
-  /// flagged in the returned SegmentInfo); synthesis is deferred until a
-  /// model query, so ingest cost is O(segment).
+  /// Adds one event segment. Unsorted segments are sorted stably by time
+  /// on ingest (and flagged in the returned SegmentInfo); synthesis is
+  /// deferred until a model query, so ingest cost is O(segment).
+  Result<SegmentInfo> ingest(trace::EventColumns columns,
+                             const IngestOptions& options = {});
+
+  /// Same for heap events: sorted, then packed into columns once.
   Result<SegmentInfo> ingest(trace::EventVector events,
                              const IngestOptions& options = {});
 
-  /// Reads a trace file and ingests it — .ttb traces are detected by magic
-  /// and decoded from the binary columns, everything else parses as JSONL.
-  /// The default trace id is the path itself.
+  /// Reads a trace file into columns (trace::read_trace_file: .ttb traces
+  /// are detected by magic, everything else decodes as JSONL) and ingests
+  /// them. The default trace id is the path itself.
   Result<SegmentInfo> ingest_file(const std::string& path,
                                   const IngestOptions& options = {});
 
@@ -106,9 +110,9 @@ class SynthesisSession {
   Result<predict::PredictionResult> predict(
       const predict::PredictionConfig& config = {});
 
-  /// Frees the stored event segments of one trace while keeping its cached
-  /// model, so long-lived sessions over heavy trace volume stay bounded in
-  /// memory (MergeDags only — MergeTraces needs every event for the global
+  /// Frees the events of one trace while keeping its cached model, so
+  /// long-lived sessions over heavy trace volume stay bounded in memory
+  /// (MergeDags only — MergeTraces needs every event for the global
   /// merge). Synthesizes the trace first if it is still dirty. The trace
   /// is sealed afterwards: further ingests into it are rejected. Returns
   /// the number of events freed.
@@ -131,20 +135,22 @@ class SynthesisSession {
   struct TraceState {
     std::string id;
     std::string mode;
-    std::vector<trace::EventVector> segments;  ///< each time-sorted
-    /// Set under config.incremental(): the trace's synthesizer, kept
-    /// across queries; `segments` stays empty then.
-    std::unique_ptr<core::IncrementalSynthesizer> inc;
-    core::TimingModel model;                   ///< cache, valid when !dirty
+    std::vector<trace::EventColumns> pending;  ///< sorted, not yet in synth
+    /// Rows of every segment ingested, in order; all but the last
+    /// pending.size() are row ranges of synth's index.
+    std::vector<std::size_t> segment_rows;
+    core::IncrementalSynthesizer synth;
+    core::TimingModel model;  ///< cache, valid when !dirty
     bool dirty = true;
     bool sealed = false;  ///< events released; model cached, no re-ingest
   };
 
   TraceState& trace_for(const IngestOptions& options);
-  bool use_incremental() const {
-    return config_.incremental() &&
-           config_.merge_strategy() == MergeStrategy::MergeDags;
-  }
+  /// The trace, synthesized if dirty; or UnknownTrace / SynthesisFailed.
+  Result<TraceState*> synthesized(const std::string& trace_id);
+  /// Segment `ordinal` of trace `trace_idx`, wherever it now lives.
+  trace::ColumnsView segment_view(std::size_t trace_idx,
+                                  std::size_t ordinal) const;
   /// Synthesizes every dirty trace (worker pool when threads > 1).
   /// Returns an error naming the first failing trace, if any.
   Error synthesize_dirty();
@@ -159,7 +165,7 @@ class SynthesisSession {
   std::vector<TraceState> traces_;                ///< ingestion order
   std::map<std::string, std::size_t> trace_index_;
   std::vector<SegmentInfo> segments_;
-  /// Per-segment (trace index, segment index) in ingestion order — the
+  /// Per-segment (trace index, segment ordinal) in ingestion order — the
   /// order MergeTraces appends every segment in, which breaks time ties
   /// deterministically.
   std::vector<std::pair<std::size_t, std::size_t>> segment_locator_;

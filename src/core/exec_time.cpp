@@ -34,30 +34,16 @@ Duration exec_time_naive(TimePoint start, TimePoint end, Pid pid,
 }
 
 ExecTimeCalculator::ExecTimeCalculator(const trace::EventVector& events) {
-  for (const auto& event : events) index_event(event);
-  finalize_indices();
+  trace::EventVector sorted = events;
+  trace::sort_by_time(sorted);
+  trace::EventColumns columns;
+  columns.append(sorted);
+  append_columns(columns.view(), 0);
 }
 
 const ExecTimeCalculator::Slot* ExecTimeCalculator::find_slot(Pid pid) const {
   auto it = slots_.find(pid);
   return it == slots_.end() ? nullptr : &it->second;
-}
-
-void ExecTimeCalculator::index_event(const trace::TraceEvent& event) {
-  if (event.type == trace::EventType::SchedSwitch) {
-    const auto& info = event.as<trace::SchedSwitchInfo>();
-    if (info.prev_pid != kIdlePid) {
-      slots_[info.prev_pid].switches.push_back(
-          Switch{event.time, false, info.prev_state});
-    }
-    if (info.next_pid != kIdlePid) {
-      slots_[info.next_pid].switches.push_back(
-          Switch{event.time, true, trace::ThreadRunState::Runnable});
-    }
-  } else if (event.type == trace::EventType::SchedWakeup) {
-    const Pid pid = event.as<trace::SchedWakeupInfo>().woken_pid;
-    slots_[pid].wakeups.push_back(event.time);
-  }
 }
 
 std::vector<Pid> ExecTimeCalculator::append_columns(const trace::ColumnsView& v,
@@ -123,15 +109,6 @@ std::vector<Pid> ExecTimeCalculator::append_columns(const trace::ColumnsView& v,
   }
   std::sort(pids.begin(), pids.end());
   return pids;
-}
-
-void ExecTimeCalculator::finalize_indices() {
-  for (auto& [pid, slot] : slots_) {
-    std::stable_sort(
-        slot.switches.begin(), slot.switches.end(),
-        [](const Switch& a, const Switch& b) { return a.time < b.time; });
-    std::sort(slot.wakeups.begin(), slot.wakeups.end());
-  }
 }
 
 Duration ExecTimeCalculator::exec_time(TimePoint start, TimePoint end,

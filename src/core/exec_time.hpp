@@ -36,7 +36,7 @@ class ExecTimeCalculator {
   ExecTimeCalculator() = default;
 
   /// Builds per-PID indices from any event stream (non-sched events are
-  /// ignored). Events need not be sorted.
+  /// ignored): append_columns over a stable-sorted, packed copy.
   explicit ExecTimeCalculator(const trace::EventVector& events);
 
   /// Indexes the sched events of columnar rows [from, view.count). Rows of
@@ -77,8 +77,6 @@ class ExecTimeCalculator {
     std::size_t wakeups_mark = 0;
   };
   const Slot* find_slot(Pid pid) const;
-  void index_event(const trace::TraceEvent& event);
-  void finalize_indices();
 
   std::unordered_map<Pid, Slot> slots_;
   std::uint64_t batch_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 #include "support/string_utils.hpp"
 
@@ -11,13 +12,6 @@ namespace tetra::core {
 const std::vector<std::size_t> TraceIndex::kEmpty{};
 
 namespace {
-
-bool is_time_sorted(const std::int64_t* time, std::size_t count) {
-  for (std::size_t i = 1; i < count; ++i) {
-    if (time[i] < time[i - 1]) return false;
-  }
-  return true;
-}
 
 /// (time, seq) order of the indexed rows — the k-way merge order.
 struct ChronoLess {
@@ -80,13 +74,23 @@ AppendDelta TraceIndex::append(const trace::EventVector& sorted_segment) {
 }
 
 AppendDelta TraceIndex::append(const trace::ColumnsView& view) {
-  if (!is_time_sorted(view.time, view.count)) {
+  if (!trace::is_time_sorted(view)) {
     throw std::invalid_argument("TraceIndex::append requires a time-sorted "
                                 "segment");
   }
   const std::size_t base = columns_.size();
   columns_.append(view);
   return index_rows(base);
+}
+
+AppendDelta TraceIndex::append(trace::EventColumns&& segment) {
+  if (!columns_.empty() || !trace::is_time_sorted(segment.view())) {
+    // Copied in (or rejected), and freed when the append returns.
+    const trace::EventColumns consumed = std::move(segment);
+    return append(consumed.view());
+  }
+  columns_ = std::move(segment);
+  return index_rows(0);
 }
 
 AppendDelta TraceIndex::index_rows(std::size_t base) {

@@ -114,6 +114,10 @@ class TraceIndex {
   /// Same, straight from columnar storage (e.g. a mapped .ttb file).
   AppendDelta append(const trace::ColumnsView& view);
 
+  /// Same for an owned segment: an empty index adopts its columns whole,
+  /// a non-empty one copies them in.
+  AppendDelta append(trace::EventColumns&& segment);
+
   /// Number of indexed events. Sequence numbers are [0, size()).
   std::size_t size() const { return columns_.size(); }
 

@@ -1,6 +1,7 @@
 #include "core/incremental.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/dag_builder.hpp"
 #include "telemetry/span.hpp"
@@ -23,12 +24,12 @@ bool intersects(const std::vector<T>& a, const std::vector<T>& b) {
 
 }  // namespace
 
-void IncrementalSynthesizer::append(const trace::EventVector& sorted_segment) {
-  apply_delta(index_.append(sorted_segment));
-}
-
 void IncrementalSynthesizer::append(const trace::ColumnsView& view) {
   apply_delta(index_.append(view));
+}
+
+void IncrementalSynthesizer::append(trace::EventColumns&& segment) {
+  apply_delta(index_.append(std::move(segment)));
 }
 
 void IncrementalSynthesizer::apply_delta(const AppendDelta& delta) {

@@ -31,8 +31,8 @@ class IncrementalSynthesizer {
 
   /// Appends one time-sorted segment (throws std::invalid_argument when
   /// unsorted) and marks affected nodes dirty.
-  void append(const trace::EventVector& sorted_segment);
   void append(const trace::ColumnsView& view);
+  void append(trace::EventColumns&& segment);
 
   /// The model over everything appended so far, extracted under
   /// `extract` (the constructor's options by default). Re-extracts only

@@ -403,7 +403,7 @@ api::Result<WindowAnalysis> DriftEngine::analyze_file(
   if (error.code != api::ErrorCode::None) return error;
   trace::EventVector events;
   try {
-    events = trace::read_trace_file(path);
+    events = trace::materialize(trace::read_trace_file(path).view());
   } catch (const std::exception& e) {
     return api::Error{api::ErrorCode::Io, e.what(), path};
   }

@@ -193,7 +193,7 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::feed_file(
     const std::string& path) {
   trace::EventVector events;
   try {
-    events = trace::read_trace_file(path);
+    events = trace::materialize(trace::read_trace_file(path).view());
   } catch (const std::exception& e) {
     return api::Error{api::ErrorCode::Io, e.what(), path};
   }

@@ -4,15 +4,6 @@
 
 namespace tetra::trace {
 
-namespace {
-
-std::uint64_t pack_pid_pair(std::int32_t low, std::int32_t high) {
-  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(low)) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(high)) << 32);
-}
-
-}  // namespace
-
 std::string_view ColumnsView::str(std::uint32_t index) const {
   if (index >= string_count) {
     throw std::invalid_argument("string index out of range: " +
@@ -21,6 +12,27 @@ std::string_view ColumnsView::str(std::uint32_t index) const {
   const std::uint32_t begin = str_offsets[index];
   const std::uint32_t end = str_offsets[index + 1];
   return std::string_view(blob + begin, end - begin);
+}
+
+ColumnsView ColumnsView::rows(std::size_t first, std::size_t n) const {
+  ColumnsView v = *this;
+  v.time += first;
+  v.arg_a += first;
+  v.arg_b += first;
+  v.pid += first;
+  v.arg_c += first;
+  v.probe += first;
+  v.type += first;
+  v.aux += first;
+  v.count = n;
+  return v;
+}
+
+bool is_time_sorted(const ColumnsView& view) {
+  for (std::size_t i = 1; i < view.count; ++i) {
+    if (view.time[i] < view.time[i - 1]) return false;
+  }
+  return true;
 }
 
 EventColumns::EventColumns() {
@@ -56,65 +68,71 @@ void EventColumns::reserve(std::size_t additional_events) {
   aux_.reserve(target);
 }
 
+void EventColumns::append(const PackedRow& row) {
+  time_.push_back(row.time);
+  arg_a_.push_back(row.arg_a);
+  arg_b_.push_back(row.arg_b);
+  pid_.push_back(row.pid);
+  arg_c_.push_back(row.arg_c);
+  probe_.push_back(row.probe);
+  type_.push_back(row.type);
+  aux_.push_back(row.aux);
+}
+
 void EventColumns::append(const TraceEvent& e) {
-  std::uint64_t arg_a = 0;
-  std::int64_t arg_b = 0;
-  std::uint32_t arg_c = 0;
-  std::uint8_t aux = 0;
+  PackedRow row;
+  row.time = e.time.count_ns();
+  row.pid = static_cast<std::int32_t>(e.pid);
+  row.probe = static_cast<std::uint8_t>(e.probe);
+  row.type = static_cast<std::uint8_t>(e.type);
   switch (e.type) {
     case EventType::RmwCreateNode:
-      arg_c = intern(e.as<NodeInfo>().node_name);
+      row.arg_c = intern(e.as<NodeInfo>().node_name);
       break;
     case EventType::CallbackStart:
     case EventType::CallbackEnd:
-      aux = static_cast<std::uint8_t>(e.as<CallbackPhaseInfo>().kind);
+      row.aux = static_cast<std::uint8_t>(e.as<CallbackPhaseInfo>().kind);
       break;
     case EventType::TimerCall:
-      arg_a = static_cast<std::uint64_t>(e.as<TimerCallInfo>().callback_id);
+      row.arg_a = static_cast<std::uint64_t>(e.as<TimerCallInfo>().callback_id);
       break;
     case EventType::Take: {
       const auto& info = e.as<TakeInfo>();
-      aux = static_cast<std::uint8_t>(info.kind);
-      arg_a = static_cast<std::uint64_t>(info.callback_id);
-      arg_b = info.src_ts.count_ns();
-      arg_c = intern(info.topic);
+      row.aux = static_cast<std::uint8_t>(info.kind);
+      row.arg_a = static_cast<std::uint64_t>(info.callback_id);
+      row.arg_b = info.src_ts.count_ns();
+      row.arg_c = intern(info.topic);
       break;
     }
     case EventType::TakeTypeErased:
-      aux = e.as<TakeTypeErasedInfo>().will_dispatch ? 1 : 0;
+      row.aux = e.as<TakeTypeErasedInfo>().will_dispatch ? 1 : 0;
       break;
     case EventType::SyncOperator:
-      arg_a = static_cast<std::uint64_t>(e.as<SyncOperatorInfo>().callback_id);
+      row.arg_a =
+          static_cast<std::uint64_t>(e.as<SyncOperatorInfo>().callback_id);
       break;
     case EventType::DdsWrite: {
       const auto& info = e.as<DdsWriteInfo>();
-      arg_b = info.src_ts.count_ns();
-      arg_c = intern(info.topic);
+      row.arg_b = info.src_ts.count_ns();
+      row.arg_c = intern(info.topic);
       break;
     }
     case EventType::SchedSwitch: {
       const auto& info = e.as<SchedSwitchInfo>();
-      aux = static_cast<std::uint8_t>(static_cast<char>(info.prev_state));
-      arg_a = pack_pid_pair(info.prev_pid, info.next_pid);
-      arg_b = static_cast<std::int64_t>(
+      row.aux = static_cast<std::uint8_t>(static_cast<char>(info.prev_state));
+      row.arg_a = pack_pid_pair(info.prev_pid, info.next_pid);
+      row.arg_b = static_cast<std::int64_t>(
           pack_pid_pair(info.cpu, info.prev_prio));
-      arg_c = static_cast<std::uint32_t>(info.next_prio);
+      row.arg_c = static_cast<std::uint32_t>(info.next_prio);
       break;
     }
     case EventType::SchedWakeup: {
       const auto& info = e.as<SchedWakeupInfo>();
-      arg_a = pack_pid_pair(info.woken_pid, info.target_cpu);
+      row.arg_a = pack_pid_pair(info.woken_pid, info.target_cpu);
       break;
     }
   }
-  time_.push_back(e.time.count_ns());
-  arg_a_.push_back(arg_a);
-  arg_b_.push_back(arg_b);
-  pid_.push_back(static_cast<std::int32_t>(e.pid));
-  arg_c_.push_back(arg_c);
-  probe_.push_back(static_cast<std::uint8_t>(e.probe));
-  type_.push_back(static_cast<std::uint8_t>(e.type));
-  aux_.push_back(aux);
+  append(row);
 }
 
 void EventColumns::append(const EventVector& events) {
@@ -133,17 +151,17 @@ void EventColumns::append(const ColumnsView& v) {
   type_.insert(type_.end(), v.type, v.type + v.count);
   aux_.insert(aux_.end(), v.aux, v.aux + v.count);
   // String-bearing rows index the source view's table; rewrite them to
-  // indices in our own.
+  // indices in our own. Each source string is interned at its first use,
+  // so the table grows in the order per-row interning would give.
+  constexpr std::uint32_t kUnmapped = static_cast<std::uint32_t>(-1);
+  std::vector<std::uint32_t> remap;
   for (std::size_t i = 0; i < v.count; ++i) {
-    switch (static_cast<EventType>(v.type[i])) {
-      case EventType::RmwCreateNode:
-      case EventType::Take:
-      case EventType::DdsWrite:
-        arg_c_[base + i] = intern(v.str(v.arg_c[i]));
-        break;
-      default:
-        break;
-    }
+    if (!carries_string(static_cast<EventType>(v.type[i]))) continue;
+    const std::uint32_t from = v.arg_c[i];
+    if (from >= v.string_count) v.str(from);  // throws std::invalid_argument
+    if (remap.empty()) remap.assign(v.string_count, kUnmapped);
+    if (remap[from] == kUnmapped) remap[from] = intern(v.str(from));
+    arg_c_[base + i] = remap[from];
   }
 }
 
@@ -238,18 +256,14 @@ void validate_columns(const ColumnsView& v) {
     try {
       probe_id_from_int(v.probe[i]);
       const EventType type = event_type_from_int(v.type[i]);
+      if (carries_string(type)) v.str(v.arg_c[i]);
       switch (type) {
-        case EventType::RmwCreateNode:
-        case EventType::DdsWrite:
-          v.str(v.arg_c[i]);
-          break;
         case EventType::CallbackStart:
         case EventType::CallbackEnd:
           callback_kind_from_int(v.aux[i]);
           break;
         case EventType::Take:
           take_kind_from_int(v.aux[i]);
-          v.str(v.arg_c[i]);
           break;
         case EventType::SchedSwitch:
           thread_run_state_from_char(static_cast<char>(v.aux[i]));

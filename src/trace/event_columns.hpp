@@ -1,8 +1,8 @@
-// Columnar (SoA) trace event storage. Events are decomposed into eight
-// fixed-width columns plus a deduplicated string table, so hot analysis
-// loops (TraceIndex, ExecTimeCalculator) scan contiguous timestamp / pid /
-// probe arrays instead of chasing variant payloads, and the whole layout
-// maps 1:1 onto the on-disk .ttb format for zero-copy mmap ingestion.
+// Columnar (SoA) trace event storage, the form trace files decode into.
+// Events are decomposed into eight fixed-width columns plus a deduplicated
+// string table, so hot analysis loops (TraceIndex, ExecTimeCalculator)
+// scan contiguous timestamp / pid / probe arrays instead of chasing
+// variant payloads, and the layout maps 1:1 onto the on-disk .ttb format.
 //
 // Per-type packing of the generic argument columns (unused fields are 0):
 //
@@ -23,10 +23,11 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "trace/event.hpp"
@@ -79,6 +80,36 @@ struct ColumnsView {
   }
   std::int32_t wakeup_pid(std::size_t i) const { return sched_prev_pid(i); }
   std::int32_t wakeup_cpu(std::size_t i) const { return sched_next_pid(i); }
+
+  /// Rows [first, first + n) over the same string table.
+  ColumnsView rows(std::size_t first, std::size_t n) const;
+};
+
+/// Whether rows of `type` carry a string (arg_c indexes the table).
+inline bool carries_string(EventType type) {
+  return type == EventType::RmwCreateNode || type == EventType::Take ||
+         type == EventType::DdsWrite;
+}
+
+/// True when the view's time column is non-decreasing.
+bool is_time_sorted(const ColumnsView& view);
+
+/// The two 32-bit halves of a packed sched argument.
+inline std::uint64_t pack_pid_pair(std::int32_t low, std::int32_t high) {
+  return static_cast<std::uint64_t>(static_cast<std::uint32_t>(low)) |
+         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(high)) << 32);
+}
+
+/// One event in packed column form (see the table above).
+struct PackedRow {
+  std::int64_t time = 0;
+  std::uint64_t arg_a = 0;
+  std::int64_t arg_b = 0;
+  std::int32_t pid = 0;
+  std::uint32_t arg_c = 0;
+  std::uint8_t probe = 0;
+  std::uint8_t type = 0;
+  std::uint8_t aux = 0;
 };
 
 /// Owning, append-only columnar store.
@@ -88,7 +119,12 @@ class EventColumns {
 
   void append(const TraceEvent& event);
   void append(const EventVector& events);
-  /// Bulk append; fixed columns are copied, string columns re-interned.
+  /// Appends a row whose arg_c, for a string-bearing type, already
+  /// indexes this table (see intern()).
+  void append(const PackedRow& row);
+  /// Bulk append; fixed columns are copied, and each source string used by
+  /// a string-bearing row is interned once. Throws std::invalid_argument
+  /// on a string index outside the source table.
   void append(const ColumnsView& view);
 
   void reserve(std::size_t additional_events);
@@ -116,7 +152,11 @@ class EventColumns {
   std::vector<std::uint8_t> aux_;
   std::vector<std::uint32_t> str_offsets_;  ///< string_count + 1 entries
   std::string blob_;
-  std::map<std::string, std::uint32_t, std::less<>> intern_;
+  struct StringHash : std::hash<std::string_view> {
+    using is_transparent = void;  // find() by string_view, no copy
+  };
+  std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>
+      intern_;
 };
 
 /// Reconstructs one TraceEvent from columnar storage, validating every

@@ -117,66 +117,72 @@ class LineDecoder {
  public:
   explicit LineDecoder(std::string_view line) : line_(line) {}
 
-  TraceEvent decode() {
+  /// Appends the line's event to `out` as one packed row. The row's string
+  /// is interned only after every field has passed its check, so a
+  /// rejected line leaves `out` untouched.
+  void decode(EventColumns& out) {
     scan_object();
-    const TimePoint time{integer(kTime)};
-    const Pid pid = int32(kPid);
-    const ProbeId probe = probe_id_from_string(text(kProbe));
+    PackedRow row;
+    row.time = integer(kTime);
+    row.pid = int32(kPid);
+    row.probe = static_cast<std::uint8_t>(probe_id_from_string(text(kProbe)));
     const EventType type = event_type_from_string(text(kType));
-    return TraceEvent{time, pid, probe, type, payload(type)};
-  }
-
- private:
-  EventPayload payload(EventType type) {
+    row.type = static_cast<std::uint8_t>(type);
+    std::string_view str;  // node name or topic
     switch (type) {
       case EventType::RmwCreateNode:
-        return NodeInfo{std::string(text(kNode))};
+        str = text(kNode);
+        break;
       case EventType::CallbackStart:
       case EventType::CallbackEnd:
-        return CallbackPhaseInfo{callback_kind_from_string(text(kKind))};
+        row.aux = static_cast<std::uint8_t>(
+            callback_kind_from_string(text(kKind)));
+        break;
       case EventType::TimerCall:
-        return TimerCallInfo{static_cast<CallbackId>(integer(kCb))};
-      case EventType::Take: {
-        const TakeKind kind = take_kind_from_int(integer(kTakeKind));
-        const auto cb = static_cast<CallbackId>(integer(kCb));
-        const std::string_view topic = text(kTopic);
-        const TimePoint src_ts{integer(kSrcTs)};
-        return TakeInfo{kind, cb, std::string(topic), src_ts};
-      }
-      case EventType::TakeTypeErased:
-        return TakeTypeErasedInfo{boolean(kDispatch)};
       case EventType::SyncOperator:
-        return SyncOperatorInfo{static_cast<CallbackId>(integer(kCb))};
-      case EventType::DdsWrite: {
-        const std::string_view topic = text(kTopic);
-        const TimePoint src_ts{integer(kSrcTs)};
-        return DdsWriteInfo{std::string(topic), src_ts};
-      }
+        row.arg_a = static_cast<std::uint64_t>(integer(kCb));
+        break;
+      case EventType::Take:
+        row.aux = static_cast<std::uint8_t>(
+            take_kind_from_int(integer(kTakeKind)));
+        row.arg_a = static_cast<std::uint64_t>(integer(kCb));
+        str = text(kTopic);
+        row.arg_b = integer(kSrcTs);
+        break;
+      case EventType::TakeTypeErased:
+        row.aux = boolean(kDispatch) ? 1 : 0;
+        break;
+      case EventType::DdsWrite:
+        str = text(kTopic);
+        row.arg_b = integer(kSrcTs);
+        break;
       case EventType::SchedSwitch: {
-        SchedSwitchInfo info;
-        info.cpu = int32(kCpu);
-        info.prev_pid = int32(kPrevPid);
-        info.prev_prio = int32(kPrevPrio);
+        const std::int32_t cpu = int32(kCpu);
+        const std::int32_t prev_pid = int32(kPrevPid);
+        const std::int32_t prev_prio = int32(kPrevPrio);
         const std::string_view st = text(kPrevState);
         if (st.size() != 1) {
           throw std::invalid_argument("bad prev_state: '" + std::string(st) +
                                       "' (expected a single R/S/D/X letter)");
         }
-        info.prev_state = thread_run_state_from_char(st[0]);
-        info.next_pid = int32(kNextPid);
-        info.next_prio = int32(kNextPrio);
-        return info;
+        row.aux = static_cast<std::uint8_t>(
+            static_cast<char>(thread_run_state_from_char(st[0])));
+        row.arg_a = pack_pid_pair(prev_pid, int32(kNextPid));
+        row.arg_b = static_cast<std::int64_t>(pack_pid_pair(cpu, prev_prio));
+        row.arg_c = static_cast<std::uint32_t>(int32(kNextPrio));
+        break;
       }
       case EventType::SchedWakeup: {
-        SchedWakeupInfo info;
-        info.woken_pid = int32(kWokenPid);
-        info.target_cpu = int32(kCpu);
-        return info;
+        const std::int32_t woken_pid = int32(kWokenPid);
+        row.arg_a = pack_pid_pair(woken_pid, int32(kCpu));
+        break;
       }
     }
-    throw std::logic_error("unhandled event type");
+    if (carries_string(type)) row.arg_c = out.intern(str);
+    out.append(row);
   }
 
+ private:
   [[noreturn]] void fail(const char* what) const {
     char message[96];
     std::snprintf(message, sizeof message, "JSON parse error at offset %zu: %s",
@@ -422,15 +428,6 @@ void for_each_line(std::string_view text, Fn&& fn) {
   }
 }
 
-// Room for one event per line, so a decoded segment is held at exact size.
-EventVector with_line_capacity(std::string_view text) {
-  EventVector out;
-  out.reserve(static_cast<std::size_t>(
-                  std::count(text.begin(), text.end(), '\n')) +
-              (!text.empty() && text.back() != '\n' ? 1 : 0));
-  return out;
-}
-
 }  // namespace
 
 std::string to_jsonl(const TraceEvent& e) {
@@ -490,7 +487,9 @@ std::string to_jsonl(const TraceEvent& e) {
 }
 
 TraceEvent from_jsonl(std::string_view line) {
-  return LineDecoder(line).decode();
+  EventColumns columns;
+  LineDecoder(line).decode(columns);
+  return materialize_event(columns.view(), 0);
 }
 
 std::string to_jsonl(const EventVector& events) {
@@ -502,36 +501,31 @@ std::string to_jsonl(const EventVector& events) {
   return out;
 }
 
-EventVector events_from_jsonl(std::string_view text) {
-  EventVector out = with_line_capacity(text);
-  for_each_line(text, [&](std::string_view line) {
-    out.push_back(from_jsonl(line));
-  });
-  JsonlMetrics::get().bytes.add(text.size());
-  JsonlMetrics::get().events.add(out.size());
-  return out;
-}
-
-EventVector events_from_jsonl_lenient(std::string_view text,
-                                      JsonlParseStats* stats) {
-  EventVector out = with_line_capacity(text);
+EventColumns columns_from_jsonl(std::string_view text,
+                                JsonlParseStats* lenient) {
+  EventColumns out;
+  // Room for one event per line, so a decoded segment is held at exact size.
+  out.reserve(static_cast<std::size_t>(
+                  std::count(text.begin(), text.end(), '\n')) +
+              (!text.empty() && text.back() != '\n' ? 1 : 0));
   std::size_t malformed = 0;
   for_each_line(text, [&](std::string_view line) {
     try {
-      out.push_back(from_jsonl(line));
+      LineDecoder(line).decode(out);
     } catch (const std::exception&) {
+      if (lenient == nullptr) throw;
       ++malformed;
     }
   });
   JsonlMetrics::get().bytes.add(text.size());
   JsonlMetrics::get().events.add(out.size());
   JsonlMetrics::get().malformed.add(malformed);
-  if (stats != nullptr) {
-    stats->events = out.size();
-    stats->malformed_skipped = malformed;
-    stats->bytes = text.size();
-  }
+  if (lenient != nullptr) lenient->malformed_skipped = malformed;
   return out;
+}
+
+EventVector events_from_jsonl(std::string_view text) {
+  return materialize(columns_from_jsonl(text).view());
 }
 
 void write_jsonl_file(const std::string& path, const EventVector& events) {

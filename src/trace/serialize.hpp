@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "trace/event.hpp"
+#include "trace/event_columns.hpp"
 
 namespace tetra::trace {
 
@@ -22,28 +23,27 @@ TraceEvent from_jsonl(std::string_view line);
 /// Serializes a whole vector, one event per line.
 std::string to_jsonl(const EventVector& events);
 
-/// Parses a JSONL document (empty lines ignored).
-EventVector events_from_jsonl(std::string_view text);
-
 /// Per-call accounting of a lenient JSONL parse.
 struct JsonlParseStats {
-  std::size_t events = 0;
   std::size_t malformed_skipped = 0;
-  std::size_t bytes = 0;
 };
 
-/// Parses a JSONL document, skipping (and counting) malformed lines
-/// instead of throwing — the fleet-ingest posture where one corrupt line
-/// must not sink a whole upload. Skips also increment the
-/// "trace.jsonl_malformed_skipped" telemetry counter so the loss is never
-/// silent.
-EventVector events_from_jsonl_lenient(std::string_view text,
-                                      JsonlParseStats* stats = nullptr);
+/// Decodes a JSONL document (empty lines ignored) into columns, strings
+/// interned in order of first use. Throws on the first malformed line,
+/// unless `lenient` is given: then malformed lines are skipped and counted
+/// there and in the "trace.jsonl_malformed_skipped" telemetry counter — the
+/// fleet-ingest posture where one corrupt line must not sink a whole
+/// upload. A skipped line adds no row and interns no string.
+EventColumns columns_from_jsonl(std::string_view text,
+                                JsonlParseStats* lenient = nullptr);
+
+/// materialize(columns_from_jsonl(text)).
+EventVector events_from_jsonl(std::string_view text);
 
 /// Writes events to a file; throws std::runtime_error on I/O failure.
 void write_jsonl_file(const std::string& path, const EventVector& events);
 
-/// Reads events from a file; throws std::runtime_error on I/O failure.
+/// Reads a JSONL file into events; throws std::runtime_error on I/O failure.
 EventVector read_jsonl_file(const std::string& path);
 
 /// Sum of approximate_record_size over all events — the compact on-the-wire

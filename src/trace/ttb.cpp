@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "telemetry/metrics.hpp"
+#include "telemetry/span.hpp"
 #include "trace/file_input.hpp"
 #include "trace/serialize.hpp"
 
@@ -74,20 +75,24 @@ void write_ttb_file(const std::string& path, const EventVector& events) {
   write_ttb_file(path, columns.view());
 }
 
-EventVector read_trace_file(const std::string& path,
-                            JsonlParseStats* lenient) {
+EventColumns read_trace_file(const std::string& path,
+                             JsonlParseStats* lenient) {
+  telemetry::ScopedSpan span("trace.decode");
   FileInput input(path);
   std::string head(sizeof(kTtbMagic), '\0');
   head.resize(input.read(head.data(), head.size()));
+  EventColumns columns;
   if (head == std::string_view(kTtbMagic, sizeof(kTtbMagic))) {
     TtbReader reader;
     reader.load(input, std::move(head), path);
-    return reader.materialize();
+    columns.append(reader.view());
+  } else {
+    std::string text = std::move(head);
+    input.read_rest(text);
+    columns = columns_from_jsonl(text, lenient);
   }
-  std::string text = std::move(head);
-  input.read_rest(text);
-  return lenient != nullptr ? events_from_jsonl_lenient(text, lenient)
-                            : events_from_jsonl(text);
+  span.set_items(columns.size());
+  return columns;
 }
 
 void TtbReader::parse(const char* data, std::size_t size,
@@ -172,6 +177,12 @@ void TtbReader::parse(const char* data, std::size_t size,
     throw std::runtime_error("corrupt ttb file " + path + ": " + e.what());
   }
   view_ = v;
+  static telemetry::Counter& bytes_counter =
+      telemetry::MetricsRegistry::global().counter("trace.ttb_bytes");
+  static telemetry::Counter& events_counter =
+      telemetry::MetricsRegistry::global().counter("trace.ttb_events");
+  bytes_counter.add(size);
+  events_counter.add(v.count);
 }
 
 TtbReader::TtbReader(const std::string& path) {
@@ -184,7 +195,6 @@ void TtbReader::load(FileInput& input, std::string head,
   if (void* map = input.map()) {
     map_ = map;
     map_size_ = input.regular_size();
-    mapped_ = true;
     try {
       parse(static_cast<const char*>(map_), map_size_, path);
     } catch (...) {
@@ -200,34 +210,6 @@ void TtbReader::load(FileInput& input, std::string head,
 
 TtbReader::~TtbReader() { unmap(); }
 
-TtbReader::TtbReader(TtbReader&& other) noexcept
-    : view_(other.view_),
-      fallback_(std::move(other.fallback_)),
-      map_(other.map_),
-      map_size_(other.map_size_),
-      mapped_(other.mapped_) {
-  other.view_ = ColumnsView{};
-  other.map_ = nullptr;
-  other.map_size_ = 0;
-  other.mapped_ = false;
-}
-
-TtbReader& TtbReader::operator=(TtbReader&& other) noexcept {
-  if (this != &other) {
-    unmap();
-    view_ = other.view_;
-    fallback_ = std::move(other.fallback_);
-    map_ = other.map_;
-    map_size_ = other.map_size_;
-    mapped_ = other.mapped_;
-    other.view_ = ColumnsView{};
-    other.map_ = nullptr;
-    other.map_size_ = 0;
-    other.mapped_ = false;
-  }
-  return *this;
-}
-
 void TtbReader::unmap() {
 #if TETRA_TTB_HAVE_MMAP
   if (map_ != nullptr) {
@@ -236,18 +218,10 @@ void TtbReader::unmap() {
     map_size_ = 0;
   }
 #endif
-  mapped_ = false;
 }
 
 EventVector TtbReader::materialize() const {
-  EventVector events = trace::materialize(view_);
-  static telemetry::Counter& bytes_counter =
-      telemetry::MetricsRegistry::global().counter("trace.ttb_bytes");
-  static telemetry::Counter& events_counter =
-      telemetry::MetricsRegistry::global().counter("trace.ttb_events");
-  bytes_counter.add(mapped_ ? map_size_ : fallback_.size());
-  events_counter.add(events.size());
-  return events;
+  return trace::materialize(view_);
 }
 
 }  // namespace tetra::trace

@@ -27,28 +27,29 @@ void write_ttb_file(const std::string& path, const EventVector& events);
 struct JsonlParseStats;
 class FileInput;
 
-/// Reads a whole trace file of either format. The format is sniffed from
-/// the first bytes read — the .ttb magic selects TtbReader, anything else
-/// is JSONL — and the path is opened once and read front to back, so
-/// unseekable inputs such as a pipe on /dev/stdin work. A regular .ttb
-/// file is memory-mapped as TtbReader does. With `lenient`, malformed
-/// JSONL lines are skipped and counted there instead of thrown (.ttb input
-/// is always validated strictly). Throws std::runtime_error on I/O failure
-/// or a corrupt .ttb file, std::invalid_argument on a malformed JSONL line.
-EventVector read_trace_file(const std::string& path,
-                            JsonlParseStats* lenient = nullptr);
+/// Reads a whole trace file of either format into owned columns, never
+/// through TraceEvents. The format is sniffed from the first bytes read:
+/// the .ttb magic selects TtbReader, whose validated map is copied out one
+/// column at a time; anything else is decoded by columns_from_jsonl. The
+/// path is opened once and read front to back, so a pipe on /dev/stdin
+/// works. With `lenient`, malformed JSONL lines are skipped and counted
+/// there instead of thrown (.ttb input is always validated strictly).
+/// Opens one "trace.decode" span (items = rows). Throws std::runtime_error
+/// on I/O failure or a corrupt .ttb file, and as columns_from_jsonl does
+/// on a malformed JSONL line.
+EventColumns read_trace_file(const std::string& path,
+                             JsonlParseStats* lenient = nullptr);
 
 /// Read-side handle. Memory-maps the file where the platform allows
 /// (read-only, private) and falls back to a buffered read elsewhere; either
 /// way the header and every row are validated once at open, after which
-/// view() exposes the columns zero-copy. Move-only.
+/// view() exposes the columns zero-copy for the reader's lifetime.
+/// Neither copyable nor movable.
 class TtbReader {
  public:
   explicit TtbReader(const std::string& path);
   ~TtbReader();
 
-  TtbReader(TtbReader&& other) noexcept;
-  TtbReader& operator=(TtbReader&& other) noexcept;
   TtbReader(const TtbReader&) = delete;
   TtbReader& operator=(const TtbReader&) = delete;
 
@@ -59,11 +60,11 @@ class TtbReader {
   EventVector materialize() const;
 
   /// Whether the file is served from an mmap (vs the read fallback).
-  bool mapped() const { return mapped_; }
+  bool mapped() const { return map_ != nullptr; }
 
  private:
-  friend EventVector read_trace_file(const std::string& path,
-                                     JsonlParseStats* lenient);
+  friend EventColumns read_trace_file(const std::string& path,
+                                      JsonlParseStats* lenient);
 
   TtbReader() = default;
   /// Maps `input` when it is a regular file, else reads it to the end
@@ -73,12 +74,9 @@ class TtbReader {
   void unmap();
 
   ColumnsView view_;
-  /// The image when not mapped. A parsed image holds at least a header, so
-  /// it never sits in the small-string buffer and moves keep view_ valid.
-  std::string fallback_;
+  std::string fallback_;  ///< the image when not mapped
   void* map_ = nullptr;
   std::size_t map_size_ = 0;
-  bool mapped_ = false;
 };
 
 }  // namespace tetra::trace

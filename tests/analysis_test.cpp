@@ -80,9 +80,11 @@ TEST(ChainsTest, GuardAgainstExplosion) {
   s.key = "S";
   dag.add_or_merge_vertex(s);
   for (int i = 0; i < 20; ++i) {
-    const std::string a = "a" + std::to_string(i);
-    const std::string b = "b" + std::to_string(i);
-    const std::string join = "j" + std::to_string(i);
+    // std::string(...).append(...), not "a" + std::to_string(i): g++ 12's
+    // libstdc++ raises a false -Wrestrict on the latter at -O2.
+    const std::string a = std::string("a").append(std::to_string(i));
+    const std::string b = std::string("b").append(std::to_string(i));
+    const std::string join = std::string("j").append(std::to_string(i));
     for (const auto& key : {a, b, join}) {
       core::DagVertex v;
       v.key = key;

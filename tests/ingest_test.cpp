@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/ingest_service.hpp"
@@ -30,6 +32,13 @@ trace::EventVector scenario_trace(std::uint64_t seed) {
 
 std::string model_json(const core::TimingModel& model) {
   return core::to_json(model.dag);
+}
+
+/// Events packed as the synthesizer takes them.
+trace::EventColumns columns_of(const trace::EventVector& events) {
+  trace::EventColumns columns;
+  columns.append(events);
+  return columns;
 }
 
 /// Full synthesis from the core functions alone: one index over the whole
@@ -64,13 +73,14 @@ std::vector<trace::EventVector> random_cuts(const trace::EventVector& events,
 
 TEST(IncrementalTest, MatchesFullSynthesisAcrossSeeds) {
   // The acceptance bar: over >= 20 generator seeds, a session that ingests
-  // the trace in random segments with incremental re-synthesis produces a
-  // model byte-identical to one full-synthesis pass.
+  // the trace in random segments (each trace keeps one synthesizer, which
+  // re-extracts only what a segment touched) produces a model
+  // byte-identical to one full-synthesis pass.
   for (std::uint64_t seed = 1; seed <= 22; ++seed) {
     const trace::EventVector events = scenario_trace(seed);
     const std::string expected = core::to_json(reference_dag(events));
 
-    api::SynthesisSession inc(api::SynthesisConfig().incremental(true));
+    api::SynthesisSession inc;
     for (auto& segment : random_cuts(events, 4, seed * 7919)) {
       ASSERT_TRUE(
           inc.ingest(std::move(segment), {.trace_id = "t", .mode = ""}).ok());
@@ -88,7 +98,7 @@ TEST(IncrementalTest, MatchesFullSynthesisOnPerPidPartition) {
   const trace::EventVector events = scenario_trace(3);
   const std::string expected = core::to_json(reference_dag(events));
 
-  api::SynthesisSession inc(api::SynthesisConfig().incremental(true));
+  api::SynthesisSession inc;
   trace::EventVector odd, even;
   for (const auto& e : events) {
     (static_cast<std::uint32_t>(e.pid) % 2 == 0 ? even : odd).push_back(e);
@@ -129,7 +139,7 @@ TEST(IncrementalTest, LateRequestWriteReextractsExactlyItsReaders) {
   trace::sort_by_time(events);
 
   core::IncrementalSynthesizer inc;
-  inc.append(early);
+  inc.append(columns_of(early));
   const auto server_in_topic = [&inc] {
     for (const core::CallbackList& list : inc.model().node_callbacks) {
       if (list.pid == kB) return list.records.at(0).in_topic;
@@ -139,7 +149,7 @@ TEST(IncrementalTest, LateRequestWriteReextractsExactlyItsReaders) {
   EXPECT_EQ(core::split_annotated_topic(server_in_topic()).second,
             core::kUnknownAnnotation);
 
-  inc.append(trace::EventVector{request});
+  inc.append(columns_of({request}));
   const std::string model = model_json(inc.model());
   EXPECT_EQ(inc.last_extracted(), 2u);
   EXPECT_EQ(core::split_annotated_topic(server_in_topic()).second,
@@ -149,7 +159,7 @@ TEST(IncrementalTest, LateRequestWriteReextractsExactlyItsReaders) {
 
 TEST(IncrementalTest, RepeatQueryExtractsNothing) {
   core::IncrementalSynthesizer inc;
-  inc.append(scenario_trace(5));
+  inc.append(columns_of(scenario_trace(5)));
   inc.model();
   EXPECT_GT(inc.last_extracted(), 0u);
   inc.model();
@@ -163,7 +173,7 @@ TEST(IncrementalTest, ChangedExtractOptionsReextractEveryNode) {
   // cost); lists cached under other options must all be re-extracted.
   const trace::EventVector events = scenario_trace(5);
   core::IncrementalSynthesizer inc;
-  inc.append(events);
+  inc.append(columns_of(events));
   inc.model();
   core::ExtractOptions compensated;
   compensated.compensate_per_hit = Duration::us(1);
@@ -182,8 +192,8 @@ TEST(IncrementalTest, TakeModelMatchesModel) {
   core::IncrementalSynthesizer queried;
   core::IncrementalSynthesizer fresh;
   for (const auto& segment : random_cuts(events, 3, 4242)) {
-    queried.append(segment);
-    fresh.append(segment);
+    queried.append(columns_of(segment));
+    fresh.append(columns_of(segment));
     queried.model();
   }
   const core::TimingModel expected = queried.model();
@@ -215,7 +225,7 @@ TEST(IncrementalTest, MergedEventsReproducesChronologicalStream) {
     std::stable_sort(expected.begin(), expected.end(),
                      [](const trace::TraceEvent& a,
                         const trace::TraceEvent& b) { return a.time < b.time; });
-    api::SynthesisSession inc(api::SynthesisConfig().incremental(true));
+    api::SynthesisSession inc;
     for (auto& segment : segments) {
       ASSERT_TRUE(
           inc.ingest(std::move(segment), {.trace_id = "t", .mode = ""}).ok());
@@ -224,6 +234,75 @@ TEST(IncrementalTest, MergedEventsReproducesChronologicalStream) {
     ASSERT_TRUE(merged.ok());
     EXPECT_EQ(trace::to_jsonl(merged.value()), trace::to_jsonl(expected))
         << (newest_first ? "newest first" : "in order");
+  }
+}
+
+TEST(IncrementalTest, ShuffledFileIsSortedOnIngest) {
+  // A file whose lines arrive out of time order is sorted stably on
+  // ingest: flagged as re-sorted, and synthesized like the file holding
+  // the same lines in that sorted order.
+  const std::string fixture =
+      std::string(TETRA_TEST_DATA_DIR) + "/scenario_seed7_trace.jsonl";
+  trace::EventVector events = trace::read_jsonl_file(fixture);
+  std::shuffle(events.begin(), events.end(), std::mt19937_64(7));
+  const std::string shuffled = ::testing::TempDir() + "shuffled.jsonl";
+  const std::string sorted = ::testing::TempDir() + "sorted.jsonl";
+  trace::write_jsonl_file(shuffled, events);
+  trace::sort_by_time(events);
+  trace::write_jsonl_file(sorted, events);
+
+  api::SynthesisSession from_shuffled;
+  const auto info = from_shuffled.ingest_file(shuffled);
+  ASSERT_TRUE(info.ok()) << info.error().to_string();
+  EXPECT_FALSE(info->arrived_sorted);
+  EXPECT_EQ(info->event_count, events.size());
+  api::SynthesisSession from_sorted;
+  ASSERT_TRUE(from_sorted.ingest_file(sorted).ok());
+  EXPECT_TRUE(from_sorted.segments().front().arrived_sorted);
+  EXPECT_EQ(model_json(from_shuffled.model().value()),
+            model_json(from_sorted.model().value()));
+  EXPECT_EQ(from_shuffled.merged_events(shuffled).value(), events);
+  std::remove(shuffled.c_str());
+  std::remove(sorted.c_str());
+}
+
+TEST(IncrementalTest, MergeTracesReadsSegmentsWhereTheyLive) {
+  // Segments A.s0, B.s0, A.s1 arrive interleaved; per-trace queries drain
+  // some of A's segments into A's synthesizer. The merged model must still
+  // append every segment in ingestion order, exactly as the core
+  // pipeline over one index does.
+  const trace::EventVector a = scenario_trace(6);
+  const trace::EventVector b = scenario_trace(8);
+  const std::size_t half = a.size() / 2;
+  const trace::EventVector a0(a.begin(), a.begin() + half);
+  const trace::EventVector a1(a.begin() + half, a.end());
+  core::TraceIndex index;
+  for (const trace::EventVector* segment : {&a0, &b, &a1}) {
+    index.append(*segment);
+  }
+  std::vector<core::CallbackList> lists = core::extract_all_nodes(index);
+  core::merge_worker_lists(lists);
+  core::normalize_labels(lists);
+  const std::string expected =
+      core::to_json(core::build_dag(lists, core::DagOptions{}));
+
+  // Query A after B.s0 (A.s0 drained, A.s1 pending) or after A.s1 (both
+  // drained, A.s1 a row range past A.s0's rows).
+  for (const std::size_t query_after : {2u, 3u}) {
+    api::SynthesisSession session(
+        api::SynthesisConfig().merge_strategy(api::MergeStrategy::MergeTraces));
+    std::size_t ingested = 0;
+    for (const auto& [id, segment] :
+         {std::pair{"A", &a0}, std::pair{"B", &b}, std::pair{"A", &a1}}) {
+      ASSERT_TRUE(session.ingest(*segment, {.trace_id = id, .mode = ""}).ok());
+      if (++ingested == query_after) {
+        ASSERT_TRUE(session.trace_model("A").ok());
+      }
+    }
+    EXPECT_EQ(model_json(session.model().value()), expected)
+        << "query after " << query_after;
+    EXPECT_EQ(model_json(session.trace_model("A").value()),
+              core::to_json(reference_dag(a)));
   }
 }
 
@@ -236,7 +315,6 @@ TEST(ShardedIngestTest, ModelIndependentOfShardCount) {
   for (const std::size_t shards : {1u, 2u, 4u}) {
     api::IngestServiceConfig config;
     config.shards = shards;
-    config.session.incremental(true);
     api::ShardedIngestService service(config);
     for (const auto& [id, events] : fleet) service.submit(id, events);
     const auto model = service.model();

@@ -314,7 +314,7 @@ TEST(OverheadCompensationTest, IncrementalCompensationMatchesFullSynthesis) {
 
     for (const auto& segments : splits) {
       api::SynthesisSession session(
-          api::SynthesisConfig().incremental(true).compensate_overhead(true));
+          api::SynthesisConfig().compensate_overhead(true));
       trace::EventVector seen;
       for (const trace::EventVector& segment : segments) {
         ASSERT_TRUE(

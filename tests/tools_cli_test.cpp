@@ -271,9 +271,9 @@ TEST(SynthCliTest, TtbConversionRoundTripsByteIdentical) {
 TEST(SynthCliTest, EverySynthesisModeReproducesModelGolden) {
   REQUIRE_TOOL("tetra_synth");
   // Every way of synthesizing the golden trace must write the same model,
-  // byte for byte: the merge strategies, incremental synthesizers, the
-  // trace cut into two segment files, the .ttb twin, and overhead
-  // compensation (a no-op on this probe-free trace).
+  // byte for byte: the merge strategies, the trace cut into two segment
+  // files, the .ttb twin, and overhead compensation (a no-op on this
+  // probe-free trace).
   namespace fs = std::filesystem;
   const std::string fixture =
       std::string(TETRA_TEST_DATA_DIR) + "/scenario_seed7_trace.jsonl";
@@ -303,13 +303,10 @@ TEST(SynthCliTest, EverySynthesisModeReproducesModelGolden) {
       "--trace " + dir + "part0.jsonl --trace " + dir + "part1.jsonl";
   const std::vector<std::string> modes = {
       "--trace " + fixture,
-      "--trace " + fixture + " --incremental",
       "--trace " + fixture + " --merge-traces",
       segments + " --merge-traces",
       "--trace " + ttb,
-      "--trace " + ttb + " --incremental",
       "--trace " + fixture + " --compensate-overhead",
-      "--trace " + fixture + " --compensate-overhead --incremental",
   };
   const std::string out = dir + "model.json";
   for (const std::string& mode : modes) {
@@ -368,10 +365,12 @@ TEST(SynthCliTest, ConversionUsageErrorsExitTwo) {
   EXPECT_EQ(run_command(binary("tetra_synth") + " --to-ttb /tmp/x.ttb")
                 .exit_code,
             2);
-  // Malformed numbers and conflicting modes are usage errors too.
+  // Malformed numbers, conflicting modes and removed flags are usage
+  // errors too.
   for (const char* flags :
        {"--threads 4x", "--threads 99999999999", "--threads 0",
-        "--probe-cost -5us", "--merge-dags --merge-traces"}) {
+        "--probe-cost -5us", "--merge-dags --merge-traces",
+        "--incremental"}) {
     EXPECT_EQ(run_command(binary("tetra_synth") + " --trace " + fixture +
                           " " + flags)
                   .exit_code,
@@ -427,24 +426,69 @@ TEST(ScenarioCliTest, StatsSnapshotIsDeterministicUnderSimClock) {
 
 TEST(SynthCliTest, LenientSkipsMalformedLines) {
   REQUIRE_TOOL("tetra_synth");
-  // A corrupt line fails the strict parser but is skipped (and counted in
-  // trace.jsonl_malformed_skipped) under --lenient.
+  // Corrupt lines fail the strict parser but are skipped (and counted in
+  // trace.jsonl_malformed_skipped) under --lenient, for synthesis and
+  // conversion alike. The second bad line names a topic no good line
+  // uses and fails only after it, so a .ttb converted from the damaged
+  // file equals the clean file's only if a rejected line interns nothing.
+  namespace fs = std::filesystem;
   const std::string fixture =
       std::string(TETRA_TEST_DATA_DIR) + "/scenario_seed7_trace.jsonl";
-  const std::string corrupt = ::testing::TempDir() + "corrupt.jsonl";
+  const std::string dir = ::testing::TempDir() + "lenient/";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string clean = dir + "clean.jsonl";
+  const std::string corrupt = dir + "corrupt.jsonl";
   {
-    std::ofstream out(corrupt, std::ios::binary);
-    out << slurp(fixture);
-    out << "this is not json\n";
+    std::istringstream in(slurp(fixture));
+    std::ofstream good(clean, std::ios::binary);
+    std::ofstream bad(corrupt, std::ios::binary);
+    std::string line;
+    for (int i = 0; i < 70 && std::getline(in, line); ++i) {
+      if (i == 35) {
+        bad << "{\"t\": 5, \"pid\": oops}\n"
+            << R"({"t":5,"pid":1,"probe":"P10","type":"take","take_kind":1,)"
+            << R"("cb":1,"topic":"/only_in_a_bad_line","src_ts":"late"})"
+            << '\n';
+      }
+      good << line << '\n';
+      bad << line << '\n';
+    }
   }
-  EXPECT_EQ(run_command(binary("tetra_synth") + " --trace " + corrupt)
+  const std::string synth = binary("tetra_synth") + " --trace ";
+  EXPECT_EQ(run_command(synth + corrupt).exit_code, 1);
+  EXPECT_EQ(run_command(synth + corrupt + " --lenient").exit_code, 0);
+  const CommandResult warned = run_command(
+      "(" + synth + corrupt + " --lenient --json " + dir + "m.json 2>&1)");
+  EXPECT_EQ(warned.exit_code, 0);
+  EXPECT_NE(warned.output.find("skipped 2 malformed lines"), std::string::npos)
+      << warned.output;
+
+  EXPECT_EQ(run_command(synth + corrupt + " --to-ttb " + dir + "bad.ttb")
                 .exit_code,
             1);
-  EXPECT_EQ(run_command(binary("tetra_synth") + " --trace " + corrupt +
-                        " --lenient")
+  const CommandResult converted =
+      run_command("(" + synth + corrupt + " --lenient --to-ttb " + dir +
+                  "lenient.ttb 2>&1)");
+  EXPECT_EQ(converted.exit_code, 0);
+  EXPECT_NE(converted.output.find("skipped 2 malformed lines"),
+            std::string::npos)
+      << converted.output;
+  ASSERT_EQ(run_command(synth + clean + " --to-ttb " + dir + "clean.ttb")
                 .exit_code,
             0);
-  std::remove(corrupt.c_str());
+  EXPECT_EQ(slurp(dir + "lenient.ttb"), slurp(dir + "clean.ttb"));
+  ASSERT_EQ(run_command(synth + dir + "lenient.ttb --to-jsonl " + dir +
+                        "back.jsonl")
+                .exit_code,
+            0);
+  EXPECT_EQ(slurp(dir + "back.jsonl"), slurp(clean));
+  ASSERT_EQ(run_command(synth + corrupt + " --lenient --to-jsonl " + dir +
+                        "direct.jsonl")
+                .exit_code,
+            0);
+  EXPECT_EQ(slurp(dir + "direct.jsonl"), slurp(clean));
+  fs::remove_all(dir);
 }
 
 TEST(SynthCliTest, StatsEnvDumpsSummaryAtExit) {
@@ -476,6 +520,8 @@ TEST(PredictCliTest, StatsOutWritesSnapshot) {
   const std::string snapshot = slurp(stats);
   EXPECT_NE(snapshot.find("\"predict.activations\":"), std::string::npos);
   EXPECT_NE(snapshot.find("\"name\":\"predict.replay\""), std::string::npos);
+  // The library's own decode span, one per trace file read.
+  EXPECT_NE(snapshot.find("\"name\":\"trace.decode\""), std::string::npos);
   std::remove(stats.c_str());
 }
 

@@ -448,11 +448,30 @@ TEST(SerializeTest, DecodesHandWrittenLinesLikeTheObjectModel) {
   }
 }
 
+// The lenient document decoder on one line: a rejected line must add no
+// row and intern no string; an accepted one must decode to `expected`.
+void expect_lenient_columns_agree(const std::string& line,
+                                  const Outcome& expected) {
+  JsonlParseStats stats;
+  const EventColumns columns = columns_from_jsonl(line, &stats);
+  const ColumnsView view = columns.view();
+  if (!expected.event) {
+    EXPECT_EQ(view.count, 0u) << "line: " << line;
+    EXPECT_EQ(view.string_count, 1u) << "line: " << line;
+    EXPECT_EQ(view.blob_size, 0u) << "line: " << line;
+    return;
+  }
+  EXPECT_EQ(stats.malformed_skipped, 0u) << "line: " << line;
+  ASSERT_EQ(view.count, 1u) << "line: " << line;
+  EXPECT_EQ(materialize_event(view, 0), *expected.event) << "line: " << line;
+}
+
 TEST(SerializeTest, DecodesMutatedGoldenLinesLikeTheObjectModel) {
   // Every line of every golden trace, mutated seven ways by a fixed seed:
   // substitution from a JSON-flavoured alphabet, insertion, deletion and
   // truncation, each alone, then the first three followed by one more
-  // mutation of a random kind.
+  // mutation of a random kind. The lenient columns_from_jsonl is checked
+  // against the same reference outcome.
   static constexpr std::string_view kAlphabet =
       "{}[]\":,\\ \t\r-+.eE0123456789tfnulrsaPx_\x80";
   Rng rng(20240612);
@@ -495,6 +514,7 @@ TEST(SerializeTest, DecodesMutatedGoldenLinesLikeTheObjectModel) {
         if (variant >= 4) mutate(mutated, pick(4));
         const Outcome expected = outcome_of(reference_from_jsonl, mutated);
         const Outcome actual = outcome_of(from_jsonl, mutated);
+        expect_lenient_columns_agree(mutated, expected);
         ++cases;
         if (actual.event) ++decoded;
         if (!(actual == expected) && ++mismatches <= 10) {

@@ -1,14 +1,18 @@
 // Tests for the columnar event store and the .ttb binary trace format:
 // per-type encode/decode identity, JSONL <-> ttb round trips, order
-// preservation, corrupt-file rejection and the mmap reader.
+// preservation, corrupt-file rejection (hand-made and seeded mutations)
+// and the mmap reader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "support/rng.hpp"
 #include "trace/event_columns.hpp"
 #include "trace/serialize.hpp"
 #include "trace/ttb.hpp"
@@ -81,11 +85,59 @@ TEST(EventColumnsTest, AppendViewReinterns) {
             make_dds_write(TimePoint{1}, 1, "/x", TimePoint{1}));
 }
 
+TEST(EventColumnsTest, AppendViewInternsInFirstUseOrder) {
+  // The source table lists "/b" before "/a", and "unused" appears in no
+  // row of the slice appended: the destination table must read as if the
+  // rows had been appended one by one.
+  EventColumns source;
+  source.append(make_dds_write(TimePoint{0}, 1, "unused", TimePoint{0}));
+  source.append(make_dds_write(TimePoint{1}, 1, "/b", TimePoint{1}));
+  source.append(make_dds_write(TimePoint{2}, 1, "/a", TimePoint{2}));
+  source.append(make_dds_write(TimePoint{3}, 1, "/a", TimePoint{3}));
+  const ColumnsView slice = source.view().rows(2, 2);
+  EventColumns bulk;
+  bulk.append(make_dds_write(TimePoint{0}, 2, "/b", TimePoint{0}));
+  bulk.append(slice);
+  EventColumns one_by_one;
+  one_by_one.append(make_dds_write(TimePoint{0}, 2, "/b", TimePoint{0}));
+  for (const TraceEvent& e : materialize(slice)) one_by_one.append(e);
+  EXPECT_EQ(materialize(bulk.view()), materialize(one_by_one.view()));
+  const ColumnsView a = bulk.view(), b = one_by_one.view();
+  ASSERT_EQ(a.string_count, 3u);
+  EXPECT_EQ(std::string(a.blob, a.blob_size), std::string(b.blob, b.blob_size));
+  EXPECT_EQ(a.arg_c[1], a.arg_c[2]);
+}
+
+TEST(EventColumnsTest, AppendViewRejectsBadStringIndex) {
+  EventColumns source;
+  source.append(make_dds_write(TimePoint{1}, 1, "/x", TimePoint{1}));
+  ColumnsView view = source.view();
+  const std::uint32_t bad = 7;
+  view.arg_c = &bad;
+  EventColumns sink;
+  EXPECT_THROW(sink.append(view), std::invalid_argument);
+}
+
+TEST(TtbTest, ReadTraceFileKeepsACanonicalTable) {
+  // A file EventColumns wrote reads back with the same string table and
+  // the same string indices, so .ttb -> .ttb conversion is an identity.
+  EventColumns written;
+  written.append(one_of_each());
+  const std::string path = temp_path("canonical.ttb");
+  write_ttb_file(path, written);
+  const EventColumns read = read_trace_file(path);
+  const ColumnsView a = written.view(), b = read.view();
+  ASSERT_EQ(b.count, a.count);
+  ASSERT_EQ(b.string_count, a.string_count);
+  EXPECT_TRUE(std::equal(a.arg_c, a.arg_c + a.count, b.arg_c));
+  EXPECT_EQ(std::string(b.blob, b.blob_size), std::string(a.blob, a.blob_size));
+}
+
 TEST(TtbTest, FileRoundTripsEveryEventType) {
   const EventVector events = one_of_each();
   const std::string path = temp_path("roundtrip.ttb");
   write_ttb_file(path, events);
-  EXPECT_EQ(read_trace_file(path), events);  // sniffed as .ttb
+  EXPECT_EQ(materialize(read_trace_file(path).view()), events);  // as .ttb
   const TtbReader reader(path);
   ASSERT_EQ(reader.size(), events.size());
   EXPECT_EQ(reader.materialize(), events);
@@ -135,7 +187,7 @@ TEST(TtbTest, RejectsMissingAndForeignFiles) {
   const std::string jsonl = temp_path("foreign.jsonl");
   const EventVector events{make_node_event(TimePoint{1}, 1, "n")};
   write_jsonl_file(jsonl, events);
-  EXPECT_EQ(read_trace_file(jsonl), events);  // sniffed as JSONL
+  EXPECT_EQ(materialize(read_trace_file(jsonl).view()), events);  // JSONL
   EXPECT_THROW(TtbReader{jsonl}, std::runtime_error);
 }
 
@@ -173,6 +225,72 @@ TEST(TtbTest, RejectsBadVersionAndCorruptRows) {
   bad[type_col] = 0x7f;
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bad;
   EXPECT_THROW(TtbReader{path}, std::runtime_error);
+}
+
+TEST(TtbTest, MutatedFilesReadAsValidColumnsOrThrow) {
+  // Every golden JSONL file, converted to .ttb, then damaged with a fixed
+  // seed: byte flips, truncations and splices, each in the header and in
+  // the body. (The conversion is lenient, so the verdict golden, whose
+  // lines are not trace events, becomes an empty trace: a header and a
+  // string table to damage.) A damaged file either reads into columns
+  // that validate, materialize and re-intern like any other, or is
+  // rejected with a std::runtime_error — never another exception, a crash
+  // or a sanitizer report.
+  Rng rng(20241017);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_u64() % n);
+  };
+  std::vector<std::filesystem::path> goldens;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(TETRA_TEST_DATA_DIR)) {
+    if (entry.path().extension() == ".jsonl") goldens.push_back(entry.path());
+  }
+  std::sort(goldens.begin(), goldens.end());
+  ASSERT_FALSE(goldens.empty());
+
+  const std::string path = temp_path("mutated.ttb");
+  std::size_t accepted = 0, rejected = 0;
+  for (const auto& golden : goldens) {
+    JsonlParseStats lenient;
+    write_ttb_file(path,
+                   columns_from_jsonl(read_file(golden.string()), &lenient));
+    const std::string image = read_file(path);
+    ASSERT_GT(image.size(), kTtbHeaderSize);
+    const std::size_t body = image.size() - kTtbHeaderSize;
+    for (std::size_t variant = 0; variant < 120; ++variant) {
+      // Even variants damage the header, odd ones the body.
+      const bool in_header = variant % 2 == 0;
+      const std::size_t at = in_header ? pick(kTtbHeaderSize)
+                                       : kTtbHeaderSize + pick(body);
+      std::string bad = image;
+      switch (variant / 2 % 3) {
+        case 0:  // flip one byte
+          bad[at] = static_cast<char>(bad[at] ^ (1 + pick(255)));
+          break;
+        case 1:  // truncate
+          bad.resize(at);
+          break;
+        default:  // splice in 1-16 bytes copied from elsewhere in the file
+          bad.insert(at, image, pick(image.size() - 16), 1 + pick(16));
+      }
+      std::ofstream(path, std::ios::binary | std::ios::trunc) << bad;
+      try {
+        const EventColumns columns = read_trace_file(path);
+        ++accepted;
+        EXPECT_NO_THROW(validate_columns(columns.view())) << variant;
+        const EventVector events = materialize(columns.view());
+        EventColumns reinterned;
+        reinterned.append(columns.view());
+        EXPECT_EQ(materialize(reinterned.view()), events) << variant;
+      } catch (const std::runtime_error&) {
+        ++rejected;
+      }
+    }
+  }
+  std::remove(path.c_str());
+  // Both outcomes must be well represented, or the matrix proves little.
+  EXPECT_GT(accepted, 20u);
+  EXPECT_GT(rejected, 20u);
 }
 
 }  // namespace

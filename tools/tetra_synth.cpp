@@ -6,20 +6,20 @@
 //
 //   tetra_synth --trace run1.jsonl [--trace run2.jsonl ...]
 //               [--merge-dags | --merge-traces] [--threads N]
-//               [--incremental]
 //               [--dot out.dot] [--json out.json] [--report]
 //               [--no-service-split] [--no-and-junction]
 //               [--waiting-times]
-//               [--compensate-overhead] [--probe-cost DUR]
-//   tetra_synth --trace run1.jsonl --to-ttb run1.ttb
+//               [--compensate-overhead] [--probe-cost DUR] [--lenient]
+//   tetra_synth --trace run1.jsonl --to-ttb run1.ttb [--lenient]
 //   tetra_synth --trace run1.ttb --to-jsonl run1.jsonl
 //
 // With several --trace inputs, --merge-dags (default; §V option ii)
 // synthesizes per trace — on N worker threads with --threads — and
 // merges the DAGs; --merge-traces (option i, for segments of one run)
-// merges the event streams first. --incremental appends every segment
-// into its trace's synthesizer at ingest instead of at the model query
-// (the session's incremental mode; the model is the same).
+// merges the event streams first.
+//
+// --lenient skips malformed JSONL lines (with a warning naming how many)
+// instead of failing, for synthesis and conversion alike.
 //
 // --compensate-overhead subtracts the per-probe tracer cost — estimated
 // from the trace, or given via --probe-cost (e.g. "5us", implies
@@ -82,9 +82,6 @@ int main(int argc, char** argv) {
             &merge_traces)
       .flag("--threads", "N", "worker threads for per-trace synthesis",
             &threads, 1)
-      .flag("--incremental",
-            "keep each trace's synthesizer across model queries",
-            [&config] { config.incremental(true); })
       .flag("--dot", "FILE", "write the model as Graphviz DOT", &dot_path)
       .flag("--json", "FILE", "write the model JSON", &json_path)
       .flag("--report", "print the exec-time table and the chains", &report)
@@ -134,6 +131,20 @@ int main(int argc, char** argv) {
   if (merge_traces) config.merge_strategy(api::MergeStrategy::MergeTraces);
   config.threads(threads);
 
+  // Conversion and --lenient synthesis read through here, so one corrupt
+  // line is skipped with the same warning whichever the mode.
+  const auto read = [lenient](const std::string& path) {
+    trace::JsonlParseStats parse_stats;
+    trace::EventColumns columns =
+        trace::read_trace_file(path, lenient ? &parse_stats : nullptr);
+    const std::size_t skipped = parse_stats.malformed_skipped;
+    if (skipped > 0) {
+      std::fprintf(stderr, "warning: skipped %zu malformed line%s in %s\n",
+                   skipped, skipped == 1 ? "" : "s", path.c_str());
+    }
+    return columns;
+  };
+
   // Conversion mode: no synthesis, no session — the raw event sequence is
   // read in file order and re-emitted as-is, so converting back and forth
   // reproduces the original file byte-for-byte.
@@ -144,16 +155,16 @@ int main(int argc, char** argv) {
                    "(got " + std::to_string(trace_paths.size()) + ")");
     }
     try {
-      const std::string& in = trace_paths[0];
-      const trace::EventVector events = trace::read_trace_file(in);
+      const trace::EventColumns columns = read(trace_paths[0]);
       if (!to_ttb_path.empty()) {
-        trace::write_ttb_file(to_ttb_path, events);
-        std::fprintf(stderr, "wrote %zu events to %s\n", events.size(),
+        trace::write_ttb_file(to_ttb_path, columns);
+        std::fprintf(stderr, "wrote %zu events to %s\n", columns.size(),
                      to_ttb_path.c_str());
       }
       if (!to_jsonl_path.empty()) {
-        trace::write_jsonl_file(to_jsonl_path, events);
-        std::fprintf(stderr, "wrote %zu events to %s\n", events.size(),
+        trace::write_jsonl_file(to_jsonl_path,
+                                trace::materialize(columns.view()));
+        std::fprintf(stderr, "wrote %zu events to %s\n", columns.size(),
                      to_jsonl_path.c_str());
       }
     } catch (const std::exception& e) {
@@ -166,22 +177,11 @@ int main(int argc, char** argv) {
   try {
     api::SynthesisSession session(config);
     for (const auto& path : trace_paths) {
-      std::size_t malformed_skipped = 0;
+      api::IngestOptions options;
+      options.trace_id = path;
       const api::Result<api::SegmentInfo> segment =
-          [&]() -> api::Result<api::SegmentInfo> {
-        if (lenient) {
-          // Fleet posture: one corrupt line must not sink the upload. Skips
-          // are counted here and in trace.jsonl_malformed_skipped.
-          trace::JsonlParseStats parse_stats;
-          trace::EventVector events =
-              trace::read_trace_file(path, &parse_stats);
-          malformed_skipped = parse_stats.malformed_skipped;
-          api::IngestOptions options;
-          options.trace_id = path;
-          return session.ingest(std::move(events), options);
-        }
-        return session.ingest_file(path);
-      }();
+          lenient ? session.ingest(read(path), options)
+                  : session.ingest_file(path, options);
       if (!segment.ok()) {
         std::fprintf(stderr, "error: %s\n", segment.error().to_string().c_str());
         return 1;
@@ -189,11 +189,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "loaded %zu events from %s%s\n",
                    segment->event_count, path.c_str(),
                    segment->arrived_sorted ? "" : " (re-sorted)");
-      if (malformed_skipped > 0) {
-        std::fprintf(stderr, "warning: skipped %zu malformed line%s in %s\n",
-                     malformed_skipped, malformed_skipped == 1 ? "" : "s",
-                     path.c_str());
-      }
     }
 
     api::Result<core::TimingModel> model = session.model();
