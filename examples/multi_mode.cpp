@@ -1,15 +1,15 @@
 // Multi-mode model synthesis (paper §V option iv): traces collected per
 // operating scenario — here "parking" (AVP active) versus "idle" (SYN
 // only) — are merged per mode, yielding a multi-mode DAG that records
-// which callbacks exist in which mode. The whole database streams into
-// one api::SynthesisSession, which keeps the stored mode tags.
+// which callbacks exist in which mode. Each run streams into one
+// api::SynthesisSession under its own trace id and mode tag: the session
+// is the trace database of Fig. 2.
 //
 //   $ ./multi_mode
 #include <cstdio>
 
 #include "api/session.hpp"
 #include "ebpf/tracers.hpp"
-#include "trace/database.hpp"
 #include "trace/merge.hpp"
 #include "workloads/avp_localization.hpp"
 #include "workloads/syn_app.hpp"
@@ -41,24 +41,33 @@ tetra::trace::EventVector trace_one_run(bool with_avp, std::uint64_t seed) {
 int main() {
   using namespace tetra;
 
-  // Collect two runs per mode into a trace database, as the deployment
-  // workflow of Fig. 2 suggests.
-  trace::TraceDatabase db;
-  db.store({"parking-1", 0}, trace_one_run(true, 101), "parking");
-  db.store({"parking-2", 0}, trace_one_run(true, 102), "parking");
-  db.store({"idle-1", 0}, trace_one_run(false, 201), "idle");
-  db.store({"idle-2", 0}, trace_one_run(false, 202), "idle");
-  std::printf("trace database: %zu segments, %.2f MB\n", db.segment_count(),
-              static_cast<double>(db.footprint_bytes()) / 1e6);
-
-  // Every stored segment streams into the session: runs become logical
-  // traces, mode tags carry over, per-run synthesis shares two workers.
+  // Two runs per mode, as the deployment workflow of Fig. 2 suggests:
+  // runs become logical traces, mode tags carry over, and per-run
+  // synthesis shares two workers.
+  struct Run {
+    const char* id;
+    const char* mode;
+    bool with_avp;
+    std::uint64_t seed;
+  };
+  const Run runs[] = {{"idle-1", "idle", false, 201},
+                      {"idle-2", "idle", false, 202},
+                      {"parking-1", "parking", true, 101},
+                      {"parking-2", "parking", true, 102}};
   api::SynthesisSession session(api::SynthesisConfig().threads(2));
-  if (const auto ingested = session.ingest_database(db); !ingested.ok()) {
-    std::fprintf(stderr, "ingest failed: %s\n",
-                 ingested.error().to_string().c_str());
-    return 1;
+  for (const Run& run : runs) {
+    const auto ingested =
+        session.ingest(trace_one_run(run.with_avp, run.seed),
+                       {.trace_id = run.id, .mode = run.mode});
+    if (!ingested.ok()) {
+      std::fprintf(stderr, "ingest failed: %s\n",
+                   ingested.error().to_string().c_str());
+      return 1;
+    }
   }
+  std::printf("session: %zu traces, %zu events\n", session.trace_count(),
+              session.event_count());
+
   const api::Result<core::MultiModeDag> result = session.multi_mode_model();
   if (!result.ok()) {
     std::fprintf(stderr, "synthesis failed: %s\n",

@@ -1,5 +1,6 @@
 #include "analysis/chains.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <stdexcept>
 
@@ -14,15 +15,25 @@ ChainEnumeration enumerate_chains(const core::Dag& dag,
   std::function<void(const std::string&)> dfs = [&](const std::string& key) {
     if (result.truncated) return;
     current.push_back(key);
-    const auto outs = dag.out_edges(key);
-    if (outs.empty()) {
+    // Only edges into vertices off the current path extend it, so a
+    // cycle (overlapping runs merged into one trace) cannot recurse
+    // forever; a path no edge extends is a chain. On an acyclic graph
+    // these are exactly the source->sink paths.
+    bool extended = false;
+    for (const auto* edge : dag.out_edges(key)) {
+      if (std::find(current.begin(), current.end(), edge->to) !=
+          current.end()) {
+        continue;
+      }
+      extended = true;
+      dfs(edge->to);
+    }
+    if (!extended) {
       if (result.chains.size() >= max_chains) {
         result.truncated = true;
       } else {
         result.chains.push_back(current);
       }
-    } else {
-      for (const auto* edge : outs) dfs(edge->to);
     }
     current.pop_back();
   };

@@ -23,9 +23,10 @@ struct ChainEnumeration {
   bool truncated = false;
 };
 
-/// Enumerates all simple source->sink paths. `max_chains` guards against
-/// pathological graphs: enumeration stops there and the result is flagged
-/// as truncated instead of throwing.
+/// Enumerates all simple source->sink paths. On a cyclic graph a chain
+/// ends where every out-edge leads back onto it. `max_chains` guards
+/// against pathological graphs: enumeration stops there and the result is
+/// flagged as truncated instead of throwing.
 ChainEnumeration enumerate_chains(const core::Dag& dag,
                                   std::size_t max_chains = 4096);
 

@@ -8,59 +8,60 @@ namespace tetra::analysis {
 
 const std::vector<TimePoint> InstanceTimeline::kNoWrites{};
 
-InstanceTimeline::InstanceTimeline(const trace::EventVector& events) {
-  // Time-sorted input (merged traces, window slices) is walked in place;
-  // only unsorted input pays for a sorted copy.
-  trace::EventVector copy;
+InstanceTimeline::InstanceTimeline(const trace::EventVector& events)
+    : InstanceTimeline(trace::EventColumns(events).view()) {}
+
+InstanceTimeline::InstanceTimeline(const trace::ColumnsView& events) {
+  trace::EventColumns copy;
   if (!trace::is_time_sorted(events)) {
-    copy = events;
+    copy.append(events);
     trace::sort_by_time(copy);
   }
-  const trace::EventVector& sorted = copy.empty() ? events : copy;
-  consumers_.reserve(events.size() / 4);
+  const trace::ColumnsView v = copy.empty() ? events : copy.view();
+  consumers_.reserve(v.count / 4);
 
   // Per-PID in-flight instance assembly, mirroring the single-threaded
   // executor assumption: one open instance per PID at a time.
   std::map<Pid, CallbackInstance> open;
-  for (const auto& event : sorted) {
-    switch (event.type) {
+  for (std::size_t i = 0; i < v.count; ++i) {
+    const Pid pid = static_cast<Pid>(v.pid[i]);
+    switch (static_cast<trace::EventType>(v.type[i])) {
       case trace::EventType::CallbackStart: {
         CallbackInstance inst;
-        inst.pid = event.pid;
-        inst.kind = event.as<trace::CallbackPhaseInfo>().kind;
-        inst.start = event.time;
-        open[event.pid] = std::move(inst);
+        inst.pid = pid;
+        inst.kind = static_cast<CallbackKind>(v.aux[i]);
+        inst.start = TimePoint{v.time[i]};
+        open[pid] = std::move(inst);
         break;
       }
       case trace::EventType::TimerCall: {
-        auto it = open.find(event.pid);
+        auto it = open.find(pid);
         if (it != open.end()) {
-          it->second.callback_id = event.as<trace::TimerCallInfo>().callback_id;
+          it->second.callback_id = static_cast<CallbackId>(v.arg_a[i]);
         }
         break;
       }
       case trace::EventType::Take: {
-        auto it = open.find(event.pid);
+        auto it = open.find(pid);
         if (it != open.end()) {
-          const auto& info = event.as<trace::TakeInfo>();
-          it->second.callback_id = info.callback_id;
-          it->second.take = {info.topic, info.src_ts};
+          it->second.callback_id = static_cast<CallbackId>(v.arg_a[i]);
+          it->second.take = {std::string(v.str(v.arg_c[i])),
+                             TimePoint{v.arg_b[i]}};
         }
         break;
       }
       case trace::EventType::DdsWrite: {
-        const auto& info = event.as<trace::DdsWriteInfo>();
-        writes_by_topic_[info.topic].push_back(info.src_ts);
-        auto it = open.find(event.pid);
-        if (it != open.end()) {
-          it->second.writes.push_back({info.topic, info.src_ts});
-        }
+        const std::string topic(v.str(v.arg_c[i]));
+        const TimePoint src_ts{v.arg_b[i]};
+        writes_by_topic_[topic].push_back(src_ts);
+        auto it = open.find(pid);
+        if (it != open.end()) it->second.writes.push_back({topic, src_ts});
         break;
       }
       case trace::EventType::CallbackEnd: {
-        auto it = open.find(event.pid);
+        auto it = open.find(pid);
         if (it != open.end()) {
-          it->second.end = event.time;
+          it->second.end = TimePoint{v.time[i]};
           const std::size_t index = instances_.size();
           if (it->second.take.has_value()) {
             consumers_[Key{it->second.take->first,

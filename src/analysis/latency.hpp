@@ -19,6 +19,7 @@
 #include "support/statistics.hpp"
 #include "support/time.hpp"
 #include "trace/event.hpp"
+#include "trace/event_columns.hpp"
 
 namespace tetra::analysis {
 
@@ -38,6 +39,10 @@ struct CallbackInstance {
 class InstanceTimeline {
  public:
   /// Builds the timeline from a merged trace (ROS2 events only needed).
+  /// Time-sorted rows are walked in place; unsorted ones through a sorted
+  /// copy.
+  explicit InstanceTimeline(const trace::ColumnsView& events);
+  /// Packs heap events and builds the timeline from them.
   explicit InstanceTimeline(const trace::EventVector& events);
 
   /// Builds the timeline from already-assembled instances, plus writes

@@ -101,27 +101,14 @@ SynthesisSession::TraceState& SynthesisSession::trace_for(
   return traces_[it->second];
 }
 
-Result<SegmentInfo> SynthesisSession::ingest(trace::EventVector events,
+Result<SegmentInfo> SynthesisSession::ingest(const trace::EventVector& events,
                                              const IngestOptions& options) {
-  const bool arrived_sorted = trace::is_time_sorted(events);
-  if (!arrived_sorted) trace::sort_by_time(events);
-  trace::EventColumns columns;
-  columns.append(events);
-  Result<SegmentInfo> result = ingest(std::move(columns), options);
-  if (!result.ok()) return result;
-  segments_.back().arrived_sorted = arrived_sorted;
-  return segments_.back();
+  return ingest(trace::EventColumns(events), options);
 }
 
 Result<SegmentInfo> SynthesisSession::ingest(trace::EventColumns columns,
                                              const IngestOptions& options) {
-  const bool arrived_sorted = trace::is_time_sorted(columns.view());
-  if (!arrived_sorted) {
-    trace::EventVector events = trace::materialize(columns.view());
-    trace::sort_by_time(events);
-    columns = trace::EventColumns();
-    columns.append(events);
-  }
+  const bool arrived_sorted = trace::sort_by_time(columns);
   TraceState& trace = trace_for(options);
   if (trace.sealed) {
     return make_error(ErrorCode::InvalidArgument,
@@ -176,37 +163,6 @@ Result<SegmentInfo> SynthesisSession::ingest_file(const std::string& path,
     return segments_.back();
   }
   return result;
-}
-
-Result<SegmentInfo> SynthesisSession::ingest_database_segment(
-    const trace::TraceDatabase& db, const trace::TraceKey& key,
-    const IngestOptions& options) {
-  if (!db.contains(key)) {
-    return make_error(ErrorCode::InvalidArgument,
-                      "database has no segment " + std::to_string(key.segment),
-                      key.run);
-  }
-  IngestOptions resolved = options;
-  if (resolved.trace_id.empty()) resolved.trace_id = key.run;
-  if (resolved.mode.empty()) resolved.mode = db.mode_of(key);
-  Result<SegmentInfo> result = ingest(db.get(key), resolved);
-  if (result.ok()) {
-    segments_.back().source =
-        "db:" + key.run + "/" + std::to_string(key.segment);
-    return segments_.back();
-  }
-  return result;
-}
-
-Result<std::vector<SegmentInfo>> SynthesisSession::ingest_database(
-    const trace::TraceDatabase& db) {
-  std::vector<SegmentInfo> infos;
-  for (const trace::TraceKey& key : db.keys()) {
-    Result<SegmentInfo> result = ingest_database_segment(db, key);
-    if (!result.ok()) return result.error();
-    infos.push_back(*result);
-  }
-  return infos;
 }
 
 void SynthesisSession::synthesize_trace(TraceState& trace,
@@ -377,7 +333,7 @@ Result<core::TimingModel> SynthesisSession::trace_model(
   return (*trace)->model;
 }
 
-Result<trace::EventVector> SynthesisSession::merged_events(
+Result<trace::EventColumns> SynthesisSession::merged_columns(
     const std::string& trace_id) const {
   auto it = trace_index_.find(trace_id);
   if (it == trace_index_.end()) {
@@ -391,13 +347,20 @@ Result<trace::EventVector> SynthesisSession::merged_events(
   }
   // Rows in ingestion order; the stable sort restores (time, ingestion)
   // order, which is the k-way merge of the time-sorted segments.
-  trace::EventVector events = trace::materialize(trace.synth.index().view());
+  trace::EventColumns merged;
+  merged.append(trace.synth.index().view());
   for (const trace::EventColumns& segment : trace.pending) {
-    const trace::EventVector rows = trace::materialize(segment.view());
-    events.insert(events.end(), rows.begin(), rows.end());
+    merged.append(segment.view());
   }
-  trace::sort_by_time(events);
-  return events;
+  trace::sort_by_time(merged);
+  return merged;
+}
+
+Result<trace::EventVector> SynthesisSession::merged_events(
+    const std::string& trace_id) const {
+  Result<trace::EventColumns> merged = merged_columns(trace_id);
+  if (!merged.ok()) return merged.error();
+  return trace::materialize(merged.value().view());
 }
 
 Result<std::size_t> SynthesisSession::release_events(

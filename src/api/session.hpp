@@ -34,7 +34,6 @@
 #include "core/incremental.hpp"
 #include "core/model_synthesis.hpp"
 #include "predict/model_simulator.hpp"
-#include "trace/database.hpp"
 #include "trace/event.hpp"
 #include "trace/event_columns.hpp"
 
@@ -62,8 +61,8 @@ class SynthesisSession {
   Result<SegmentInfo> ingest(trace::EventColumns columns,
                              const IngestOptions& options = {});
 
-  /// Same for heap events: sorted, then packed into columns once.
-  Result<SegmentInfo> ingest(trace::EventVector events,
+  /// Same for heap events, packed into columns.
+  Result<SegmentInfo> ingest(const trace::EventVector& events,
                              const IngestOptions& options = {});
 
   /// Reads a trace file into columns (trace::read_trace_file: .ttb traces
@@ -71,18 +70,6 @@ class SynthesisSession {
   /// them. The default trace id is the path itself.
   Result<SegmentInfo> ingest_file(const std::string& path,
                                   const IngestOptions& options = {});
-
-  /// Ingests one stored segment of a TraceDatabase; the trace id defaults
-  /// to the key's run (so all segments of a run merge) and the mode to the
-  /// segment's stored tag.
-  Result<SegmentInfo> ingest_database_segment(
-      const trace::TraceDatabase& db, const trace::TraceKey& key,
-      const IngestOptions& options = {});
-
-  /// Ingests every segment of the database (runs become trace ids, stored
-  /// mode tags are kept). Returns per-segment infos in storage order.
-  Result<std::vector<SegmentInfo>> ingest_database(
-      const trace::TraceDatabase& db);
 
   // -- queries ------------------------------------------------------------
 
@@ -98,8 +85,10 @@ class SynthesisSession {
   /// The model of one logical trace (its segments merged by time).
   Result<core::TimingModel> trace_model(const std::string& trace_id);
 
-  /// The chronologically merged event stream of one trace (a copy; ties
-  /// keep ingestion order).
+  /// The chronologically merged rows of one trace (a copy; ties keep
+  /// ingestion order).
+  Result<trace::EventColumns> merged_columns(const std::string& trace_id) const;
+  /// The same stream as heap events.
   Result<trace::EventVector> merged_events(const std::string& trace_id) const;
 
   /// Replays the session's combined model (predict::ModelSimulator) and

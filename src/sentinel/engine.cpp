@@ -146,11 +146,16 @@ DriftEngine::DriftEngine(SentinelConfig config)
     : config_(std::move(config)), session_(config_.synthesis) {}
 
 api::Result<api::SegmentInfo> DriftEngine::ingest_baseline(
-    trace::EventVector events) {
+    trace::EventColumns events) {
   baseline_.valid = false;
   api::IngestOptions ingest;
   ingest.trace_id = kBaselineTraceId;
   return session_.ingest(std::move(events), ingest);
+}
+
+api::Result<api::SegmentInfo> DriftEngine::ingest_baseline(
+    const trace::EventVector& events) {
+  return ingest_baseline(trace::EventColumns(events));
 }
 
 api::Result<api::SegmentInfo> DriftEngine::ingest_baseline_file(
@@ -183,7 +188,7 @@ api::Error DriftEngine::ensure_baseline() {
     }
     return model.error();
   }
-  auto events = session_.merged_events(kBaselineTraceId);
+  auto events = session_.merged_columns(kBaselineTraceId);
   if (!events.ok()) return events.error();
 
   baseline_.model = std::move(model).take();
@@ -196,7 +201,7 @@ api::Error DriftEngine::ensure_baseline() {
   baseline_.edge_keys = edge_keys(baseline_.model.dag);
   baseline_.chains.clear();
 
-  const analysis::InstanceTimeline timeline(events.value());
+  const analysis::InstanceTimeline timeline(events.value().view());
   const auto enumeration =
       analysis::enumerate_chains(baseline_.model.dag, config_.max_chains);
   for (const auto& chain : enumeration.chains) {
@@ -218,7 +223,12 @@ api::Error DriftEngine::ensure_baseline() {
   return {};
 }
 
-api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventVector events) {
+api::Result<WindowAnalysis> DriftEngine::analyze(
+    const trace::EventVector& events) {
+  return analyze(trace::EventColumns(events));
+}
+
+api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventColumns events) {
   if (!(config_.alpha > 0.0 && config_.alpha < 1.0)) {
     return api::Error{api::ErrorCode::InvalidArgument,
                       "KS alpha must lie in (0, 1)", "sentinel"};
@@ -231,7 +241,7 @@ api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventVector events) {
   // The timeline reads the window before the session takes it over, so
   // the session never has to hand a merged copy back.
   const std::size_t window_events = events.size();
-  const analysis::InstanceTimeline timeline(events);
+  const analysis::InstanceTimeline timeline(events.view());
   api::SynthesisSession window_session(config_.synthesis);
   api::IngestOptions ingest;
   ingest.trace_id = "window";
@@ -401,9 +411,9 @@ api::Result<WindowAnalysis> DriftEngine::analyze_file(
     const std::string& path) {
   const api::Error error = ensure_baseline();
   if (error.code != api::ErrorCode::None) return error;
-  trace::EventVector events;
+  trace::EventColumns events;
   try {
-    events = trace::materialize(trace::read_trace_file(path).view());
+    events = trace::read_trace_file(path);
   } catch (const std::exception& e) {
     return api::Error{api::ErrorCode::Io, e.what(), path};
   }

@@ -26,6 +26,7 @@
 #include "sentinel/config.hpp"
 #include "sentinel/verdict.hpp"
 #include "trace/event.hpp"
+#include "trace/event_columns.hpp"
 
 namespace tetra::sentinel {
 
@@ -57,7 +58,10 @@ class DriftEngine {
 
   // -- baseline -----------------------------------------------------------
 
-  api::Result<api::SegmentInfo> ingest_baseline(trace::EventVector events);
+  api::Result<api::SegmentInfo> ingest_baseline(trace::EventColumns events);
+  /// Packs heap events and ingests them.
+  api::Result<api::SegmentInfo> ingest_baseline(
+      const trace::EventVector& events);
   api::Result<api::SegmentInfo> ingest_baseline_file(const std::string& path);
   api::Result<core::TimingModel> baseline_model();
   /// Synthesizes the baseline cache if dirty; InvalidArgument when no
@@ -74,7 +78,9 @@ class DriftEngine {
   /// baseline side of every comparison is prepared once, in
   /// ensure_baseline(). InvalidArgument when config.alpha lies outside
   /// (0, 1) or no baseline was ingested.
-  api::Result<WindowAnalysis> analyze(trace::EventVector events);
+  api::Result<WindowAnalysis> analyze(trace::EventColumns events);
+  /// Packs heap events and analyzes them.
+  api::Result<WindowAnalysis> analyze(const trace::EventVector& events);
   /// Reads a JSONL or .ttb trace file and analyzes it as one window.
   api::Result<WindowAnalysis> analyze_file(const std::string& path);
 

@@ -10,7 +10,6 @@
 
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
-#include "trace/serialize.hpp"
 #include "trace/ttb.hpp"
 
 namespace tetra::sentinel {
@@ -35,19 +34,11 @@ struct StreamMetrics {
   }
 };
 
-/// Shifts an event batch along the stream clock. Embedded source
-/// timestamps (the write/take matching key) must move together with the
-/// event times or cross-segment windows never match publications.
-void shift_events(trace::EventVector& events, Duration offset) {
-  for (trace::TraceEvent& event : events) {
-    event.time += offset;
-    if (auto* take = std::get_if<trace::TakeInfo>(&event.payload)) {
-      take->src_ts += offset;
-    } else if (auto* write =
-                   std::get_if<trace::DdsWriteInfo>(&event.payload)) {
-      write->src_ts += offset;
-    }
-  }
+/// Rows of the time-sorted `rows` that lie before `t`.
+std::size_t rows_before(const trace::ColumnsView& rows, TimePoint t) {
+  return static_cast<std::size_t>(
+      std::lower_bound(rows.time, rows.time + rows.count, t.count_ns()) -
+      rows.time);
 }
 
 /// The mutation axes drift localization ranks, in rank-tie order.
@@ -86,8 +77,13 @@ StreamSentinel::StreamSentinel(SentinelConfig config)
     : config_(std::move(config)), engine_(config_) {}
 
 api::Result<api::SegmentInfo> StreamSentinel::ingest_baseline(
-    trace::EventVector events) {
+    trace::EventColumns events) {
   return engine_.ingest_baseline(std::move(events));
+}
+
+api::Result<api::SegmentInfo> StreamSentinel::ingest_baseline(
+    const trace::EventVector& events) {
+  return ingest_baseline(trace::EventColumns(events));
 }
 
 api::Result<api::SegmentInfo> StreamSentinel::ingest_baseline_file(
@@ -100,7 +96,12 @@ api::Result<core::TimingModel> StreamSentinel::baseline_model() {
 }
 
 api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
-    trace::EventVector events) {
+    const trace::EventVector& events) {
+  return feed(trace::EventColumns(events));
+}
+
+api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
+    trace::EventColumns events) {
   const Duration span = config_.window_span;
   const Duration advance = config_.window_advance;
   if (span.count_ns() <= 0 || advance.count_ns() <= 0) {
@@ -139,46 +140,48 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
   trace::sort_by_time(events);
 
   if (config_.rebase_segments && have_origin_ && !events.empty()) {
-    const Duration offset =
-        (stream_end_ + config_.rebase_gap) - events.front().time;
-    shift_events(events, offset);
+    events.shift((stream_end_ + config_.rebase_gap) -
+                 TimePoint{events.view().time[0]});
   }
+  trace::ColumnsView batch = events.view();
+  std::size_t late = 0;
   if (!config_.rebase_segments && have_origin_) {
-    // Late events precede the window the stream already committed to;
+    // Late rows precede the window the stream already committed to;
     // dropping them keeps verdicts append-only and deterministic.
-    auto fresh = std::partition_point(
-        events.begin(), events.end(), [&](const trace::TraceEvent& e) {
-          return e.time < window_start_;
-        });
-    late_events_ += static_cast<std::size_t>(fresh - events.begin());
-    events.erase(events.begin(), fresh);
+    late = rows_before(batch, window_start_);
+    late_events_ += late;
+    batch = batch.rows(late, batch.count - late);
   }
-  if (!events.empty()) {
+  if (batch.count > 0) {
     if (!have_origin_) {
       have_origin_ = true;
-      window_start_ = events.front().time;
-      stream_end_ = events.front().time;
+      window_start_ = TimePoint{batch.time[0]};
+      stream_end_ = window_start_;
     }
-    stream_end_ = std::max(stream_end_, events.back().time);
-    for (const trace::TraceEvent& event : events) {
-      if (event.type == trace::EventType::RmwCreateNode) {
-        node_events_[event.pid] = event;
+    stream_end_ = std::max(stream_end_, TimePoint{batch.time[batch.count - 1]});
+    for (std::size_t i = 0; i < batch.count; ++i) {
+      if (static_cast<trace::EventType>(batch.type[i]) ==
+          trace::EventType::RmwCreateNode) {
+        node_rows_[static_cast<Pid>(batch.pid[i])] =
+            NodeRow{batch.row(i), std::string(batch.str(batch.arg_c[i]))};
       }
     }
-    const std::size_t old_size = buffer_.size();
-    // A batch that starts at or after the buffered tail is already in
-    // place; only an overlapping one needs the merge.
-    const bool overlaps =
-        old_size > 0 && events.front().time < buffer_.back().time;
-    buffer_.insert(buffer_.end(), events.begin(), events.end());
-    if (overlaps) {
-      std::inplace_merge(
-          buffer_.begin(),
-          buffer_.begin() + static_cast<std::ptrdiff_t>(old_size),
-          buffer_.end(),
-          [](const trace::TraceEvent& a, const trace::TraceEvent& b) {
-            return a.time < b.time;
-          });
+    const trace::ColumnsView buffered = live();
+    if (buffered.count == 0) {
+      // Nothing live to merge with: the batch becomes the buffer, its
+      // late rows the evicted prefix.
+      buffer_ = std::move(events);
+      first_live_ = late;
+    } else {
+      // A batch that starts at or after the buffered tail is already in
+      // place; only an overlapping one needs the stable re-sort, which
+      // orders rows as a merge of the two sorted runs would.
+      const bool overlaps = batch.time[0] < buffered.time[buffered.count - 1];
+      buffer_.append(batch);
+      if (overlaps) {
+        compact();
+        trace::sort_by_time(buffer_);
+      }
     }
   }
 
@@ -191,36 +194,51 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
 
 api::Result<std::vector<WindowVerdict>> StreamSentinel::feed_file(
     const std::string& path) {
-  trace::EventVector events;
+  trace::EventColumns events;
   try {
-    events = trace::materialize(trace::read_trace_file(path).view());
+    events = trace::read_trace_file(path);
   } catch (const std::exception& e) {
     return api::Error{api::ErrorCode::Io, e.what(), path};
   }
   return feed(std::move(events));
 }
 
-trace::EventVector StreamSentinel::window_slice(TimePoint begin,
+trace::ColumnsView StreamSentinel::live() const {
+  return buffer_.view().rows(first_live_, buffer_.size() - first_live_);
+}
+
+void StreamSentinel::compact() {
+  buffer_.erase_front(first_live_);
+  first_live_ = 0;
+}
+
+trace::EventColumns StreamSentinel::window_rows(TimePoint begin,
                                                 TimePoint end) const {
   telemetry::ScopedSpan span("sentinel.slice");
-  const auto lo = std::partition_point(
-      buffer_.begin(), buffer_.end(),
-      [&](const trace::TraceEvent& e) { return e.time < begin; });
-  const auto hi = std::partition_point(
-      lo, buffer_.end(),
-      [&](const trace::TraceEvent& e) { return e.time < end; });
-  trace::EventVector slice;
-  slice.reserve(node_events_.size() + static_cast<std::size_t>(hi - lo));
-  // The sticky node table rides along even when the creation events fall
+  const trace::ColumnsView buffered = live();
+  const std::size_t lo = rows_before(buffered, begin);
+  const std::size_t hi = rows_before(buffered, end);
+  trace::EventColumns rows;
+  rows.reserve(node_rows_.size() + (hi - lo));
+  // The sticky node table rides along even when the creation rows fall
   // outside the window: extraction resolves node names by pid, not time.
-  for (const auto& [pid, event] : node_events_) slice.push_back(event);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->type == trace::EventType::RmwCreateNode) continue;  // already in
-    slice.push_back(*it);
+  for (const auto& [pid, node] : node_rows_) {
+    trace::PackedRow row = node.row;
+    row.arg_c = rows.intern(node.name);
+    rows.append(row);
   }
-  trace::sort_by_time(slice);
-  span.set_items(slice.size());
-  return slice;
+  std::vector<std::size_t> picked;
+  picked.reserve(hi - lo);
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (static_cast<trace::EventType>(buffered.type[i]) !=
+        trace::EventType::RmwCreateNode) {  // already in
+      picked.push_back(i);
+    }
+  }
+  rows.append(buffered, picked);
+  trace::sort_by_time(rows);
+  span.set_items(rows.size());
+  return rows;
 }
 
 api::Result<std::vector<WindowVerdict>> StreamSentinel::advance_windows() {
@@ -232,20 +250,19 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::advance_windows() {
   while (stream_end_ - window_start_ >= span) {
     const TimePoint begin = window_start_;
     const TimePoint end = begin + span;
-    trace::EventVector slice = window_slice(begin, end);
-    const bool empty = slice.size() <= node_events_.size();
+    trace::EventColumns rows = window_rows(begin, end);
+    const bool empty = rows.size() <= node_rows_.size();
     if (empty) {
       // A gap in the stream (e.g. a large rebase jump): skip empty
       // windows in one step instead of evaluating vacuous total drift
       // once per advance.
-      const auto next = std::partition_point(
-          buffer_.begin(), buffer_.end(),
-          [&](const trace::TraceEvent& e) { return e.time < begin; });
-      if (next == buffer_.end()) {
+      const trace::ColumnsView buffered = live();
+      const std::size_t next = rows_before(buffered, begin);
+      if (next == buffered.count) {
         // Nothing buffered ahead either; wait for more data.
         break;
       }
-      const std::int64_t gap_ns = (next->time - begin).count_ns();
+      const std::int64_t gap_ns = buffered.time[next] - begin.count_ns();
       const std::int64_t steps =
           std::max<std::int64_t>(1, gap_ns / advance.count_ns());
       windows_skipped_empty_ += static_cast<std::size_t>(steps);
@@ -254,7 +271,7 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::advance_windows() {
       continue;
     }
 
-    auto analysis = engine_.analyze(std::move(slice));
+    auto analysis = engine_.analyze(std::move(rows));
     if (!analysis.ok()) return analysis.error();
     WindowVerdict verdict = evaluate_window(begin, end, analysis.value());
 
@@ -278,11 +295,8 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::advance_windows() {
     if (config_.refresh_after > 0) {
       retain = advance * static_cast<std::int64_t>(config_.refresh_after);
     }
-    const TimePoint evict_before = window_start_ - retain;
-    const auto keep = std::partition_point(
-        buffer_.begin(), buffer_.end(),
-        [&](const trace::TraceEvent& e) { return e.time < evict_before; });
-    buffer_.erase(buffer_.begin(), keep);
+    first_live_ += rows_before(live(), window_start_ - retain);
+    if (first_live_ > buffer_.size() - first_live_) compact();
   }
   return verdicts;
 }
@@ -467,7 +481,7 @@ api::Error StreamSentinel::refresh_baseline_from_stream(TimePoint window_begin,
       window_begin -
       config_.window_advance *
           static_cast<std::int64_t>(config_.refresh_after - 1);
-  trace::EventVector fold = window_slice(fold_begin, window_end);
+  trace::EventColumns fold = window_rows(fold_begin, window_end);
   engine_.reset_baseline();
   auto ingested = engine_.ingest_baseline(std::move(fold));
   if (!ingested.ok()) return ingested.error();

@@ -34,6 +34,7 @@
 #include "support/statistics.hpp"
 #include "support/time.hpp"
 #include "trace/event.hpp"
+#include "trace/event_columns.hpp"
 
 namespace tetra::sentinel {
 
@@ -47,7 +48,10 @@ class StreamSentinel {
   /// Adds one event segment to the baseline trace. May be called several
   /// times (segments k-way merge); the baseline model is re-synthesized
   /// lazily on the next check or feed.
-  api::Result<api::SegmentInfo> ingest_baseline(trace::EventVector events);
+  api::Result<api::SegmentInfo> ingest_baseline(trace::EventColumns events);
+  /// Packs heap events into the baseline.
+  api::Result<api::SegmentInfo> ingest_baseline(
+      const trace::EventVector& events);
   /// Reads a JSONL or .ttb trace file into the baseline.
   api::Result<api::SegmentInfo> ingest_baseline_file(const std::string& path);
   /// The baseline model (synthesizing it first if dirty).
@@ -64,7 +68,10 @@ class StreamSentinel {
   /// start rebase_gap after the previous batch's last event; without it,
   /// events older than the current window start are dropped (and
   /// counted in late_events()).
-  api::Result<std::vector<WindowVerdict>> feed(trace::EventVector events);
+  api::Result<std::vector<WindowVerdict>> feed(trace::EventColumns events);
+  /// Packs heap events and feeds them.
+  api::Result<std::vector<WindowVerdict>> feed(
+      const trace::EventVector& events);
   /// Reads a JSONL or .ttb trace file and feeds it as one batch.
   api::Result<std::vector<WindowVerdict>> feed_file(const std::string& path);
 
@@ -96,20 +103,35 @@ class StreamSentinel {
                                           TimePoint window_end);
   CusumAccumulator make_accumulator(DriftKind kind) const;
   std::vector<AxisScore> localize() const;
-  trace::EventVector window_slice(TimePoint begin, TimePoint end) const;
+  /// The buffered rows not yet evicted, time-sorted.
+  trace::ColumnsView live() const;
+  /// Drops the evicted prefix of the buffer.
+  void compact();
+  /// The rows synthesized for [begin, end): the sticky node table, then
+  /// the buffered rows in range except node creations, stable-sorted.
+  trace::EventColumns window_rows(TimePoint begin, TimePoint end) const;
 
   SentinelConfig config_;
   DriftEngine engine_;
 
-  /// Buffered stream events, time-sorted; evicted behind the window (plus
-  /// the refresh horizon when auto-refresh is enabled).
-  trace::EventVector buffer_;
-  /// Sticky node table: the latest RmwCreateNode event per pid. Node
+  /// Buffered stream rows, time-sorted. Rows before first_live_ are
+  /// evicted (behind the window, plus the refresh horizon when
+  /// auto-refresh is enabled); they are dropped once they outnumber the
+  /// live rows, so eviction costs O(1) amortized per row.
+  trace::EventColumns buffer_;
+  std::size_t first_live_ = 0;
+  /// One RmwCreateNode row, its name held by value: the buffer's string
+  /// table is rebuilt by an overlap re-sort and when it outgrows the rows.
+  struct NodeRow {
+    trace::PackedRow row;
+    std::string name;
+  };
+  /// Sticky node table: the latest RmwCreateNode row per pid. Node
   /// creation happens once at process start, so mid-stream windows would
   /// otherwise synthesize nameless callbacks whose vertex keys all differ
   /// from the baseline — every clean window would look like total
-  /// structural drift. The table is prepended to every window slice.
-  std::map<Pid, trace::TraceEvent> node_events_;
+  /// structural drift. The table is prepended to every window.
+  std::map<Pid, NodeRow> node_rows_;
 
   bool have_origin_ = false;
   TimePoint window_start_;

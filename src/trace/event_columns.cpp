@@ -1,5 +1,7 @@
 #include "trace/event_columns.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace tetra::trace {
@@ -28,6 +30,11 @@ ColumnsView ColumnsView::rows(std::size_t first, std::size_t n) const {
   return v;
 }
 
+PackedRow ColumnsView::row(std::size_t i) const {
+  return PackedRow{time[i],  arg_a[i], arg_b[i], pid[i],
+                   arg_c[i], probe[i], type[i],  aux[i]};
+}
+
 bool is_time_sorted(const ColumnsView& view) {
   for (std::size_t i = 1; i < view.count; ++i) {
     if (view.time[i] < view.time[i - 1]) return false;
@@ -38,6 +45,10 @@ bool is_time_sorted(const ColumnsView& view) {
 EventColumns::EventColumns() {
   str_offsets_ = {0, 0};  // index 0 is the empty string
   intern_.emplace(std::string(), 0);
+}
+
+EventColumns::EventColumns(const EventVector& events) : EventColumns() {
+  append(events);
 }
 
 std::uint32_t EventColumns::intern(std::string_view s) {
@@ -153,15 +164,66 @@ void EventColumns::append(const ColumnsView& v) {
   // String-bearing rows index the source view's table; rewrite them to
   // indices in our own. Each source string is interned at its first use,
   // so the table grows in the order per-row interning would give.
-  constexpr std::uint32_t kUnmapped = static_cast<std::uint32_t>(-1);
   std::vector<std::uint32_t> remap;
   for (std::size_t i = 0; i < v.count; ++i) {
     if (!carries_string(static_cast<EventType>(v.type[i]))) continue;
-    const std::uint32_t from = v.arg_c[i];
-    if (from >= v.string_count) v.str(from);  // throws std::invalid_argument
-    if (remap.empty()) remap.assign(v.string_count, kUnmapped);
-    if (remap[from] == kUnmapped) remap[from] = intern(v.str(from));
-    arg_c_[base + i] = remap[from];
+    arg_c_[base + i] = intern_from(v, v.arg_c[i], remap);
+  }
+}
+
+void EventColumns::append(const ColumnsView& v,
+                          const std::vector<std::size_t>& rows) {
+  reserve(rows.size());
+  std::vector<std::uint32_t> remap;
+  for (const std::size_t i : rows) {
+    PackedRow row = v.row(i);
+    if (carries_string(static_cast<EventType>(row.type))) {
+      row.arg_c = intern_from(v, row.arg_c, remap);
+    }
+    append(row);
+  }
+}
+
+std::uint32_t EventColumns::intern_from(const ColumnsView& v,
+                                        std::uint32_t from,
+                                        std::vector<std::uint32_t>& remap) {
+  constexpr std::uint32_t kUnmapped = static_cast<std::uint32_t>(-1);
+  if (from >= v.string_count) v.str(from);  // throws std::invalid_argument
+  if (remap.empty()) remap.assign(v.string_count, kUnmapped);
+  if (remap[from] == kUnmapped) remap[from] = intern(v.str(from));
+  return remap[from];
+}
+
+void EventColumns::erase_front(std::size_t n) {
+  if (n == 0) return;
+  if (str_offsets_.size() - 1 > size() - n) {
+    EventColumns kept;
+    kept.append(view().rows(n, size() - n));
+    *this = std::move(kept);
+    return;
+  }
+  const auto erase = [n](auto& column) {
+    column.erase(column.begin(),
+                 column.begin() + static_cast<std::ptrdiff_t>(n));
+  };
+  erase(time_);
+  erase(arg_a_);
+  erase(arg_b_);
+  erase(pid_);
+  erase(arg_c_);
+  erase(probe_);
+  erase(type_);
+  erase(aux_);
+}
+
+void EventColumns::shift(Duration offset) {
+  const std::int64_t ns = offset.count_ns();
+  for (std::size_t i = 0; i < time_.size(); ++i) {
+    time_[i] += ns;
+    const auto type = static_cast<EventType>(type_[i]);
+    if (type == EventType::Take || type == EventType::DdsWrite) {
+      arg_b_[i] += ns;
+    }
   }
 }
 
@@ -181,6 +243,21 @@ ColumnsView EventColumns::view() const {
   v.blob = blob_.data();
   v.blob_size = blob_.size();
   return v;
+}
+
+bool sort_by_time(EventColumns& columns) {
+  const ColumnsView view = columns.view();
+  if (is_time_sorted(view)) return true;
+  std::vector<std::size_t> order(view.count);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return view.time[a] < view.time[b];
+                   });
+  EventColumns sorted;
+  sorted.append(view, order);
+  columns = std::move(sorted);
+  return false;
 }
 
 TraceEvent materialize_event(const ColumnsView& v, std::size_t i) {

@@ -22,6 +22,7 @@
 // String columns hold indices into the table; index 0 is always "".
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -33,6 +34,8 @@
 #include "trace/event.hpp"
 
 namespace tetra::trace {
+
+struct PackedRow;
 
 /// Non-owning view over columnar event storage. The pointers may target an
 /// EventColumns instance or a memory-mapped .ttb file — analysis code is
@@ -83,6 +86,9 @@ struct ColumnsView {
 
   /// Rows [first, first + n) over the same string table.
   ColumnsView rows(std::size_t first, std::size_t n) const;
+
+  /// Row i in packed form; arg_c still indexes this view's table.
+  PackedRow row(std::size_t i) const;
 };
 
 /// Whether rows of `type` carry a string (arg_c indexes the table).
@@ -112,10 +118,13 @@ struct PackedRow {
   std::uint8_t aux = 0;
 };
 
-/// Owning, append-only columnar store.
+/// Owning columnar store: rows are appended, shift() rewrites them and
+/// erase_front() drops a prefix.
 class EventColumns {
  public:
   EventColumns();
+  /// Packs heap events, in order.
+  explicit EventColumns(const EventVector& events);
 
   void append(const TraceEvent& event);
   void append(const EventVector& events);
@@ -126,6 +135,20 @@ class EventColumns {
   /// a string-bearing row is interned once. Throws std::invalid_argument
   /// on a string index outside the source table.
   void append(const ColumnsView& view);
+  /// Appends rows `rows` of `view`, in that order, interning each source
+  /// string once at its first use.
+  void append(const ColumnsView& view, const std::vector<std::size_t>& rows);
+
+  /// Moves every row along the clock by `offset`: the time column, and
+  /// the source timestamps of Take and DdsWrite rows (the write/take
+  /// matching key), so shifted segments still match publications.
+  void shift(Duration offset);
+
+  /// Drops the first n rows in place, keeping the string table, unless
+  /// the table would hold more strings than rows remain (a stream of
+  /// ever-new names): then the remaining rows are copied into a fresh
+  /// table, interned in first-use order, so it stays bounded by the rows.
+  void erase_front(std::size_t n);
 
   void reserve(std::size_t additional_events);
 
@@ -142,6 +165,11 @@ class EventColumns {
   std::optional<std::uint32_t> lookup(std::string_view s) const;
 
  private:
+  /// This table's index of string `from` of `view`, interning it at its
+  /// first use; `remap` caches the answers per source index.
+  std::uint32_t intern_from(const ColumnsView& view, std::uint32_t from,
+                            std::vector<std::uint32_t>& remap);
+
   std::vector<std::int64_t> time_;
   std::vector<std::uint64_t> arg_a_;
   std::vector<std::int64_t> arg_b_;
@@ -158,6 +186,12 @@ class EventColumns {
   std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>
       intern_;
 };
+
+/// Stable sort by (time, row order) that leaves time-sorted rows as they
+/// are; a sorted copy re-interns its strings in first-use order, the
+/// table packing the sorted events would give. Returns true when the
+/// rows were already sorted.
+bool sort_by_time(EventColumns& columns);
 
 /// Reconstructs one TraceEvent from columnar storage, validating every
 /// enum-bearing and string-index field (throws std::invalid_argument on

@@ -1,6 +1,5 @@
 #include "trace/merge.hpp"
 
-#include <algorithm>
 #include <queue>
 
 namespace tetra::trace {
@@ -31,29 +30,6 @@ EventVector merge_sorted(const std::vector<EventVector>& traces) {
     out.push_back((*c.trace)[c.index]);
     if (c.index + 1 < c.trace->size()) {
       heap.push(Cursor{c.trace, c.index + 1, c.source});
-    }
-  }
-  return out;
-}
-
-EventVector merge_unsorted(const std::vector<EventVector>& traces) {
-  EventVector out;
-  std::size_t total = 0;
-  for (const auto& t : traces) total += t.size();
-  out.reserve(total);
-  for (const auto& t : traces) out.insert(out.end(), t.begin(), t.end());
-  sort_by_time(out);
-  return out;
-}
-
-EventVector shift_times(const EventVector& trace, Duration offset) {
-  EventVector out = trace;
-  for (auto& e : out) {
-    e.time += offset;
-    if (auto* take = std::get_if<TakeInfo>(&e.payload)) {
-      take->src_ts += offset;
-    } else if (auto* write = std::get_if<DdsWriteInfo>(&e.payload)) {
-      write->src_ts += offset;
     }
   }
   return out;

@@ -14,12 +14,4 @@ namespace tetra::trace {
 /// Ties keep the input order (earlier vector first) for determinism.
 EventVector merge_sorted(const std::vector<EventVector>& traces);
 
-/// Concatenates and sorts arbitrary traces (tolerates unsorted inputs).
-EventVector merge_unsorted(const std::vector<EventVector>& traces);
-
-/// Shifts all timestamps (and embedded source timestamps) by `offset`;
-/// needed when concatenating segments whose clocks restarted, so that the
-/// merged stream remains monotonic per run.
-EventVector shift_times(const EventVector& trace, Duration offset);
-
 }  // namespace tetra::trace

@@ -3,6 +3,8 @@
 // simplified response-time estimate, and convergence tracking.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "analysis/chains.hpp"
 #include "analysis/convergence.hpp"
 #include "analysis/latency.hpp"
@@ -45,6 +47,22 @@ TEST(ChainsTest, EnumeratesAllSourceSinkPaths) {
   ASSERT_EQ(chains.size(), 2u);
   EXPECT_EQ(to_string(chains[0]), "A -> B -> D");
   EXPECT_EQ(to_string(chains[1]), "A -> C -> D");
+}
+
+TEST(ChainsTest, BackEdgeYieldsFiniteSimpleChains) {
+  // Two overlapping runs merged into one trace can close a cycle; the
+  // walk must neither recurse forever nor repeat a vertex.
+  core::Dag dag = diamond_dag();
+  dag.add_edge("D", "B", "/db");
+  const auto [chains, truncated] = enumerate_chains(dag);
+  EXPECT_FALSE(truncated);
+  ASSERT_EQ(chains.size(), 2u);
+  EXPECT_EQ(to_string(chains[0]), "A -> B -> D");
+  EXPECT_EQ(to_string(chains[1]), "A -> C -> D -> B");
+  for (const Chain& chain : chains) {
+    const std::set<std::string> distinct(chain.begin(), chain.end());
+    EXPECT_EQ(distinct.size(), chain.size()) << to_string(chain);
+  }
 }
 
 TEST(ChainsTest, ChainsThroughVertex) {

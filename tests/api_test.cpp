@@ -16,7 +16,6 @@
 #include "core/model_synthesis.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/runner.hpp"
-#include "trace/database.hpp"
 #include "trace/serialize.hpp"
 
 namespace tetra::api {
@@ -276,26 +275,27 @@ TEST(SynthesisSessionTest, ReleaseEventsKeepsModelAndSealsTrace) {
             ErrorCode::InvalidArgument);
 }
 
-TEST(SynthesisSessionTest, DatabaseIngestKeepsRunsAndModes) {
-  trace::TraceDatabase db;
+TEST(SynthesisSessionTest, ModeTaggedIngestKeepsRunsAndModes) {
+  // Fig. 2's trace database is the session itself: runs are trace ids and
+  // each carries its mode tag.
   const trace::EventVector city = scenario_trace(6);
   const trace::EventVector highway = scenario_trace(8);
-  db.store({"run-1", 0}, city, "city");
-  db.store({"run-2", 0}, highway, "highway");
 
   SynthesisSession session;
-  const auto infos = session.ingest_database(db);
-  ASSERT_TRUE(infos.ok());
-  ASSERT_EQ(infos->size(), 2u);
-  EXPECT_EQ((*infos)[0].trace_id, "run-1");
-  EXPECT_EQ((*infos)[0].mode, "city");
+  const auto info = session.ingest(city, {.trace_id = "run-1", .mode = "city"});
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->trace_id, "run-1");
+  EXPECT_EQ(info->mode, "city");
+  ASSERT_TRUE(
+      session.ingest(highway, {.trace_id = "run-2", .mode = "highway"}).ok());
+  EXPECT_EQ(session.trace_ids(), (std::vector<std::string>{"run-1", "run-2"}));
 
   const core::MultiModeDag multi = session.multi_mode_model().value();
   const std::vector<std::string> modes = multi.modes();
   EXPECT_NE(std::find(modes.begin(), modes.end(), "city"), modes.end());
   EXPECT_NE(std::find(modes.begin(), modes.end(), "highway"), modes.end());
   expect_same_dag(*multi.mode_dag("city"), synthesize_whole(city).dag,
-                  "db city mode");
+                  "city mode");
 }
 
 // -- incremental re-synthesis ----------------------------------------------

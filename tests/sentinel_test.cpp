@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -37,6 +38,7 @@
 #include "scenario/runner.hpp"
 #include "sentinel/engine.hpp"
 #include "sentinel/stream.hpp"
+#include "trace/event_columns.hpp"
 #include "trace/serialize.hpp"
 
 namespace tetra::sentinel {
@@ -358,6 +360,188 @@ TEST(StreamSentinelTest, StreamShorterThanOneWindowYieldsNoVerdicts) {
   ASSERT_TRUE(verdicts.ok()) << verdicts.error().to_string();
   EXPECT_TRUE(verdicts->empty());
   EXPECT_EQ(stream.windows_advanced(), 0u);
+}
+
+// ---- streaming: the stream buffer -------------------------------------------
+
+/// One long clean stream (a resampled run of the baseline's spec), fed
+/// with rebase off and the default window geometry.
+struct LongCleanStream {
+  trace::EventVector baseline;
+  trace::EventVector live;
+};
+
+LongCleanStream long_clean_stream(std::uint64_t seed) {
+  scenario::GeneratorOptions options;
+  options.run_duration = Duration::ms(20000);
+  const scenario::ScenarioGenerator generator(options);
+  const scenario::ScenarioRunner runner;
+  const scenario::Scenario scen = generator.generate(seed);
+  return {runner.run(scen.spec, 1.0, 0).trace,
+          runner.run(scen.spec, 1.0, 1).trace};
+}
+
+/// The stream cut into one batch per window advance, as a live tracer
+/// would hand it over; cuts fall `offset` after each window start.
+std::vector<trace::EventVector> per_advance_batches(
+    const trace::EventVector& live, Duration advance,
+    Duration offset = Duration::zero()) {
+  std::vector<trace::EventVector> batches;
+  for (const trace::TraceEvent& event : live) {
+    const auto index = static_cast<std::size_t>(
+        (event.time - live.front().time - offset + advance).count_ns() /
+        advance.count_ns());
+    if (batches.size() <= index) batches.resize(index + 1);
+    batches[index].push_back(event);
+  }
+  return batches;
+}
+
+/// Moves every 20th event `eligible` accepts to the next batch, which
+/// then starts before the buffered tail, so the buffer merges it in.
+/// Only events whose timestamp is unique in the stream qualify, so the
+/// merged order is the stream's own, and node creations stay put so the
+/// sticky table sees them in order.
+std::vector<trace::EventVector> defer_to_next_batch(
+    const std::vector<trace::EventVector>& batches,
+    const std::function<bool(const trace::TraceEvent&)>& eligible) {
+  std::map<std::int64_t, int> time_count;
+  for (const auto& batch : batches) {
+    for (const auto& event : batch) ++time_count[event.time.count_ns()];
+  }
+  std::vector<trace::EventVector> out(batches.size());
+  std::size_t candidates = 0;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    for (const trace::TraceEvent& event : batches[b]) {
+      const bool defer = b + 1 < batches.size() &&
+                         time_count[event.time.count_ns()] == 1 &&
+                         event.type != trace::EventType::RmwCreateNode &&
+                         eligible(event) && ++candidates % 20 == 0;
+      out[defer ? b + 1 : b].push_back(event);
+    }
+  }
+  return out;
+}
+
+/// Feeds every batch and returns the verdict lines of every window.
+std::string feed_all(StreamSentinel& stream,
+                     const std::vector<trace::EventVector>& batches) {
+  std::string lines;
+  for (const trace::EventVector& batch : batches) {
+    const auto verdicts = stream.feed(batch);
+    EXPECT_TRUE(verdicts.ok()) << verdicts.error().to_string();
+    if (!verdicts.ok()) break;
+    for (const auto& window : *verdicts) {
+      lines += window_verdict_to_json(window) + "\n";
+    }
+  }
+  return lines;
+}
+
+TEST(StreamSentinelTest, BatchingDoesNotChangeVerdicts) {
+  const LongCleanStream input = long_clean_stream(1);
+  const SentinelConfig config;
+  ASSERT_FALSE(config.rebase_segments);
+  const auto verdicts_of = [&](const std::vector<trace::EventVector>& feed) {
+    StreamSentinel stream(config);
+    EXPECT_TRUE(stream.ingest_baseline(input.baseline).ok());
+    const std::string lines = feed_all(stream, feed);
+    EXPECT_EQ(stream.late_events(), 0u);
+    return lines;
+  };
+
+  const std::string whole = verdicts_of({input.live});
+  EXPECT_GE(std::count(whole.begin(), whole.end(), '\n'), 30);
+  const std::vector<trace::EventVector> batches =
+      per_advance_batches(input.live, config.window_advance);
+  EXPECT_EQ(verdicts_of(batches), whole);
+  EXPECT_EQ(verdicts_of(defer_to_next_batch(
+                batches, [](const trace::TraceEvent&) { return true; })),
+            whole);
+}
+
+TEST(StreamSentinelTest, OverlappingBatchIsMergedIntoPlace) {
+  // With the default geometry every deferred event still sorts into the
+  // advance it came from, so a buffer that skipped the merge would cut
+  // the same windows. A 700/300 geometry cut 50 ms past each window start
+  // does not: events from the 200 ms before a start, deferred past rows
+  // after it, must be merged back before that start, or eviction keeps
+  // them and the window starting there takes them in.
+  const LongCleanStream input = long_clean_stream(1);
+  SentinelConfig config;
+  config.window_span = Duration::ms(700);
+  config.window_advance = Duration::ms(300);
+  const auto verdicts_of = [&](const std::vector<trace::EventVector>& feed) {
+    StreamSentinel stream(config);
+    EXPECT_TRUE(stream.ingest_baseline(input.baseline).ok());
+    const std::string lines = feed_all(stream, feed);
+    EXPECT_EQ(stream.late_events(), 0u);
+    return lines;
+  };
+
+  const std::string whole = verdicts_of({input.live});
+  const TimePoint origin = input.live.front().time;
+  const std::int64_t advance_ns = config.window_advance.count_ns();
+  const auto before_a_start = [&](const trace::TraceEvent& event) {
+    return (event.time - origin).count_ns() % advance_ns >=
+           Duration::ms(100).count_ns();
+  };
+  EXPECT_EQ(verdicts_of(defer_to_next_batch(
+                per_advance_batches(input.live, config.window_advance,
+                                    Duration::ms(50)),
+                before_a_start)),
+            whole);
+}
+
+TEST(StreamSentinelTest, LateBatchIsCountedAndChangesNoVerdict) {
+  const LongCleanStream input = long_clean_stream(3);
+  const SentinelConfig config;
+  StreamSentinel reference(config);
+  ASSERT_TRUE(reference.ingest_baseline(input.baseline).ok());
+  const std::string whole = feed_all(reference, {input.live});
+
+  // After batch k every window ending at or before its first event has
+  // closed, so batch k - 3 lies wholly before the current window start.
+  const std::vector<trace::EventVector> batches =
+      per_advance_batches(input.live, config.window_advance);
+  std::vector<trace::EventVector> with_resends;
+  std::size_t resent = 0;
+  for (std::size_t k = 0; k < batches.size(); ++k) {
+    with_resends.push_back(batches[k]);
+    if (k >= 3 && k % 5 == 0) {
+      with_resends.push_back(batches[k - 3]);
+      resent += batches[k - 3].size();
+    }
+  }
+  ASSERT_GT(resent, 0u);
+  StreamSentinel stream(config);
+  ASSERT_TRUE(stream.ingest_baseline(input.baseline).ok());
+  EXPECT_EQ(feed_all(stream, with_resends), whole);
+  EXPECT_EQ(stream.late_events(), resent);
+}
+
+TEST(StreamSentinelTest, ColumnsAndEventsFeedAlike) {
+  const LongCleanStream input = long_clean_stream(7);
+  const SentinelConfig config;
+  const std::vector<trace::EventVector> batches =
+      per_advance_batches(input.live, config.window_advance);
+  StreamSentinel by_events(config);
+  ASSERT_TRUE(by_events.ingest_baseline(input.baseline).ok());
+  const std::string expected = feed_all(by_events, batches);
+  EXPECT_FALSE(expected.empty());
+
+  StreamSentinel by_columns(config);
+  ASSERT_TRUE(
+      by_columns.ingest_baseline(trace::EventColumns(input.baseline)).ok());
+  std::string lines;
+  for (const trace::EventVector& batch : batches) {
+    const auto verdicts = by_columns.feed(trace::EventColumns(batch));
+    ASSERT_TRUE(verdicts.ok()) << verdicts.error().to_string();
+    for (const auto& window : *verdicts) {
+      lines += window_verdict_to_json(window) + "\n";
+    }
+  }
+  EXPECT_EQ(lines, expected);
 }
 
 // ---- streaming: baseline auto-refresh hysteresis ----------------------------

@@ -221,6 +221,50 @@ TEST(SentinelCliTest, UsageErrorsExitTwo) {
   // Parses, but the stream rejects it: the e-process budget ln(1/alpha)
   // needs alpha in (0, 1).
   EXPECT_EQ(run_command(clean_follow + " --evidence-alpha 2").exit_code, 2);
+  // A sample count is unsigned: no sign wrapping to 2^64 - 1, no overflow.
+  for (const char* n : {"-1", "99999999999999999999999"}) {
+    EXPECT_EQ(run_command(clean_check + " --min-samples " + n).exit_code, 2)
+        << n;
+  }
+}
+
+TEST(SentinelCliTest, CyclicBaselineModelDoesNotCrash) {
+  // Two overlapping runs of one application merged into one trace give a
+  // cyclic model; chain enumeration over it must terminate. Exit 0 or 1
+  // is a verdict; anything else (a signal) is a crash.
+  REQUIRE_TOOL("tetra_sentinel");
+  REQUIRE_TOOL("tetra_synth");
+  REQUIRE_TOOL("tetra_predict");
+  const std::string data = std::string(TETRA_TEST_DATA_DIR);
+  const std::string traces = " --trace " + data +
+                             "/scenario_seed7_trace.jsonl --trace " + data +
+                             "/sentinel_seed7_clean.jsonl";
+  const std::string commands[] = {
+      binary("tetra_sentinel") + " --baseline " + data +
+          "/scenario_seed7_trace.jsonl --baseline " + data +
+          "/sentinel_seed7_clean.jsonl --window " + data +
+          "/sentinel_seed7_drift.jsonl --quiet",
+      binary("tetra_synth") + traces + " --merge-traces --report",
+      binary("tetra_predict") + traces + " --merge-traces --horizon 1"};
+  for (const std::string& command : commands) {
+    const int code = run_command(command).exit_code;
+    EXPECT_TRUE(code == 0 || code == 1) << command << " exited " << code;
+  }
+}
+
+TEST(RecordDemoCliTest, UsageErrorsExitTwo) {
+  REQUIRE_TOOL("tetra_record_demo");
+  const std::string out = ::testing::TempDir() + "record_demo_usage";
+  const std::string demo =
+      binary("tetra_record_demo") + " --out " + out + " ";
+  for (const char* args :
+       {"--runs 2x --duration 1", "--runs 0 --duration 1", "--duration -5",
+        "--duration abc", "--duration 1 --workload bogus",
+        "--duration 1 --seed -3", "--duration 1 --bogus"}) {
+    EXPECT_EQ(run_command(demo + args).exit_code, 2) << args;
+  }
+  EXPECT_FALSE(std::filesystem::exists(out + "-0.jsonl"));
+  EXPECT_EQ(run_command(demo + "--help").exit_code, 0);
 }
 
 TEST(SentinelCliTest, UnreadableFilesExitThree) {
@@ -578,23 +622,30 @@ TEST(SentinelCliTest, FollowVerdictsMatchGolden) {
                         "base.jsonl")
                 .exit_code,
             0);
+  fs::create_directories(dir + "live_ttb");
   ASSERT_EQ(run_command(scenario + " --run-index 1 --trace-out " + dir +
-                        "live/000.jsonl")
+                        "live/000.jsonl --ttb-out " + dir + "live_ttb/000.ttb")
                 .exit_code,
             0);
   ASSERT_EQ(run_command(scenario + " --run-index 3 --mutate scale-exec-time" +
-                        " --trace-out " + dir + "live/001.jsonl")
+                        " --trace-out " + dir + "live/001.jsonl --ttb-out " +
+                        dir + "live_ttb/001.ttb")
                 .exit_code,
             0);
-  EXPECT_EQ(run_command(binary("tetra_sentinel") + " --baseline " + dir +
-                        "base.jsonl --follow " + dir + "live --out " + dir +
-                        "follow.jsonl --quiet")
-                .exit_code,
-            1);
   const std::string golden =
       slurp(std::string(TETRA_TEST_DATA_DIR) + "/sentinel_seed1_follow.jsonl");
   ASSERT_FALSE(golden.empty());
-  EXPECT_EQ(slurp(dir + "follow.jsonl"), golden);
+  // The JSONL segments and their .ttb twins stream to the same verdicts.
+  for (const char* live : {"live", "live_ttb"}) {
+    fs::remove(dir + "follow.jsonl");
+    EXPECT_EQ(run_command(binary("tetra_sentinel") + " --baseline " + dir +
+                          "base.jsonl --follow " + dir + live + " --out " +
+                          dir + "follow.jsonl --quiet")
+                  .exit_code,
+              1)
+        << live;
+    EXPECT_EQ(slurp(dir + "follow.jsonl"), golden) << live;
+  }
   fs::remove_all(dir);
 }
 

@@ -11,7 +11,6 @@
 
 #include "support/json_parser.hpp"
 #include "support/rng.hpp"
-#include "trace/database.hpp"
 #include "trace/merge.hpp"
 #include "trace/serialize.hpp"
 #include "trace/trace_buffer.hpp"
@@ -582,45 +581,6 @@ TEST(MergeTest, MergeSortedTieKeepsSourceOrder) {
   const auto merged = merge_sorted({a, b});
   EXPECT_EQ(merged[0].pid, 1);
   EXPECT_EQ(merged[1].pid, 2);
-}
-
-TEST(MergeTest, ShiftTimesMovesSourceTimestamps) {
-  EventVector events{sample_take()};
-  const auto shifted = shift_times(events, Duration::ns(1000));
-  EXPECT_EQ(shifted[0].time, TimePoint{1123});
-  EXPECT_EQ(shifted[0].as<TakeInfo>().src_ts, TimePoint{1100});
-}
-
-TEST(DatabaseTest, StoreAndMergeRuns) {
-  TraceDatabase db;
-  db.store({"run-1", 0},
-           {make_dds_write(TimePoint{10}, 1, "/a", TimePoint{10})}, "city");
-  db.store({"run-1", 1},
-           {make_dds_write(TimePoint{20}, 1, "/a", TimePoint{20})}, "city");
-  db.store({"run-2", 0},
-           {make_dds_write(TimePoint{5}, 2, "/b", TimePoint{5})}, "highway");
-  EXPECT_EQ(db.segment_count(), 3u);
-  EXPECT_EQ(db.runs().size(), 2u);
-  EXPECT_EQ(db.merged_run("run-1").size(), 2u);
-  EXPECT_EQ(db.merged_all().size(), 3u);
-  EXPECT_EQ(db.merged_all()[0].time, TimePoint{5});
-  EXPECT_EQ(db.runs_for_mode("city"), (std::vector<std::string>{"run-1"}));
-  EXPECT_THROW(db.get({"run-9", 0}), std::out_of_range);
-}
-
-TEST(DatabaseTest, DirectoryRoundTrip) {
-  const std::string dir = "/tmp/tetra_db_test";
-  std::filesystem::remove_all(dir);
-  TraceDatabase db;
-  db.store({"run-1", 0}, {sample_take()}, "city");
-  db.store({"run-2", 0}, {make_node_event(TimePoint{1}, 7, "n")}, "");
-  db.save_to_directory(dir);
-  const auto restored = TraceDatabase::load_from_directory(dir);
-  EXPECT_EQ(restored.segment_count(), 2u);
-  EXPECT_EQ(restored.get({"run-1", 0})[0], sample_take());
-  EXPECT_EQ(restored.runs_for_mode("city"),
-            (std::vector<std::string>{"run-1"}));
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

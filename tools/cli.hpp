@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -115,16 +116,17 @@ class FlagRegistry {
                });
   }
 
-  /// Unsigned 64-bit value.
+  /// Unsigned 64-bit value; rejects signs and values that overflow.
   FlagRegistry& flag(const std::string& name, const std::string& metavar,
                      const std::string& help, std::uint64_t* out) {
     return add(name, metavar, help, true,
                [name, out](const std::string& value, std::string* error) {
                  char* end = nullptr;
+                 errno = 0;
                  const unsigned long long parsed =
                      std::strtoull(value.c_str(), &end, 10);
                  if (end == value.c_str() || *end != '\0' ||
-                     value.front() == '-') {
+                     value.front() == '-' || errno == ERANGE) {
                    *error = name + " expects a non-negative integer, got '" +
                             value + "'";
                    return false;

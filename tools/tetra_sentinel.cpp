@@ -27,7 +27,6 @@
 // error (unreadable file, synthesis failure).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -90,6 +89,7 @@ int main(int argc, char** argv) {
   bool quiet = false;
   tools::StatsOptions stats;
   sentinel::SentinelConfig config;
+  std::uint64_t min_samples = config.min_samples;
 
   tools::FlagRegistry cli("tetra_sentinel");
   cli.flag("--baseline", "FILE", "baseline trace, JSONL or .ttb (repeatable)",
@@ -112,18 +112,7 @@ int main(int argc, char** argv) {
       .flag("--alpha", "A", "KS significance level per window", &config.alpha)
       .flag("--min-samples", "N",
             "minimum samples per side for a per-window KS finding",
-            [&config](const std::string& value, std::string* error) {
-              char* end = nullptr;
-              const unsigned long long parsed =
-                  std::strtoull(value.c_str(), &end, 10);
-              if (end == value.c_str() || *end != '\0') {
-                *error = "--min-samples expects a non-negative integer, "
-                         "got '" + value + "'";
-                return false;
-              }
-              config.min_samples = static_cast<std::size_t>(parsed);
-              return true;
-            })
+            &min_samples)
       .flag("--period-tol", "F", "relative timer-period tolerance",
             &config.period_tolerance)
       .flag("--latency-tol", "F", "relative mean chain-latency tolerance",
@@ -183,6 +172,7 @@ int main(int argc, char** argv) {
                            "skip events)");
   }
   config.refresh_after = static_cast<std::size_t>(refresh_after);
+  config.min_samples = static_cast<std::size_t>(min_samples);
   config.rebase_segments = true;  // directory segments each restart near t=0
 
   if (streaming) {
