@@ -88,7 +88,7 @@ BENCHMARK(BM_FindCaller)->Arg(10)->Arg(30)->Arg(60);
 
 void BM_Algorithm2Indexed(benchmark::State& state) {
   const auto& events = syn_trace();
-  core::ExecTimeCalculator calc(events);
+  const core::TraceIndex index(events);
   // Representative windows: every callback instance of the busiest PID.
   std::vector<std::pair<TimePoint, TimePoint>> windows;
   Pid pid = kInvalidPid;
@@ -101,10 +101,11 @@ void BM_Algorithm2Indexed(benchmark::State& state) {
       windows.push_back({start, e.time});
     }
   }
+  const std::vector<core::CpuSwitch>& switches = index.switches_of(pid);
   for (auto _ : state) {
     Duration total = Duration::zero();
     for (const auto& [from, to] : windows) {
-      total += calc.exec_time(from, to, pid);
+      total += core::exec_time(switches, from, to);
     }
     benchmark::DoNotOptimize(total);
   }

@@ -10,9 +10,7 @@
 //      (gate: enabled within TETRA_TELEMETRY_TOLERANCE percent, default 3)
 //
 // The runtime switch measures the recording cost on the exact same
-// binary; the CI release-bench job additionally builds with
-// -DTETRA_TELEMETRY=OFF (every telemetry class compiled to a no-op stub)
-// and runs this bench there, where both passes must coincide.
+// binary; there is no compile-time switch, so this A/B is the baseline.
 //
 // Knobs:
 //   TETRA_RUNS                 A/B pairs (default 5)

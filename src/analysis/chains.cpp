@@ -41,22 +41,6 @@ ChainEnumeration enumerate_chains(const core::Dag& dag,
   return result;
 }
 
-ChainEnumeration chains_through(const core::Dag& dag, const std::string& key,
-                                std::size_t max_chains) {
-  ChainEnumeration result = enumerate_chains(dag, max_chains);
-  std::vector<Chain> filtered;
-  for (auto& chain : result.chains) {
-    for (const auto& vertex : chain) {
-      if (vertex == key) {
-        filtered.push_back(std::move(chain));
-        break;
-      }
-    }
-  }
-  result.chains = std::move(filtered);
-  return result;
-}
-
 std::vector<std::string> chain_topics(const core::Dag& dag,
                                       const Chain& chain) {
   std::vector<std::string> topics;

@@ -30,11 +30,6 @@ struct ChainEnumeration {
 ChainEnumeration enumerate_chains(const core::Dag& dag,
                                   std::size_t max_chains = 4096);
 
-/// All chains passing through the given vertex (truncated flags the
-/// underlying enumeration hitting `max_chains`, not the filter).
-ChainEnumeration chains_through(const core::Dag& dag, const std::string& key,
-                                std::size_t max_chains = 4096);
-
 /// The measured-comparable topic sequence of a chain: the dangling
 /// in-topic of the source (when nothing in the DAG produces it — an
 /// untraced external input writes it), then each edge's topic in order.

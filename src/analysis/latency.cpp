@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/exec_time.hpp"
+#include "core/extract.hpp"
 
 namespace tetra::analysis {
 
@@ -177,11 +177,12 @@ ChainLatencyResult measure_chain_latency(const InstanceTimeline& timeline,
 
 std::map<CallbackId, SampleSet> measure_waiting_times(
     const trace::EventVector& events) {
-  core::ExecTimeCalculator calc(events);
-  InstanceTimeline timeline(events);
+  const core::TraceIndex index(events);
+  const InstanceTimeline timeline(index.view());
   std::map<CallbackId, SampleSet> out;
   for (const auto& instance : timeline.instances()) {
-    auto wakeup = calc.last_wakeup_before(instance.pid, instance.start);
+    auto wakeup = core::last_wakeup_before(index.wakeups_of(instance.pid),
+                                           instance.start);
     if (!wakeup.has_value()) continue;
     out[instance.callback_id].add(instance.start - *wakeup);
   }

@@ -105,7 +105,9 @@ ChainLatencyResult measure_chain_latency(const InstanceTimeline& timeline,
                                          const std::vector<std::string>& topics);
 
 /// Per-callback waiting times (wakeup -> dispatch) aggregated from the
-/// sched_wakeup extension; keyed by callback id.
+/// sched_wakeup extension (paper §VII): each instance waits from its
+/// thread's last wakeup at or before its start; instances with no earlier
+/// wakeup add no sample. Keyed by callback id.
 std::map<CallbackId, SampleSet> measure_waiting_times(
     const trace::EventVector& events);
 

@@ -4,7 +4,6 @@
 // method a caller picked.
 #pragma once
 
-#include <string>
 #include <string_view>
 
 #include "core/model_synthesis.hpp"
@@ -39,11 +38,6 @@ class SynthesisConfig {
     threads_ = count < 1 ? 1 : count;
     return *this;
   }
-  /// Mode tag assigned to segments ingested without an explicit mode.
-  SynthesisConfig& default_mode(std::string mode) {
-    default_mode_ = std::move(mode);
-    return *this;
-  }
   SynthesisConfig& split_service_per_caller(bool on) {
     core_.dag.split_service_per_caller = on;
     return *this;
@@ -54,10 +48,6 @@ class SynthesisConfig {
   }
   SynthesisConfig& mark_or_junctions(bool on) {
     core_.dag.mark_or_junctions = on;
-    return *this;
-  }
-  SynthesisConfig& compute_waiting_times(bool on) {
-    core_.extract.compute_waiting_times = on;
     return *this;
   }
   /// Tracer-overhead compensation (src/overhead/): estimate the per-probe
@@ -83,7 +73,6 @@ class SynthesisConfig {
   // -- getters ------------------------------------------------------------
   MergeStrategy merge_strategy() const { return merge_strategy_; }
   int threads() const { return threads_; }
-  const std::string& default_mode() const { return default_mode_; }
   bool compensate_overhead() const { return compensate_overhead_; }
   Duration probe_cost_hint() const { return probe_cost_hint_; }
   const core::SynthesisOptions& core_options() const { return core_; }
@@ -91,7 +80,6 @@ class SynthesisConfig {
  private:
   MergeStrategy merge_strategy_ = MergeStrategy::MergeDags;
   int threads_ = 1;
-  std::string default_mode_ = "nominal";
   bool compensate_overhead_ = false;
   Duration probe_cost_hint_ = Duration::zero();
   core::SynthesisOptions core_;

@@ -76,11 +76,16 @@ std::size_t ShardedIngestService::shard_of(const std::string& trace_id) const {
 }
 
 void ShardedIngestService::submit(const std::string& trace_id,
-                                  trace::EventVector events) {
+                                  trace::EventColumns events) {
   Item item;
   item.trace_id = trace_id;
   item.events = std::move(events);
   enqueue(shard_of(trace_id), std::move(item));
+}
+
+void ShardedIngestService::submit(const std::string& trace_id,
+                                  const trace::EventVector& events) {
+  submit(trace_id, trace::EventColumns(events));
 }
 
 void ShardedIngestService::submit_jsonl(const std::string& trace_id,
@@ -141,11 +146,9 @@ void ShardedIngestService::worker(Shard& shard) {
       } else {
         IngestOptions options;
         options.trace_id = item.trace_id;
-        trace::EventColumns parsed;
-        if (item.parse) parsed = trace::columns_from_jsonl(item.jsonl);
+        if (item.parse) item.events = trace::columns_from_jsonl(item.jsonl);
         Result<SegmentInfo> result =
-            item.parse ? shard.session.ingest(std::move(parsed), options)
-                       : shard.session.ingest(std::move(item.events), options);
+            shard.session.ingest(std::move(item.events), options);
         if (!result.ok()) error = result.error();
         ingested = result.ok() ? result->event_count : 0;
       }

@@ -51,7 +51,9 @@ class ShardedIngestService {
 
   /// Routes an already-parsed segment to its trace's shard. Blocks while
   /// the shard queue is full.
-  void submit(const std::string& trace_id, trace::EventVector events);
+  void submit(const std::string& trace_id, trace::EventColumns events);
+  /// Packs heap events and submits the columns.
+  void submit(const std::string& trace_id, const trace::EventVector& events);
 
   /// Routes raw JSONL text; the shard worker parses it. This is the
   /// scalable path — parsing dominates ingest cost.
@@ -75,7 +77,7 @@ class ShardedIngestService {
  private:
   struct Item {
     std::string trace_id;
-    trace::EventVector events;
+    trace::EventColumns events;
     std::string jsonl;
     bool parse = false;       ///< events come from parsing `jsonl`
     bool synthesize = false;  ///< token: synthesize this shard's session

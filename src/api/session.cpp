@@ -301,9 +301,9 @@ Result<core::MultiModeDag> SynthesisSession::multi_mode_model() {
   }
   core::MultiModeDag multi;
   for (const TraceState& trace : traces_) {
-    const std::string& mode =
-        trace.mode.empty() ? config_.default_mode() : trace.mode;
-    multi.merge_into_mode(mode, trace.model.dag);
+    // Traces ingested without a mode tag run in the nominal mode.
+    multi.merge_into_mode(trace.mode.empty() ? "nominal" : trace.mode,
+                          trace.model.dag);
   }
   return multi;
 }

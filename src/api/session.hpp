@@ -44,7 +44,7 @@ namespace tetra::api {
 /// typically one run. Segments of the same run/mode should share an id.
 struct IngestOptions {
   std::string trace_id;
-  std::string mode;  ///< operating-mode tag; "" = config.default_mode()
+  std::string mode;  ///< operating-mode tag; "" = "nominal"
 };
 
 class SynthesisSession {

@@ -18,12 +18,10 @@ std::pair<std::string, std::string> split_annotated_topic(const std::string& top
 }
 
 void CallbackRecord::add_instance(TimePoint start, Duration exec_time,
-                                  std::optional<Duration> wait_time,
                                   std::optional<TimePoint> end) {
   start_times.push_back(start);
   end_times.push_back(end.value_or(start + exec_time));
   exec_times.push_back(exec_time);
-  if (wait_time.has_value()) wait_times.push_back(*wait_time);
   stats.add(exec_time);
 }
 
@@ -36,8 +34,6 @@ void CallbackRecord::merge_from(const CallbackRecord& other) {
                    other.end_times.end());
   exec_times.insert(exec_times.end(), other.exec_times.begin(),
                     other.exec_times.end());
-  wait_times.insert(wait_times.end(), other.wait_times.begin(),
-                    other.wait_times.end());
   stats.merge(other.stats);
 
   // Re-sort the parallel instance vectors chronologically: two workers'

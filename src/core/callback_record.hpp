@@ -58,8 +58,6 @@ struct CallbackRecord {
   /// [start, end) intervals to learn per-group serialization.
   std::vector<TimePoint> end_times;
   std::vector<Duration> exec_times;
-  /// Waiting times (wakeup -> dispatch), when computed (paper §VII).
-  std::vector<Duration> wait_times;
 
   /// Aggregated execution-time statistics (mBCET/mACET/mWCET).
   ExecStats stats;
@@ -67,7 +65,6 @@ struct CallbackRecord {
   /// Adds one measured instance. `end` defaults to start + exec_time
   /// (uncontended execution).
   void add_instance(TimePoint start, Duration exec_time,
-                    std::optional<Duration> wait_time = std::nullopt,
                     std::optional<TimePoint> end = std::nullopt);
 
   /// Merges another record of the same callback (same id / matching rule)

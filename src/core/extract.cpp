@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -21,17 +22,21 @@ struct ChronoLess {
   }
 };
 
-/// Restores (time, seq) order after pushing a batch whose entries are
-/// themselves (time, seq)-sorted: one stable in-place merge, skipped when
-/// the batch already belongs at the tail (the overwhelmingly common case).
-void merge_tail(std::vector<std::size_t>& list, std::size_t old_size,
-                const trace::ColumnsView& v) {
+/// Restores `less` order after pushing a batch whose entries are
+/// themselves sorted: one stable in-place merge (older entries first on
+/// ties, as in the merged trace), skipped when the batch already belongs
+/// at the tail (the overwhelmingly common case).
+template <typename T, typename Less>
+void merge_tail(std::vector<T>& list, std::size_t old_size, Less less) {
   if (old_size == 0 || old_size == list.size()) return;
-  const ChronoLess chrono_less{v.time};
-  if (!chrono_less(list[old_size], list[old_size - 1])) return;
-  std::inplace_merge(list.begin(), list.begin() + old_size, list.end(),
-                     chrono_less);
+  if (!less(list[old_size], list[old_size - 1])) return;
+  std::inplace_merge(list.begin(),
+                     list.begin() + static_cast<std::ptrdiff_t>(old_size),
+                     list.end(), less);
 }
+
+const std::vector<CpuSwitch> kNoSwitches;
+const std::vector<TimePoint> kNoWakeups;
 
 template <typename T>
 void sort_unique(std::vector<T>& items) {
@@ -97,29 +102,50 @@ AppendDelta TraceIndex::index_rows(std::size_t base) {
   AppendDelta delta;
   const trace::ColumnsView v = columns_.view();
   // Every list this batch grows is stamped with the batch on first touch
-  // and remembers its old size, so (time, seq) order is restored with one
-  // merge each afterwards.
+  // and remembers its old size, so order is restored with one merge each
+  // afterwards.
   const std::uint64_t batch = ++batch_;
-  std::vector<PidSlot*> touched_slots;
+  std::vector<std::pair<Pid, PidSlot*>> touched_slots;
   std::vector<ResponseList*> touched_responses;
-
-  for (std::size_t i = base; i < v.count; ++i) {
-    const auto type = static_cast<trace::EventType>(v.type[i]);
-    // Sched rows are indexed by exec_calc_ below.
-    if (type == trace::EventType::SchedSwitch ||
-        type == trace::EventType::SchedWakeup) {
-      continue;
-    }
-
-    const Pid pid = static_cast<Pid>(v.pid[i]);
+  const auto slot_of = [&](Pid pid) -> PidSlot& {
     PidSlot& slot = slots_[pid];
     if (slot.batch != batch) {
       slot.batch = batch;
       slot.ros_mark = slot.ros.size();
       slot.p14_mark = slot.p14.size();
-      touched_slots.push_back(&slot);
-      delta.ros_pids.push_back(pid);
+      slot.switches_mark = slot.switches.size();
+      slot.wakeups_mark = slot.wakeups.size();
+      touched_slots.emplace_back(pid, &slot);
     }
+    return slot;
+  };
+
+  for (std::size_t i = base; i < v.count; ++i) {
+    const auto type = static_cast<trace::EventType>(v.type[i]);
+    if (type == trace::EventType::SchedSwitch) {
+      // One row moves two threads; the idle pid has no callbacks.
+      const TimePoint t{v.time[i]};
+      const Pid prev = static_cast<Pid>(v.sched_prev_pid(i));
+      const Pid next = static_cast<Pid>(v.sched_next_pid(i));
+      if (prev != kIdlePid) {
+        slot_of(prev).switches.push_back(CpuSwitch{
+            t, false,
+            static_cast<trace::ThreadRunState>(static_cast<char>(v.aux[i]))});
+      }
+      if (next != kIdlePid) {
+        slot_of(next).switches.push_back(
+            CpuSwitch{t, true, trace::ThreadRunState::Runnable});
+      }
+      continue;
+    }
+    if (type == trace::EventType::SchedWakeup) {
+      slot_of(static_cast<Pid>(v.wakeup_pid(i)))
+          .wakeups.push_back(TimePoint{v.time[i]});
+      continue;
+    }
+
+    const Pid pid = static_cast<Pid>(v.pid[i]);
+    PidSlot& slot = slot_of(pid);
     slot.ros.push_back(i);
 
     switch (type) {
@@ -163,15 +189,27 @@ AppendDelta TraceIndex::index_rows(std::size_t base) {
     }
   }
 
-  for (PidSlot* slot : touched_slots) {
-    merge_tail(slot->ros, slot->ros_mark, v);
-    merge_tail(slot->p14, slot->p14_mark, v);
+  const ChronoLess chrono_less{v.time};
+  const auto switch_less = [](const CpuSwitch& a, const CpuSwitch& b) {
+    return a.time < b.time;
+  };
+  for (const auto& [pid, slot] : touched_slots) {
+    merge_tail(slot->ros, slot->ros_mark, chrono_less);
+    merge_tail(slot->p14, slot->p14_mark, chrono_less);
+    merge_tail(slot->switches, slot->switches_mark, switch_less);
+    merge_tail(slot->wakeups, slot->wakeups_mark, std::less<TimePoint>());
+    if (slot->ros.size() > slot->ros_mark) delta.ros_pids.push_back(pid);
+    if (slot->switches.size() > slot->switches_mark ||
+        slot->wakeups.size() > slot->wakeups_mark) {
+      delta.sched_pids.push_back(pid);
+    }
   }
   for (ResponseList* list : touched_responses) {
-    merge_tail(list->seqs, list->mark, v);
+    merge_tail(list->seqs, list->mark, chrono_less);
   }
-  delta.sched_pids = exec_calc_.append_columns(v, base);
-  sort_unique(delta.ros_pids);
+  // Each slot is touched once per batch, so the pid lists are unique.
+  std::sort(delta.ros_pids.begin(), delta.ros_pids.end());
+  std::sort(delta.sched_pids.begin(), delta.sched_pids.end());
   sort_unique(delta.write_keys);
   sort_unique(delta.response_keys);
   return delta;
@@ -189,6 +227,16 @@ const TraceIndex::PidSlot* TraceIndex::find_slot(Pid pid) const {
 const std::vector<std::size_t>& TraceIndex::ros_events_of(Pid pid) const {
   const PidSlot* slot = find_slot(pid);
   return slot == nullptr ? kEmpty : slot->ros;
+}
+
+const std::vector<CpuSwitch>& TraceIndex::switches_of(Pid pid) const {
+  const PidSlot* slot = find_slot(pid);
+  return slot == nullptr ? kNoSwitches : slot->switches;
+}
+
+const std::vector<TimePoint>& TraceIndex::wakeups_of(Pid pid) const {
+  const PidSlot* slot = find_slot(pid);
+  return slot == nullptr ? kNoWakeups : slot->wakeups;
 }
 
 std::size_t TraceIndex::find_write(const TopicTsKey& key) const {
@@ -341,6 +389,7 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
   list.node_name = node_it != index.nodes().end() ? node_it->second : "";
 
   const trace::ColumnsView v = index.view();
+  const std::vector<CpuSwitch>& switches = index.switches_of(pid);
   InFlight cb;
   std::string in_topic;  // scratch strings: formatted topics of one instance
   std::string out_topic;
@@ -409,7 +458,7 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
       case trace::EventType::CallbackEnd: {  // lines 28-32
         if (!cb.active) break;
         const TimePoint end{v.time[seq]};
-        Duration et = index.exec_calc().exec_time(cb.start, end, pid);
+        Duration et = exec_time(switches, cb.start, end);
         if (options.compensate_per_hit > Duration::zero() &&
             cb.probe_hits > 0) {
           const Duration overhead = options.compensate_per_hit * cb.probe_hits;
@@ -424,14 +473,7 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
           topic.format(v, out_topic);
           record.add_out_topic(out_topic);
         }
-
-        std::optional<Duration> wait;
-        if (options.compute_waiting_times) {
-          if (auto wakeup = index.exec_calc().last_wakeup_before(pid, cb.start)) {
-            wait = cb.start - *wakeup;
-          }
-        }
-        record.add_instance(cb.start, et, wait, end);
+        record.add_instance(cb.start, et, end);
         cb.reset();
         break;
       }

@@ -24,8 +24,6 @@
 namespace tetra::core {
 
 struct ExtractOptions {
-  /// Also compute waiting times from sched_wakeup events (paper §VII).
-  bool compute_waiting_times = false;
   /// Tracer-overhead compensation (src/overhead/): when positive, each
   /// instance's execution time is reduced by this per-probe-hit cost times
   /// the number of probe executions inside its [start, end] window
@@ -94,10 +92,12 @@ struct AppendDelta {
 /// grown by appends is indistinguishable from one built over the fully
 /// merged trace — the property incremental re-synthesis relies on.
 ///
-/// Per-pid lists live in one slot per pid, found through a hash map; the
-/// (topic, src_ts) lookups are hash maps keyed by interned topic ids.
-/// Neither is ever iterated where the order could reach output: nodes()
-/// stays pid-ordered.
+/// Everything indexed for one pid lives in one slot, found through a hash
+/// map: its ROS2 and P14 rows for Alg. 1, and the sched_switch and
+/// sched_wakeup lists Alg. 2 and the waiting times read. The (topic,
+/// src_ts) lookups are hash maps keyed by interned topic ids. Neither is
+/// ever iterated where the order could reach output: nodes() stays
+/// pid-ordered.
 class TraceIndex {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -130,6 +130,13 @@ class TraceIndex {
   /// Sequences of ROS2 events of `pid`, chronological ((time, seq) order).
   const std::vector<std::size_t>& ros_events_of(Pid pid) const;
 
+  /// The sched_switch events that moved `pid` on or off a CPU, sorted by
+  /// time (ties in row order) — Alg. 2's input for exec_time().
+  const std::vector<CpuSwitch>& switches_of(Pid pid) const;
+
+  /// The times of `pid`'s sched_wakeup events, sorted.
+  const std::vector<TimePoint>& wakeups_of(Pid pid) const;
+
   /// Node name per PID from P1 events; empty map entry when unknown.
   const std::map<Pid, std::string>& nodes() const { return nodes_; }
 
@@ -150,13 +157,13 @@ class TraceIndex {
   /// `after` (in (time, seq) order), or npos.
   std::size_t next_take_type_erased_after(Pid pid, std::size_t after) const;
 
-  const ExecTimeCalculator& exec_calc() const { return exec_calc_; }
-
  private:
-  /// The ROS2 event lists of one pid.
+  /// Everything indexed for one pid.
   struct PidSlot {
     std::vector<std::size_t> ros;  ///< all ROS2 events, (time, seq) order
     std::vector<std::size_t> p14;  ///< TakeTypeErased events, same order
+    std::vector<CpuSwitch> switches;  ///< by time, ties in row order
+    std::vector<TimePoint> wakeups;   ///< sorted
     /// (time, seq) of the P1 event currently naming the pid; appends only
     /// replace a name when the newcomer is chronologically no earlier.
     std::int64_t node_time = 0;
@@ -165,6 +172,8 @@ class TraceIndex {
     std::uint64_t batch = 0;
     std::size_t ros_mark = 0;
     std::size_t p14_mark = 0;
+    std::size_t switches_mark = 0;
+    std::size_t wakeups_mark = 0;
   };
   struct ResponseList {
     std::vector<std::size_t> seqs;  ///< (time, seq) order
@@ -181,7 +190,6 @@ class TraceIndex {
   std::unordered_map<TopicTsKey, ResponseList, TopicTsKeyHash>
       take_responses_;
   std::map<Pid, std::string> nodes_;
-  ExecTimeCalculator exec_calc_;
   std::uint64_t batch_ = 0;
   static const std::vector<std::size_t> kEmpty;
 };

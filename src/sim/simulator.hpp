@@ -43,7 +43,6 @@ class Simulator {
   bool step();
 
   bool idle() const { return queue_.empty(); }
-  std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t executed_events() const { return executed_; }
 
  private:

@@ -54,12 +54,6 @@ class Rng {
     return d(engine_);
   }
 
-  /// Exponential with the given mean.
-  double exponential(double mean) {
-    std::exponential_distribution<double> d(1.0 / mean);
-    return d(engine_);
-  }
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

@@ -219,43 +219,4 @@ void CusumAccumulator::reset() {
   observations_ = 0;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram needs >=1 bin");
-  if (hi <= lo) throw std::invalid_argument("Histogram range empty");
-}
-
-void Histogram::add(double x) {
-  const double clamped = std::clamp(x, lo_, hi_);
-  auto idx = static_cast<std::size_t>((clamped - lo_) / (hi_ - lo_) *
-                                      static_cast<double>(counts_.size()));
-  if (idx >= counts_.size()) idx = counts_.size() - 1;
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_high(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) / static_cast<double>(counts_.size());
-}
-
-std::string Histogram::to_ascii(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = counts_[i] * width / peak;
-    std::snprintf(line, sizeof line, "[%10.3f, %10.3f) %8zu ", bin_low(i),
-                  bin_high(i), counts_[i]);
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace tetra

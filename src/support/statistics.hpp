@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "support/time.hpp"
@@ -176,29 +175,6 @@ class CusumAccumulator {
   double threshold_ = 1.0;
   double s_ = 0.0;
   std::size_t observations_ = 0;
-};
-
-/// Equal-width histogram over a fixed range; used in reports of
-/// execution-time profiles.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count() const { return counts_.size(); }
-  std::size_t count_in_bin(std::size_t i) const { return counts_.at(i); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
-  /// Renders a compact ASCII bar chart (one line per bin).
-  std::string to_ascii(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace tetra

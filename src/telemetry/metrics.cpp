@@ -17,8 +17,6 @@ void set_enabled(bool enabled) {
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-#if !defined(TETRA_TELEMETRY_DISABLED)
-
 Histogram::Histogram(std::vector<std::int64_t> boundaries)
     : boundaries_(std::move(boundaries)),
       buckets_(new std::atomic<std::uint64_t>[boundaries_.size() + 1]) {
@@ -136,31 +134,5 @@ void MetricsRegistry::reset() {
   gauges_.clear();
   histograms_.clear();
 }
-
-#else  // TETRA_TELEMETRY_DISABLED
-
-MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
-}
-
-std::string MetricsRegistry::flat_key(std::string_view name,
-                                      const Labels& labels) {
-  std::string key(name);
-  if (labels.empty()) return key;
-  Labels sorted = labels;
-  std::sort(sorted.begin(), sorted.end());
-  key += '{';
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    if (i > 0) key += ',';
-    key += sorted[i].first;
-    key += '=';
-    key += sorted[i].second;
-  }
-  key += '}';
-  return key;
-}
-
-#endif  // TETRA_TELEMETRY_DISABLED
 
 }  // namespace tetra::telemetry

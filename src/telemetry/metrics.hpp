@@ -4,10 +4,9 @@
 // Registration (name + label lookup) takes a mutex and is expected to run
 // once per call site; the returned handle is a stable reference whose
 // update path is a single relaxed atomic op — safe and cheap to hammer
-// from the worker pool and the shard threads. The whole subsystem
-// compiles down to no-ops under -DTETRA_TELEMETRY=OFF (the
-// TETRA_TELEMETRY_DISABLED macro), and can be switched off at runtime via
-// set_enabled(false) for overhead A/B measurements (bench_telemetry).
+// from the worker pool and the shard threads. The whole subsystem can be
+// switched off at runtime via set_enabled(false) for overhead A/B
+// measurements (bench_telemetry).
 //
 //   auto& hits = telemetry::MetricsRegistry::global().counter(
 //       "session.cache_hits");
@@ -37,8 +36,6 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 /// histograms and spans from recording; handles stay valid.
 void set_enabled(bool enabled);
 bool enabled();
-
-#if !defined(TETRA_TELEMETRY_DISABLED)
 
 /// Monotonically increasing event count.
 class Counter {
@@ -137,69 +134,5 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-#else  // TETRA_TELEMETRY_DISABLED: every operation is a no-op.
-
-class Counter {
- public:
-  void inc() {}
-  void add(std::uint64_t) {}
-  std::uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) {}
-  void add(std::int64_t) {}
-  std::int64_t value() const { return 0; }
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::vector<std::int64_t>) {}
-  void observe(std::int64_t) {}
-  const std::vector<std::int64_t>& boundaries() const {
-    static const std::vector<std::int64_t> kEmpty;
-    return kEmpty;
-  }
-  std::vector<std::uint64_t> bucket_counts() const { return {}; }
-  std::uint64_t count() const { return 0; }
-  std::int64_t sum() const { return 0; }
-};
-
-class MetricsRegistry {
- public:
-  static MetricsRegistry& global();
-
-  Counter& counter(std::string_view, const Labels& = {}) { return counter_; }
-  Gauge& gauge(std::string_view, const Labels& = {}) { return gauge_; }
-  Histogram& histogram(std::string_view, std::vector<std::int64_t>,
-                       const Labels& = {}) {
-    return histogram_;
-  }
-
-  static std::string flat_key(std::string_view name, const Labels& labels);
-
-  struct Snapshot {
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, std::int64_t> gauges;
-    struct HistogramData {
-      std::vector<std::int64_t> boundaries;
-      std::vector<std::uint64_t> counts;
-      std::uint64_t count = 0;
-      std::int64_t sum = 0;
-    };
-    std::map<std::string, HistogramData> histograms;
-  };
-  Snapshot snapshot() const { return {}; }
-  void reset() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_{{}};
-};
-
-#endif  // TETRA_TELEMETRY_DISABLED
 
 }  // namespace tetra::telemetry

@@ -44,8 +44,6 @@ std::int64_t clock_now() {
   return g_clock.load(std::memory_order_relaxed)();
 }
 
-#if !defined(TETRA_TELEMETRY_DISABLED)
-
 namespace {
 // Innermost open span per thread; ScopedSpan pushes on open and pops on
 // close, so strict RAII nesting is the invariant.
@@ -159,14 +157,5 @@ ScopedSpan::~ScopedSpan() {
 std::uint64_t ScopedSpan::current_id() {
   return t_open_spans.empty() ? 0 : t_open_spans.back();
 }
-
-#else  // TETRA_TELEMETRY_DISABLED
-
-SpanRecorder& SpanRecorder::global() {
-  static SpanRecorder recorder;
-  return recorder;
-}
-
-#endif  // TETRA_TELEMETRY_DISABLED
 
 }  // namespace tetra::telemetry

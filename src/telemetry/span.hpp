@@ -48,8 +48,6 @@ void use_simulated_clock(std::int64_t step_ns = 1000);
 /// Current reading of the installed clock.
 std::int64_t clock_now();
 
-#if !defined(TETRA_TELEMETRY_DISABLED)
-
 /// Process-wide bounded span storage. When full, the oldest record is
 /// overwritten and counted as dropped.
 class SpanRecorder {
@@ -97,7 +95,6 @@ class ScopedSpan {
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
   void set_items(std::uint64_t items) { record_.items = items; }
-  void add_items(std::uint64_t delta) { record_.items += delta; }
   std::uint64_t id() const { return record_.id; }
 
   /// Innermost open span of this thread (0 at the root).
@@ -107,36 +104,5 @@ class ScopedSpan {
   SpanRecord record_;
   bool active_ = false;
 };
-
-#else  // TETRA_TELEMETRY_DISABLED
-
-class SpanRecorder {
- public:
-  static SpanRecorder& global();
-  explicit SpanRecorder(std::size_t = 0) {}
-  void record(SpanRecord) {}
-  std::vector<SpanRecord> snapshot() const { return {}; }
-  std::uint64_t dropped() const { return 0; }
-  std::size_t size() const { return 0; }
-  std::size_t capacity() const { return 0; }
-  void set_capacity(std::size_t) {}
-  void reset() {}
-  std::uint64_t next_id() { return 0; }
-  static constexpr std::size_t kDefaultCapacity = 0;
-};
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(std::string_view, std::uint64_t = 0) {}
-  ScopedSpan(std::string_view, std::uint64_t, std::uint64_t) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  void set_items(std::uint64_t) {}
-  void add_items(std::uint64_t) {}
-  std::uint64_t id() const { return 0; }
-  static std::uint64_t current_id() { return 0; }
-};
-
-#endif  // TETRA_TELEMETRY_DISABLED
 
 }  // namespace tetra::telemetry

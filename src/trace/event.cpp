@@ -188,15 +188,6 @@ void sort_by_time(EventVector& events) {
                    });
 }
 
-EventVector filter_by_pid(const EventVector& events, Pid pid) {
-  EventVector out;
-  out.reserve(events.size() / 4);
-  for (const auto& e : events) {
-    if (e.pid == pid) out.push_back(e);
-  }
-  return out;
-}
-
 std::size_t approximate_record_size(const TraceEvent& event) {
   // Fixed header: timestamp (8) + pid (4) + probe (1) + type (1).
   std::size_t size = 14;

@@ -170,9 +170,6 @@ bool is_time_sorted(const EventVector& events);
 /// left as is after one O(n) check, since a stable sort would not move it.
 void sort_by_time(EventVector& events);
 
-/// Returns events with the given PID, preserving order.
-EventVector filter_by_pid(const EventVector& events, Pid pid);
-
 /// Approximate serialized size in bytes of one event record, used for the
 /// trace-footprint accounting the paper reports (9 MB / 60 s).
 std::size_t approximate_record_size(const TraceEvent& event);

@@ -1,8 +1,8 @@
 // Columnar (SoA) trace event storage, the form trace files decode into.
 // Events are decomposed into eight fixed-width columns plus a deduplicated
-// string table, so hot analysis loops (TraceIndex, ExecTimeCalculator)
-// scan contiguous timestamp / pid / probe arrays instead of chasing
-// variant payloads, and the layout maps 1:1 onto the on-disk .ttb format.
+// string table, so hot analysis loops (TraceIndex) scan contiguous
+// timestamp / pid / probe arrays instead of chasing variant payloads, and
+// the layout maps 1:1 onto the on-disk .ttb format.
 //
 // Per-type packing of the generic argument columns (unused fields are 0):
 //

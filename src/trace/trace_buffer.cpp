@@ -26,12 +26,6 @@ EventVector TraceBuffer::drain() {
   return out;
 }
 
-std::size_t TraceBuffer::footprint_bytes() const {
-  std::size_t total = 0;
-  for (const auto& e : events_) total += approximate_record_size(e);
-  return total;
-}
-
 void TraceBuffer::clear() {
   events_.clear();
   dropped_ = 0;

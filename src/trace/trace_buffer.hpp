@@ -29,9 +29,6 @@ class TraceBuffer {
   std::size_t dropped() const { return dropped_; }
   bool full() const { return events_.size() >= capacity_; }
 
-  /// Approximate wire footprint of the current content in bytes.
-  std::size_t footprint_bytes() const;
-
   /// Empties the buffer and resets drop accounting — reuse starts fresh.
   void clear();
 

@@ -65,13 +65,6 @@ TEST(ChainsTest, BackEdgeYieldsFiniteSimpleChains) {
   }
 }
 
-TEST(ChainsTest, ChainsThroughVertex) {
-  const auto through_b = chains_through(diamond_dag(), "B");
-  EXPECT_FALSE(through_b.truncated);
-  ASSERT_EQ(through_b.chains.size(), 1u);
-  EXPECT_EQ(through_b.chains[0][1], "B");
-}
-
 TEST(ChainsTest, ChainWcetSumsVertices) {
   const auto dag = diamond_dag();
   const auto chains = enumerate_chains(dag).chains;
@@ -323,6 +316,25 @@ TEST(LatencyTest, AvpChainLatencyMeasured) {
   // cb2(27) + cb3(3.1) + cb5(8.5) + cb6(25) ≈ 64ms + waiting.
   EXPECT_GT(result.mean(), Duration::ms(40));
   EXPECT_LT(result.mean(), Duration::ms(200));
+}
+
+TEST(LatencyTest, WaitingTimesFromWakeups) {
+  // The thread is woken at 50 and dispatches its timer at 100.
+  constexpr Pid kNode = 1000;
+  trace::EventVector events;
+  events.push_back(trace::make_node_event(TimePoint{0}, kNode, "waiting"));
+  events.push_back(trace::make_sched_wakeup(
+      TimePoint{50}, trace::SchedWakeupInfo{kNode, 0}));
+  events.push_back(
+      trace::make_callback_start(TimePoint{100}, kNode, CallbackKind::Timer));
+  events.push_back(trace::make_timer_call(TimePoint{101}, kNode, 0x10));
+  events.push_back(
+      trace::make_callback_end(TimePoint{200}, kNode, CallbackKind::Timer));
+  const auto waits = measure_waiting_times(events);
+  ASSERT_EQ(waits.size(), 1u);
+  const SampleSet& samples = waits.at(0x10);
+  ASSERT_EQ(samples.count(), 1u);
+  EXPECT_EQ(samples.min(), 50.0);
 }
 
 TEST(LatencyTest, WaitingTimesNonNegative) {

@@ -1,12 +1,13 @@
 // Tests for Algorithm 2: execution-time measurement from sched_switch
-// events, including differential testing of the indexed implementation
-// against the paper-faithful naive transcription.
+// events over the switch lists TraceIndex keeps per thread, including
+// differential testing against the paper-faithful naive transcription.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 
 #include "core/exec_time.hpp"
+#include "core/extract.hpp"
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
 
@@ -31,8 +32,8 @@ SchedSwitchInfo switch_in(Pid pid) {
 
 TEST(ExecTimeTest, NoPreemptionFullWindow) {
   trace::EventVector sched;  // no events at all
-  ExecTimeCalculator calc(sched);
-  EXPECT_EQ(calc.exec_time(TimePoint{100}, TimePoint{600}, kPid),
+  const TraceIndex index(sched);
+  EXPECT_EQ(exec_time(index.switches_of(kPid), TimePoint{100}, TimePoint{600}),
             Duration::ns(500));
   EXPECT_EQ(exec_time_naive(TimePoint{100}, TimePoint{600}, kPid, sched),
             Duration::ns(500));
@@ -42,9 +43,9 @@ TEST(ExecTimeTest, SinglePreemptionSubtracted) {
   trace::EventVector sched;
   sched.push_back(make_sched_switch(TimePoint{200}, switch_out(kPid)));
   sched.push_back(make_sched_switch(TimePoint{350}, switch_in(kPid)));
-  ExecTimeCalculator calc(sched);
+  const TraceIndex index(sched);
   // Window [100, 600]: on-CPU during [100,200] and [350,600] = 350.
-  EXPECT_EQ(calc.exec_time(TimePoint{100}, TimePoint{600}, kPid),
+  EXPECT_EQ(exec_time(index.switches_of(kPid), TimePoint{100}, TimePoint{600}),
             Duration::ns(350));
   EXPECT_EQ(exec_time_naive(TimePoint{100}, TimePoint{600}, kPid, sched),
             Duration::ns(350));
@@ -58,10 +59,10 @@ TEST(ExecTimeTest, MultiplePreemptions) {
     sched.push_back(
         make_sched_switch(TimePoint{250 + i * 100}, switch_in(kPid)));
   }
-  ExecTimeCalculator calc(sched);
+  const TraceIndex index(sched);
   // Five 50ns holes in [100, 800]: 700 - 5*50 = 450... holes at
   // [200,250],[300,350],[400,450],[500,550],[600,650] => 700-250=450.
-  EXPECT_EQ(calc.exec_time(TimePoint{100}, TimePoint{800}, kPid),
+  EXPECT_EQ(exec_time(index.switches_of(kPid), TimePoint{100}, TimePoint{800}),
             Duration::ns(450));
 }
 
@@ -72,9 +73,9 @@ TEST(ExecTimeTest, BlockingMidCallbackCounted) {
   sched.push_back(make_sched_switch(
       TimePoint{300}, switch_out(kPid, ThreadRunState::Sleeping)));
   sched.push_back(make_sched_switch(TimePoint{500}, switch_in(kPid)));
-  ExecTimeCalculator calc(sched);
+  const TraceIndex index(sched);
   // On-CPU during [100,300] and [500,600] = 300 ns of execution.
-  EXPECT_EQ(calc.exec_time(TimePoint{100}, TimePoint{600}, kPid),
+  EXPECT_EQ(exec_time(index.switches_of(kPid), TimePoint{100}, TimePoint{600}),
             Duration::ns(300));
 }
 
@@ -83,8 +84,8 @@ TEST(ExecTimeTest, EventsOutsideWindowIgnored) {
   sched.push_back(make_sched_switch(TimePoint{50}, switch_out(kPid)));
   sched.push_back(make_sched_switch(TimePoint{80}, switch_in(kPid)));
   sched.push_back(make_sched_switch(TimePoint{700}, switch_out(kPid)));
-  ExecTimeCalculator calc(sched);
-  EXPECT_EQ(calc.exec_time(TimePoint{100}, TimePoint{600}, kPid),
+  const TraceIndex index(sched);
+  EXPECT_EQ(exec_time(index.switches_of(kPid), TimePoint{100}, TimePoint{600}),
             Duration::ns(500));
 }
 
@@ -93,35 +94,25 @@ TEST(ExecTimeTest, OtherPidsIgnored) {
   sched.push_back(make_sched_switch(
       TimePoint{200}, SchedSwitchInfo{1, 7777, 0, ThreadRunState::Runnable,
                                       8888, 0}));
-  ExecTimeCalculator calc(sched);
-  EXPECT_EQ(calc.exec_time(TimePoint{100}, TimePoint{600}, kPid),
+  const TraceIndex index(sched);
+  EXPECT_EQ(exec_time(index.switches_of(kPid), TimePoint{100}, TimePoint{600}),
             Duration::ns(500));
-}
-
-TEST(ExecTimeTest, PreemptionCount) {
-  trace::EventVector sched;
-  sched.push_back(make_sched_switch(TimePoint{200}, switch_out(kPid)));
-  sched.push_back(make_sched_switch(TimePoint{250}, switch_in(kPid)));
-  sched.push_back(make_sched_switch(
-      TimePoint{400}, switch_out(kPid, ThreadRunState::Sleeping)));
-  sched.push_back(make_sched_switch(TimePoint{450}, switch_in(kPid)));
-  ExecTimeCalculator calc(sched);
-  // Only the Runnable switch-out is a preemption.
-  EXPECT_EQ(calc.preemptions_in(TimePoint{100}, TimePoint{600}, kPid), 1u);
 }
 
 TEST(ExecTimeTest, LastWakeupBefore) {
   trace::EventVector events;
   events.push_back(make_sched_wakeup(TimePoint{100}, SchedWakeupInfo{kPid, 0}));
   events.push_back(make_sched_wakeup(TimePoint{300}, SchedWakeupInfo{kPid, 0}));
-  ExecTimeCalculator calc(events);
-  EXPECT_EQ(calc.last_wakeup_before(kPid, TimePoint{250}).value(), TimePoint{100});
-  EXPECT_EQ(calc.last_wakeup_before(kPid, TimePoint{300}).value(), TimePoint{300});
-  EXPECT_FALSE(calc.last_wakeup_before(kPid, TimePoint{50}).has_value());
-  EXPECT_FALSE(calc.last_wakeup_before(kOther, TimePoint{500}).has_value());
+  const TraceIndex index(events);
+  const std::vector<TimePoint>& wakeups = index.wakeups_of(kPid);
+  EXPECT_EQ(last_wakeup_before(wakeups, TimePoint{250}).value(), TimePoint{100});
+  EXPECT_EQ(last_wakeup_before(wakeups, TimePoint{300}).value(), TimePoint{300});
+  EXPECT_FALSE(last_wakeup_before(wakeups, TimePoint{50}).has_value());
+  EXPECT_FALSE(
+      last_wakeup_before(index.wakeups_of(kOther), TimePoint{500}).has_value());
 }
 
-/// Property: the indexed calculator agrees with the paper-faithful naive
+/// Property: the indexed Alg. 2 agrees with the paper-faithful naive
 /// implementation on randomized, well-formed switch sequences.
 class ExecTimeDifferentialTest : public ::testing::TestWithParam<int> {};
 
@@ -158,9 +149,10 @@ TEST_P(ExecTimeDifferentialTest, IndexedMatchesNaive) {
     }
   }
   trace::sort_by_time(sched);
-  ExecTimeCalculator calc(sched);
+  const TraceIndex index(sched);
   const auto indexed =
-      calc.exec_time(TimePoint{window_start}, TimePoint{window_end}, kPid);
+      exec_time(index.switches_of(kPid), TimePoint{window_start},
+                TimePoint{window_end});
   const auto naive = exec_time_naive(TimePoint{window_start},
                                      TimePoint{window_end}, kPid, sched);
   EXPECT_EQ(indexed, naive);
@@ -177,8 +169,8 @@ TEST(ExecTimeTest, InvertedWindowIsZero) {
   trace::EventVector sched;
   sched.push_back(make_sched_switch(TimePoint{200}, switch_out(kPid)));
   sched.push_back(make_sched_switch(TimePoint{350}, switch_in(kPid)));
-  ExecTimeCalculator calc(sched);
-  EXPECT_EQ(calc.exec_time(TimePoint{600}, TimePoint{100}, kPid),
+  const TraceIndex index(sched);
+  EXPECT_EQ(exec_time(index.switches_of(kPid), TimePoint{600}, TimePoint{100}),
             Duration::zero());
   EXPECT_EQ(exec_time_naive(TimePoint{600}, TimePoint{100}, kPid, sched),
             Duration::zero());

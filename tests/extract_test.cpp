@@ -424,21 +424,6 @@ TEST(ExtractTest, UnmatchedEndIgnored) {
   EXPECT_TRUE(extract_callbacks(index, kNodeA).records.empty());
 }
 
-TEST(ExtractTest, WaitingTimesFromWakeups) {
-  EventVector ev;
-  ev.push_back(make_node_event(TimePoint{0}, kNodeA, "waiting"));
-  ev.push_back(make_sched_wakeup(TimePoint{50}, SchedWakeupInfo{kNodeA, 0}));
-  ev.push_back(make_callback_start(TimePoint{100}, kNodeA, CallbackKind::Timer));
-  ev.push_back(make_timer_call(TimePoint{101}, kNodeA, 0x10));
-  ev.push_back(make_callback_end(TimePoint{200}, kNodeA, CallbackKind::Timer));
-  TraceIndex index(ev);
-  ExtractOptions options;
-  options.compute_waiting_times = true;
-  const CallbackList list = extract_callbacks(index, kNodeA, options);
-  ASSERT_EQ(list.records[0].wait_times.size(), 1u);
-  EXPECT_EQ(list.records[0].wait_times[0], Duration::ns(50));
-}
-
 TEST(NormalizeTest, AssignsOrdinalLabelsAndRewritesAnnotations) {
   const auto events = service_scenario();
   TraceIndex index(events);

@@ -157,6 +157,51 @@ TEST(IncrementalTest, LateRequestWriteReextractsExactlyItsReaders) {
   EXPECT_EQ(model, core::to_json(reference_dag(events)));
 }
 
+TEST(IncrementalTest, LateSchedSwitchesReextractExactlyTheirThread) {
+  // Node a's timer runs over [100, 400], node b's over [500, 600]. A late
+  // segment of two sched_switch rows preempts a's thread over [200, 300]
+  // in favour of a thread that is no node: Alg. 2 must re-measure a, and
+  // only a.
+  constexpr Pid kA = 1000, kB = 1001, kOther = 3000;
+  const trace::EventVector early = {
+      trace::make_node_event(TimePoint{0}, kA, "node_a"),
+      trace::make_node_event(TimePoint{0}, kB, "node_b"),
+      trace::make_callback_start(TimePoint{100}, kA, CallbackKind::Timer),
+      trace::make_timer_call(TimePoint{101}, kA, 0x10),
+      trace::make_callback_end(TimePoint{400}, kA, CallbackKind::Timer),
+      trace::make_callback_start(TimePoint{500}, kB, CallbackKind::Timer),
+      trace::make_timer_call(TimePoint{501}, kB, 0x20),
+      trace::make_callback_end(TimePoint{600}, kB, CallbackKind::Timer),
+  };
+  const trace::EventVector switches = {
+      trace::make_sched_switch(TimePoint{200},
+                               {0, kA, 0, trace::ThreadRunState::Runnable,
+                                kOther, 0}),
+      trace::make_sched_switch(TimePoint{300},
+                               {0, kOther, 0, trace::ThreadRunState::Sleeping,
+                                kA, 0}),
+  };
+  trace::EventVector events = early;
+  events.insert(events.end(), switches.begin(), switches.end());
+  trace::sort_by_time(events);
+
+  core::IncrementalSynthesizer inc;
+  inc.append(columns_of(early));
+  inc.model();
+  inc.append(columns_of(switches));
+  const core::TimingModel model = inc.model();
+  EXPECT_EQ(inc.last_extracted(), 1u);
+  const auto exec_time_of = [&model](Pid pid) {
+    for (const core::CallbackList& list : model.node_callbacks) {
+      if (list.pid == pid) return list.records.at(0).exec_times.at(0);
+    }
+    return Duration::zero();
+  };
+  EXPECT_EQ(exec_time_of(kA), Duration::ns(200));
+  EXPECT_EQ(exec_time_of(kB), Duration::ns(100));
+  EXPECT_EQ(model_json(model), core::to_json(reference_dag(events)));
+}
+
 TEST(IncrementalTest, RepeatQueryExtractsNothing) {
   core::IncrementalSynthesizer inc;
   inc.append(columns_of(scenario_trace(5)));

@@ -128,18 +128,6 @@ TEST(SampleSetTest, EmptyThrows) {
   EXPECT_THROW(s.mean(), std::logic_error);
 }
 
-TEST(HistogramTest, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);  // clamps into first bin
-  h.add(0.5);
-  h.add(9.9);
-  h.add(25.0);  // clamps into last bin
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count_in_bin(0), 2u);
-  EXPECT_EQ(h.count_in_bin(4), 2u);
-  EXPECT_FALSE(h.to_ascii().empty());
-}
-
 TEST(KsTest, IdenticalSamplesHaveZeroDistance) {
   const std::vector<double> a = {1.0, 2.0, 3.0, 4.0, 5.0};
   EXPECT_DOUBLE_EQ(ks_statistic(a, a), 0.0);

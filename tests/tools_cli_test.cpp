@@ -414,7 +414,7 @@ TEST(SynthCliTest, ConversionUsageErrorsExitTwo) {
   for (const char* flags :
        {"--threads 4x", "--threads 99999999999", "--threads 0",
         "--probe-cost -5us", "--merge-dags --merge-traces",
-        "--incremental"}) {
+        "--incremental", "--waiting-times"}) {
     EXPECT_EQ(run_command(binary("tetra_synth") + " --trace " + fixture +
                           " " + flags)
                   .exit_code,

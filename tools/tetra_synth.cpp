@@ -8,7 +8,6 @@
 //               [--merge-dags | --merge-traces] [--threads N]
 //               [--dot out.dot] [--json out.json] [--report]
 //               [--no-service-split] [--no-and-junction]
-//               [--waiting-times]
 //               [--compensate-overhead] [--probe-cost DUR] [--lenient]
 //   tetra_synth --trace run1.jsonl --to-ttb run1.ttb [--lenient]
 //   tetra_synth --trace run1.ttb --to-jsonl run1.jsonl
@@ -89,8 +88,6 @@ int main(int argc, char** argv) {
             [&config] { config.split_service_per_caller(false); })
       .flag("--no-and-junction", "no AND-junction vertices for sync nodes",
             [&config] { config.model_sync_with_and_junction(false); })
-      .flag("--waiting-times", "also compute waiting times",
-            [&config] { config.compute_waiting_times(true); })
       .flag("--compensate-overhead",
             "subtract the estimated per-probe tracer cost",
             [&config] { config.compensate_overhead(true); })
