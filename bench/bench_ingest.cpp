@@ -1,5 +1,5 @@
 // Fleet ingest benchmark: the binary trace path vs the JSONL path, the
-// sharded ingest service's scaling, and incremental re-synthesis cost.
+// sharded ingest service's scaling, and re-synthesis after a late delta.
 // Emits machine-readable results as BENCH_ingest.json.
 //
 // Three measurements:
@@ -9,8 +9,9 @@
 //      writing columns the index adopts, as SynthesisSession does)
 //   2. sharded submit_jsonl throughput, 1 shard vs TETRA_SHARDS
 //      (gate: >= 0.7 scaling efficiency when the host has enough cores)
-//   3. incremental re-synthesis after a small per-pid delta vs a full
-//      pass, with a hard byte-identity check on the resulting DAG JSON
+//   3. re-synthesis of an index that received a small per-pid delta last
+//      vs a one-pass index, with a hard byte-identity check on the
+//      resulting DAG JSON
 //
 // Knobs:
 //   TETRA_ROBOTS     fleet size (default 8)
@@ -30,7 +31,7 @@
 #include "api/ingest_service.hpp"
 #include "bench_util.hpp"
 #include "core/export.hpp"
-#include "core/incremental.hpp"
+#include "core/model_synthesis.hpp"
 #include "ebpf/tracers.hpp"
 #include "support/json_writer.hpp"
 #include "support/string_utils.hpp"
@@ -88,7 +89,7 @@ double sharded_pass(std::size_t shards, const std::vector<FleetItem>& items) {
 }  // namespace
 
 int main() {
-  bench::banner("fleet ingest - binary traces, shards, incremental deltas");
+  bench::banner("fleet ingest - binary traces, shards, late deltas");
 
   const int robots = bench::env_int("TETRA_ROBOTS", 8);
   const Duration duration =
@@ -187,9 +188,9 @@ int main() {
           ? sharded_1_s / (sharded_n_s * static_cast<double>(shards))
           : 0.0;
 
-  // ---- 3. incremental re-synthesis ----------------------------------------
-  // Hold back the second half of one pid's ROS events: the delta touches a
-  // handful of nodes, so the incremental path should re-extract only those.
+  // ---- 3. re-synthesis after a late delta ---------------------------------
+  // Hold back the second half of one pid's ROS events and append them
+  // last: the index must synthesize exactly as the one-pass index.
   const trace::EventVector events = bench::trace_one_run(0xf1ee7, duration);
   const auto is_sched = [](const trace::TraceEvent& e) {
     return e.type == trace::EventType::SchedSwitch ||
@@ -212,28 +213,18 @@ int main() {
     (held ? delta : base).push_back(e);
   }
 
-  const auto columns_of = [](const trace::EventVector& segment) {
-    trace::EventColumns columns;
-    columns.append(segment);
-    return columns;
-  };
-  core::IncrementalSynthesizer full;
-  full.append(columns_of(events));
+  const core::TraceIndex full(events);
   t0 = std::chrono::steady_clock::now();
-  const std::string full_json = core::to_json(full.model().dag);
+  const std::string full_json = core::to_json(core::synthesize(full).dag);
   const double full_s = bench::seconds_since(t0);
-  const std::size_t nodes_total = full.index().nodes().size();
 
-  core::IncrementalSynthesizer inc;
-  inc.append(columns_of(base));
-  inc.model();
-  inc.append(columns_of(delta));
+  core::TraceIndex late;
+  late.append(base);
+  late.append(delta);
   t0 = std::chrono::steady_clock::now();
-  const std::string inc_json = core::to_json(inc.model().dag);
-  const double inc_s = bench::seconds_since(t0);
-  const std::size_t nodes_reextracted = inc.last_extracted();
-  const bool identical = inc_json == full_json;
-  const double inc_speedup = inc_s > 0.0 ? full_s / inc_s : 0.0;
+  const std::string late_json = core::to_json(core::synthesize(late).dag);
+  const double late_s = bench::seconds_since(t0);
+  const bool identical = late_json == full_json;
 
   // ---- report -------------------------------------------------------------
   const auto rate = [total_events](double s) {
@@ -249,9 +240,8 @@ int main() {
   row(format("sharded jsonl ingest, %zu shards", shards), sharded_n_s);
   std::printf("%-40s %12.2fx\n", "ttb speedup", ttb_speedup);
   std::printf("%-40s %12.2f\n", "scaling efficiency", scaling_efficiency);
-  std::printf("%-40s %12.1f vs %.1f ms full (%zu/%zu nodes, %s)\n",
-              "incremental delta re-synthesis", inc_s * 1e3, full_s * 1e3,
-              nodes_reextracted, nodes_total,
+  std::printf("%-40s %12.1f vs %.1f ms one pass (%s)\n",
+              "re-synthesis after a late delta", late_s * 1e3, full_s * 1e3,
               identical ? "identical" : "DIVERGED");
 
   JsonWriter json;
@@ -274,10 +264,7 @@ int main() {
       .key("incremental")
       .begin_object()
       .kv("full_resynthesis_ms", full_s * 1e3)
-      .kv("incremental_resynthesis_ms", inc_s * 1e3)
-      .kv("speedup", inc_speedup)
-      .kv("nodes_reextracted", static_cast<std::uint64_t>(nodes_reextracted))
-      .kv("nodes_total", static_cast<std::uint64_t>(nodes_total))
+      .kv("incremental_resynthesis_ms", late_s * 1e3)
       .kv("identical", identical)
       .end_object()
       .end_object();
@@ -291,8 +278,8 @@ int main() {
   // Identity is correctness, not performance: always gating.
   if (!identical) {
     std::fprintf(stderr,
-                 "FAIL: incremental re-synthesis diverged from the full "
-                 "pass\n");
+                 "FAIL: re-synthesis after a late delta diverged from the "
+                 "one-pass index\n");
     return 1;
   }
   const bool strict = bench::env_int("TETRA_REQUIRE_SPEEDUP", 1) != 0;

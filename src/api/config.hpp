@@ -14,7 +14,7 @@ namespace tetra::api {
 enum class MergeStrategy {
   /// Option (ii), the paper's experimental choice: synthesize a DAG per
   /// logical trace, merge the DAGs (vertex/edge union, statistics merged).
-  /// Re-synthesis after new ingests is incremental per dirty trace.
+  /// A query after new ingests re-synthesizes only the traces they dirtied.
   MergeDags,
   /// Option (i): k-way merge every segment of every trace into one
   /// chronological stream, synthesize once. Only meaningful when segments
@@ -53,8 +53,8 @@ class SynthesisConfig {
   /// Tracer-overhead compensation (src/overhead/): estimate the per-probe
   /// cost from each trace (or take probe_cost_hint) and subtract
   /// hit-count × cost from every instance's execution time before DAG
-  /// annotation. A query whose re-estimated cost differs from the last one
-  /// re-extracts every node of the trace.
+  /// annotation. Each synthesis of a trace re-estimates the cost from all
+  /// of the trace's events so far.
   SynthesisConfig& compensate_overhead(bool on) {
     compensate_overhead_ = on;
     return *this;

@@ -28,11 +28,6 @@ struct SessionMetrics {
       telemetry::MetricsRegistry::global().counter("session.cache_hits");
   telemetry::Counter& dirty_rebuilds =
       telemetry::MetricsRegistry::global().counter("session.dirty_rebuilds");
-  telemetry::Counter& incremental =
-      telemetry::MetricsRegistry::global().counter(
-          "session.incremental_synthesis");
-  telemetry::Counter& full = telemetry::MetricsRegistry::global().counter(
-      "session.full_synthesis");
 
   static SessionMetrics& get() {
     static SessionMetrics metrics;
@@ -40,41 +35,30 @@ struct SessionMetrics {
   }
 };
 
-/// Extraction options with overhead compensation resolved against one
-/// trace: an explicit probe-cost hint wins, otherwise the per-hit cost is
-/// estimated from the trace itself (zero for probe-free traces, which
-/// makes compensation a no-op).
-core::ExtractOptions compensated_extract(const SynthesisConfig& config,
-                                         const core::TraceIndex& index) {
-  core::ExtractOptions extract = config.core_options().extract;
-  if (config.compensate_overhead() &&
-      extract.compensate_per_hit == Duration::zero()) {
-    extract.compensate_per_hit =
-        config.probe_cost_hint() > Duration::zero()
-            ? config.probe_cost_hint()
-            : overhead::estimate_probe_cost(index).per_hit;
-  }
-  return extract;
-}
-
-/// Runs the pipeline through `synth` once `append` has fed it the new
-/// segments, resolving overhead compensation against its own index. A
-/// kept synthesizer returns a model and keeps its lists; one about to be
-/// discarded (`take`) hands them over instead.
+/// Runs core::synthesize over `index` once `append` has fed it the new
+/// segments. Overhead compensation is resolved against the index: an
+/// explicit probe-cost hint wins, otherwise the per-hit cost is estimated
+/// from the trace itself (zero for probe-free traces, which makes
+/// compensation a no-op).
 template <typename Append>
 core::TimingModel synthesize(const SynthesisConfig& config,
-                             core::IncrementalSynthesizer& synth, bool take,
+                             core::TraceIndex& index,
                              std::uint64_t span_parent, Append&& append) {
   telemetry::ScopedSpan span("synth.trace", span_parent, 0);
   {
     telemetry::ScopedSpan merge_span("synth.merge");
     append();
-    merge_span.set_items(synth.event_count());
+    merge_span.set_items(index.size());
   }
-  span.set_items(synth.event_count());
-  const core::ExtractOptions extract =
-      compensated_extract(config, synth.index());
-  return take ? std::move(synth).take_model(extract) : synth.model(extract);
+  span.set_items(index.size());
+  core::SynthesisOptions options = config.core_options();
+  Duration& per_hit = options.extract.compensate_per_hit;
+  if (config.compensate_overhead() && per_hit == Duration::zero()) {
+    per_hit = config.probe_cost_hint() > Duration::zero()
+                  ? config.probe_cost_hint()
+                  : overhead::estimate_probe_cost(index).per_hit;
+  }
+  return core::synthesize(index, options);
 }
 
 }  // namespace
@@ -95,7 +79,6 @@ SynthesisSession::TraceState& SynthesisSession::trace_for(
     TraceState state;
     state.id = id;
     state.mode = options.mode;
-    state.synth = core::IncrementalSynthesizer(config_.core_options());
     traces_.push_back(std::move(state));
   }
   return traces_[it->second];
@@ -168,10 +151,9 @@ Result<SegmentInfo> SynthesisSession::ingest_file(const std::string& path,
 void SynthesisSession::synthesize_trace(TraceState& trace,
                                         const SynthesisConfig& config,
                                         std::uint64_t span_parent) {
-  SessionMetrics::get().incremental.inc();
-  trace.model = synthesize(config, trace.synth, false, span_parent, [&] {
+  trace.model = synthesize(config, trace.index, span_parent, [&] {
     for (trace::EventColumns& segment : trace.pending) {
-      trace.synth.append(std::move(segment));
+      trace.index.append(std::move(segment));
     }
     trace.pending.clear();
   });
@@ -185,7 +167,7 @@ trace::ColumnsView SynthesisSession::segment_view(std::size_t trace_idx,
   if (ordinal >= drained) return trace.pending[ordinal - drained].view();
   std::size_t first = 0;
   for (std::size_t k = 0; k < ordinal; ++k) first += trace.segment_rows[k];
-  return trace.synth.index().view().rows(first, trace.segment_rows[ordinal]);
+  return trace.index.view().rows(first, trace.segment_rows[ordinal]);
 }
 
 Error SynthesisSession::synthesize_dirty() {
@@ -244,17 +226,16 @@ Result<core::TimingModel> SynthesisSession::model() {
   if (config_.merge_strategy() == MergeStrategy::MergeTraces) {
     if (merged_dirty_) {
       SessionMetrics::get().dirty_rebuilds.inc();
-      SessionMetrics::get().full.inc();
-      // One short-lived synthesizer over every segment, in ingestion
-      // order, each read where it lives.
+      // One short-lived index over every segment, in ingestion order,
+      // each read where it lives.
       try {
-        core::IncrementalSynthesizer synth(config_.core_options());
+        core::TraceIndex index;
         const auto append_all = [&] {
           for (const auto& [trace_idx, ordinal] : segment_locator_) {
-            synth.append(segment_view(trace_idx, ordinal));
+            index.append(segment_view(trace_idx, ordinal));
           }
         };
-        merged_model_ = synthesize(config_, synth, true,
+        merged_model_ = synthesize(config_, index,
                                    telemetry::ScopedSpan::current_id(),
                                    append_all);
       } catch (const std::exception& e) {
@@ -348,7 +329,7 @@ Result<trace::EventColumns> SynthesisSession::merged_columns(
   // Rows in ingestion order; the stable sort restores (time, ingestion)
   // order, which is the k-way merge of the time-sorted segments.
   trace::EventColumns merged;
-  merged.append(trace.synth.index().view());
+  merged.append(trace.index.view());
   for (const trace::EventColumns& segment : trace.pending) {
     merged.append(segment.view());
   }
@@ -372,9 +353,9 @@ Result<std::size_t> SynthesisSession::release_events(
   }
   Result<TraceState*> trace = synthesized(trace_id);
   if (!trace.ok()) return trace.error();
-  // Synthesis drained every pending segment into the synthesizer.
-  const std::size_t freed = (*trace)->synth.event_count();
-  (*trace)->synth = core::IncrementalSynthesizer();
+  // Synthesis drained every pending segment into the index.
+  const std::size_t freed = (*trace)->index.size();
+  (*trace)->index = core::TraceIndex();
   (*trace)->sealed = true;
   return freed;
 }

@@ -12,15 +12,15 @@
 //   session.ingest(more_events, {.trace_id = "run-1"});
 //   model = session.model();                 // re-synthesizes ONLY run-1
 //
-// Every trace id owns one core::IncrementalSynthesizer — the only place
-// the synthesis pipeline runs. Ingest decodes a segment into
+// Every trace id owns one core::TraceIndex. Ingest decodes a segment into
 // trace::EventColumns and queues it, so ingest stays O(segment) and does
-// no index work; a model query appends the queued segments, in ingestion
-// order, to the trace's synthesizer, which re-extracts only the nodes they
-// touched. Distinct trace ids are synthesized independently — in parallel
-// on a small worker pool when config.threads(N) > 1 — and combined per
-// the configured merge strategy. Results carry typed api::Error
-// diagnostics instead of bare exceptions.
+// no index work; a query of a dirty trace appends the queued segments, in
+// ingestion order, to the trace's index and runs core::synthesize over
+// it, and a clean trace is served from its cached model. Distinct trace
+// ids are synthesized independently — in parallel on a small worker pool
+// when config.threads(N) > 1 — and combined per the configured merge
+// strategy. Results carry typed api::Error diagnostics instead of bare
+// exceptions.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +31,7 @@
 
 #include "api/config.hpp"
 #include "api/result.hpp"
-#include "core/incremental.hpp"
+#include "core/extract.hpp"
 #include "core/model_synthesis.hpp"
 #include "predict/model_simulator.hpp"
 #include "trace/event.hpp"
@@ -124,11 +124,11 @@ class SynthesisSession {
   struct TraceState {
     std::string id;
     std::string mode;
-    std::vector<trace::EventColumns> pending;  ///< sorted, not yet in synth
+    std::vector<trace::EventColumns> pending;  ///< sorted, not yet indexed
     /// Rows of every segment ingested, in order; all but the last
-    /// pending.size() are row ranges of synth's index.
+    /// pending.size() are row ranges of the index.
     std::vector<std::size_t> segment_rows;
-    core::IncrementalSynthesizer synth;
+    core::TraceIndex index;
     core::TimingModel model;  ///< cache, valid when !dirty
     bool dirty = true;
     bool sealed = false;  ///< events released; model cached, no re-ingest

@@ -38,12 +38,6 @@ void merge_tail(std::vector<T>& list, std::size_t old_size, Less less) {
 const std::vector<CpuSwitch> kNoSwitches;
 const std::vector<TimePoint> kNoWakeups;
 
-template <typename T>
-void sort_unique(std::vector<T>& items) {
-  std::sort(items.begin(), items.end());
-  items.erase(std::unique(items.begin(), items.end()), items.end());
-}
-
 }  // namespace
 
 const char* ros2_request_suffix() { return "Request"; }
@@ -68,44 +62,44 @@ TraceIndex::TraceIndex(const trace::EventVector& events) {
   index_rows(0);
 }
 
-AppendDelta TraceIndex::append(const trace::EventVector& sorted_segment) {
+void TraceIndex::append(const trace::EventVector& sorted_segment) {
   if (!trace::is_time_sorted(sorted_segment)) {
     throw std::invalid_argument("TraceIndex::append requires a time-sorted "
                                 "segment");
   }
   const std::size_t base = columns_.size();
   columns_.append(sorted_segment);
-  return index_rows(base);
+  index_rows(base);
 }
 
-AppendDelta TraceIndex::append(const trace::ColumnsView& view) {
+void TraceIndex::append(const trace::ColumnsView& view) {
   if (!trace::is_time_sorted(view)) {
     throw std::invalid_argument("TraceIndex::append requires a time-sorted "
                                 "segment");
   }
   const std::size_t base = columns_.size();
   columns_.append(view);
-  return index_rows(base);
+  index_rows(base);
 }
 
-AppendDelta TraceIndex::append(trace::EventColumns&& segment) {
+void TraceIndex::append(trace::EventColumns&& segment) {
   if (!columns_.empty() || !trace::is_time_sorted(segment.view())) {
     // Copied in (or rejected), and freed when the append returns.
     const trace::EventColumns consumed = std::move(segment);
-    return append(consumed.view());
+    append(consumed.view());
+    return;
   }
   columns_ = std::move(segment);
-  return index_rows(0);
+  index_rows(0);
 }
 
-AppendDelta TraceIndex::index_rows(std::size_t base) {
-  AppendDelta delta;
+void TraceIndex::index_rows(std::size_t base) {
   const trace::ColumnsView v = columns_.view();
   // Every list this batch grows is stamped with the batch on first touch
   // and remembers its old size, so order is restored with one merge each
   // afterwards.
   const std::uint64_t batch = ++batch_;
-  std::vector<std::pair<Pid, PidSlot*>> touched_slots;
+  std::vector<PidSlot*> touched_slots;
   std::vector<ResponseList*> touched_responses;
   const auto slot_of = [&](Pid pid) -> PidSlot& {
     PidSlot& slot = slots_[pid];
@@ -115,7 +109,7 @@ AppendDelta TraceIndex::index_rows(std::size_t base) {
       slot.p14_mark = slot.p14.size();
       slot.switches_mark = slot.switches.size();
       slot.wakeups_mark = slot.wakeups.size();
-      touched_slots.emplace_back(pid, &slot);
+      touched_slots.push_back(&slot);
     }
     return slot;
   };
@@ -164,7 +158,6 @@ AppendDelta TraceIndex::index_rows(std::size_t base) {
         // First event in merged order is canonical: replace only when the
         // newcomer is strictly earlier.
         if (!inserted && v.time[i] < v.time[it->second]) it->second = i;
-        delta.write_keys.push_back(key);
         break;
       }
       case trace::EventType::Take:
@@ -176,7 +169,6 @@ AppendDelta TraceIndex::index_rows(std::size_t base) {
             list.batch = batch;
             list.mark = list.seqs.size();
             touched_responses.push_back(&list);
-            delta.response_keys.push_back(key);
           }
           list.seqs.push_back(i);
         }
@@ -193,26 +185,15 @@ AppendDelta TraceIndex::index_rows(std::size_t base) {
   const auto switch_less = [](const CpuSwitch& a, const CpuSwitch& b) {
     return a.time < b.time;
   };
-  for (const auto& [pid, slot] : touched_slots) {
+  for (PidSlot* slot : touched_slots) {
     merge_tail(slot->ros, slot->ros_mark, chrono_less);
     merge_tail(slot->p14, slot->p14_mark, chrono_less);
     merge_tail(slot->switches, slot->switches_mark, switch_less);
     merge_tail(slot->wakeups, slot->wakeups_mark, std::less<TimePoint>());
-    if (slot->ros.size() > slot->ros_mark) delta.ros_pids.push_back(pid);
-    if (slot->switches.size() > slot->switches_mark ||
-        slot->wakeups.size() > slot->wakeups_mark) {
-      delta.sched_pids.push_back(pid);
-    }
   }
   for (ResponseList* list : touched_responses) {
     merge_tail(list->seqs, list->mark, chrono_less);
   }
-  // Each slot is touched once per batch, so the pid lists are unique.
-  std::sort(delta.ros_pids.begin(), delta.ros_pids.end());
-  std::sort(delta.sched_pids.begin(), delta.sched_pids.end());
-  sort_unique(delta.write_keys);
-  sort_unique(delta.response_keys);
-  return delta;
 }
 
 trace::TraceEvent TraceIndex::event_at(std::size_t seq) const {
@@ -272,17 +253,14 @@ std::size_t TraceIndex::next_take_type_erased_after(Pid pid,
   return pos == slot->p14.end() ? npos : *pos;
 }
 
-CallbackId find_caller(const TraceIndex& index, std::size_t take_seq,
-                       ExtractDeps* deps) {
+CallbackId find_caller(const TraceIndex& index, std::size_t take_seq) {
   // Step 1: the dds_write with the same topic and source timestamp as the
   // take identifies the writing process and the write instant.
   const trace::ColumnsView v = index.view();
   const TopicTsKey key{v.arg_c[take_seq], v.arg_b[take_seq]};
-  if (deps != nullptr) deps->write_keys.push_back(key);
   const std::size_t write_seq = index.find_write(key);
   if (write_seq == TraceIndex::npos) return kInvalidCallbackId;
   const Pid writer_pid = static_cast<Pid>(v.pid[write_seq]);
-  if (deps != nullptr) deps->pids.push_back(writer_pid);
 
   // Step 2: in the writer's event stream, the timer_call or take event
   // that chronologically precedes the write and follows the last CB start
@@ -307,16 +285,13 @@ CallbackId find_caller(const TraceIndex& index, std::size_t take_seq,
   return kInvalidCallbackId;
 }
 
-CallbackId find_client(const TraceIndex& index, std::size_t write_seq,
-                       ExtractDeps* deps) {
+CallbackId find_client(const TraceIndex& index, std::size_t write_seq) {
   const trace::ColumnsView v = index.view();
   const TopicTsKey key{v.arg_c[write_seq], v.arg_b[write_seq]};
-  if (deps != nullptr) deps->response_keys.push_back(key);
   // All take_response events for this response — one per client node of
   // the service (ncl of them). Only the caller's P14 evaluates true.
   for (std::size_t take_seq : index.find_take_responses(key)) {
     const Pid take_pid = static_cast<Pid>(v.pid[take_seq]);
-    if (deps != nullptr) deps->pids.push_back(take_pid);
     const std::size_t p14 = index.next_take_type_erased_after(take_pid,
                                                               take_seq);
     if (p14 != TraceIndex::npos && v.aux[p14] != 0) {
@@ -377,12 +352,7 @@ struct InFlight {
 }  // namespace
 
 CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
-                               const ExtractOptions& options,
-                               ExtractDeps* deps) {
-  if (deps != nullptr) {
-    *deps = ExtractDeps{};
-    deps->pids.push_back(pid);
-  }
+                               const ExtractOptions& options) {
   CallbackList list;
   list.pid = pid;
   auto node_it = index.nodes().find(pid);
@@ -419,7 +389,7 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
             cb.in_topic = TopicRef{topic, true, cb.id};
             break;
           case trace::TakeKind::Request:  // lines 12-13
-            cb.in_topic = TopicRef{topic, true, find_caller(index, seq, deps)};
+            cb.in_topic = TopicRef{topic, true, find_caller(index, seq)};
             break;
           case trace::TakeKind::Data:  // lines 14-15
             cb.in_topic = TopicRef{topic, false, kInvalidCallbackId};
@@ -436,7 +406,7 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
         if (is_service_request_topic(name)) {  // lines 17-18
           top_out = TopicRef{topic, true, cb.id};
         } else if (is_service_reply_topic(name)) {  // lines 19-20
-          top_out = TopicRef{topic, true, find_client(index, seq, deps)};
+          top_out = TopicRef{topic, true, find_client(index, seq)};
         }  // else lines 21-22: the plain topic
         if (std::find(cb.out_topics.begin(), cb.out_topics.end(), top_out) ==
             cb.out_topics.end()) {
@@ -480,11 +450,6 @@ CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
       default:
         break;
     }
-  }
-  if (deps != nullptr) {
-    sort_unique(deps->pids);
-    sort_unique(deps->write_keys);
-    sort_unique(deps->response_keys);
   }
   return list;
 }

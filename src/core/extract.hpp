@@ -29,9 +29,6 @@ struct ExtractOptions {
   /// the number of probe executions inside its [start, end] window
   /// (clamped at zero). Zero keeps measurements as-is.
   Duration compensate_per_hit = Duration::zero();
-
-  friend bool operator==(const ExtractOptions&,
-                         const ExtractOptions&) = default;
 };
 
 /// Topic-name suffix conventions by which Alg. 1 classifies dds_write
@@ -50,7 +47,7 @@ struct TopicTsKey {
   std::uint32_t topic = 0;
   std::int64_t src_ts = 0;
 
-  friend auto operator<=>(const TopicTsKey&, const TopicTsKey&) = default;
+  friend bool operator==(const TopicTsKey&, const TopicTsKey&) = default;
 };
 
 /// Hash of a TopicTsKey for the index's hash maps.
@@ -62,25 +59,6 @@ struct TopicTsKeyHash {
   }
 };
 
-/// Everything one per-node extraction read outside the node's own event
-/// stream. Recorded so incremental re-synthesis can invalidate exactly the
-/// nodes whose inputs a new segment touches. extract_callbacks leaves
-/// every member sorted and unique; find_caller/find_client only append.
-struct ExtractDeps {
-  std::vector<Pid> pids;                  ///< event streams walked
-  std::vector<TopicTsKey> write_keys;     ///< dds_write lookups (hit or miss)
-  std::vector<TopicTsKey> response_keys;  ///< take-response lookups
-};
-
-/// What one appended segment contributed, in invalidation terms. Every
-/// member is sorted and unique.
-struct AppendDelta {
-  std::vector<Pid> ros_pids;              ///< pids with new ROS2 events
-  std::vector<Pid> sched_pids;            ///< pids with new sched activity
-  std::vector<TopicTsKey> write_keys;     ///< new dds_write keys
-  std::vector<TopicTsKey> response_keys;  ///< new take-response keys
-};
-
 /// Pre-built indices over one trace, shared by per-node extractions and by
 /// the caller/client resolution searches.
 ///
@@ -90,7 +68,8 @@ struct AppendDelta {
 /// k-way-merge order of the segments (ties resolve to the earlier-ingested
 /// segment, which always has the smaller sequence number), so an index
 /// grown by appends is indistinguishable from one built over the fully
-/// merged trace — the property incremental re-synthesis relies on.
+/// merged trace, and a model synthesized from it equals the one-pass
+/// model whatever order the segments arrived in.
 ///
 /// Everything indexed for one pid lives in one slot, found through a hash
 /// map: its ROS2 and P14 rows for Alg. 1, and the sched_switch and
@@ -108,15 +87,15 @@ class TraceIndex {
   explicit TraceIndex(const trace::EventVector& events);
 
   /// Appends one time-sorted segment (throws std::invalid_argument when
-  /// unsorted) and returns what it touched.
-  AppendDelta append(const trace::EventVector& sorted_segment);
+  /// unsorted).
+  void append(const trace::EventVector& sorted_segment);
 
   /// Same, straight from columnar storage (e.g. a mapped .ttb file).
-  AppendDelta append(const trace::ColumnsView& view);
+  void append(const trace::ColumnsView& view);
 
   /// Same for an owned segment: an empty index adopts its columns whole,
   /// a non-empty one copies them in.
-  AppendDelta append(trace::EventColumns&& segment);
+  void append(trace::EventColumns&& segment);
 
   /// Number of indexed events. Sequence numbers are [0, size()).
   std::size_t size() const { return columns_.size(); }
@@ -181,7 +160,7 @@ class TraceIndex {
     std::size_t mark = 0;
   };
 
-  AppendDelta index_rows(std::size_t base);
+  void index_rows(std::size_t base);
   const PidSlot* find_slot(Pid pid) const;
 
   trace::EventColumns columns_;
@@ -196,25 +175,19 @@ class TraceIndex {
 
 /// FindCaller (Alg. 1, line 13): resolves which callback issued the
 /// service request that the take_request event at `take_seq` consumed.
-/// Returns kInvalidCallbackId when unresolvable. When `deps` is given,
-/// records everything the search read. Costs one hash lookup, one binary
-/// search in the writer's stream and a walk back over the writing
-/// callback's events.
-CallbackId find_caller(const TraceIndex& index, std::size_t take_seq,
-                       ExtractDeps* deps = nullptr);
+/// Returns kInvalidCallbackId when unresolvable. Costs one hash lookup,
+/// one binary search in the writer's stream and a walk back over the
+/// writing callback's events.
+CallbackId find_caller(const TraceIndex& index, std::size_t take_seq);
 
 /// FindClient (Alg. 1, line 20): resolves which client callback a service
 /// response dds_write is dispatched to. Returns kInvalidCallbackId when
 /// unresolvable.
-CallbackId find_client(const TraceIndex& index, std::size_t write_seq,
-                       ExtractDeps* deps = nullptr);
+CallbackId find_client(const TraceIndex& index, std::size_t write_seq);
 
 /// Runs Algorithm 1 for one node. `pid` must be a node discovered via P1.
-/// When `deps` is given it is reset and filled with the extraction's full
-/// read set (for incremental invalidation).
 CallbackList extract_callbacks(const TraceIndex& index, Pid pid,
-                               const ExtractOptions& options = {},
-                               ExtractDeps* deps = nullptr);
+                               const ExtractOptions& options = {});
 
 /// Convenience: extraction for every node discovered in the trace.
 std::vector<CallbackList> extract_all_nodes(const TraceIndex& index,

@@ -1,8 +1,7 @@
-// The synthesized model and the option bundle the synthesis pipeline
-// takes. The pipeline itself runs in core::IncrementalSynthesizer
-// (core/incremental.hpp), driven through api::SynthesisSession
-// (api/session.hpp): segment ingestion, a worker pool and structured
-// errors.
+// The synthesized model, the option bundle the synthesis pipeline takes,
+// and the pipeline itself: core::synthesize, a pure function of one trace
+// index. api::SynthesisSession (api/session.hpp) drives it with segment
+// ingestion, a worker pool and structured errors.
 #pragma once
 
 #include <string>
@@ -30,5 +29,12 @@ struct SynthesisOptions {
   DagOptions dag;
   ExtractOptions extract;
 };
+
+/// The model of everything `index` holds: Alg. 1 for every node (Alg. 2
+/// inside), per-worker lists merged per node, labels normalized, then the
+/// DAG. An index built from segments in any arrival order equals the
+/// one-pass index of their merged trace, so the model does too.
+TimingModel synthesize(const TraceIndex& index,
+                       const SynthesisOptions& options = {});
 
 }  // namespace tetra::core

@@ -2,7 +2,8 @@
 // points — the one-shot DriftEngine::analyze and the streaming
 // StreamSentinel::feed. Per-window thresholds come first (they also gate
 // the transient findings of every streaming window); the streaming
-// window geometry and sequential-evidence knobs follow.
+// window geometry and sequential-evidence knobs follow. Fixed parameters
+// that no caller tunes are named constants.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +14,24 @@
 #include "support/time.hpp"
 
 namespace tetra::sentinel {
+
+/// Chain enumeration guard of the baseline's chains (pathological DAGs).
+inline constexpr std::size_t kMaxChains = 256;
+/// With SentinelConfig::rebase_segments, each fed segment after the first
+/// starts this long after the previous segment's last event.
+inline constexpr Duration kRebaseGap = Duration::ms(1);
+/// Minimum samples per side before a window's KS result feeds the
+/// sequential exec-time accumulator (lower than min_samples: evidence
+/// merely accumulates, it does not alarm by itself).
+inline constexpr std::size_t kSequentialMinSamples = 4;
+/// Clamp on one window's e-value contribution, so a single aberrant
+/// window (or an optimistic small-sample p approximation) cannot carry an
+/// alarm alone.
+inline constexpr double kMaxWindowEValue = 20.0;
+/// CUSUM allowance of the period/latency delta axes, as a fraction of the
+/// matching per-window tolerance: each window's excess over
+/// kCusumReferenceFraction * tolerance accumulates.
+inline constexpr double kCusumReferenceFraction = 0.5;
 
 struct SentinelConfig {
   // -- per-window thresholds ----------------------------------------------
@@ -30,8 +49,6 @@ struct SentinelConfig {
   double period_tolerance = 0.2;
   /// Relative mean chain-latency change that counts as drift.
   double latency_tolerance = 0.5;
-  /// Chain enumeration guard (pathological DAGs).
-  std::size_t max_chains = 256;
   /// Optional per-chain deadlines, keyed by the chain's plain topic path
   /// joined with " -> " (the DriftFinding subject format). Any window
   /// instance above the deadline raises DeadlineViolation — immediately,
@@ -51,11 +68,10 @@ struct SentinelConfig {
   /// windows, advance == span tiles them. feed() rejects advance > span
   /// (events would be skipped) and non-positive values.
   Duration window_advance = Duration::ms(500);
-  /// Rebase each fed segment to start rebase_gap after the previous
+  /// Rebase each fed segment to start kRebaseGap after the previous
   /// segment's last event. Required when following a directory of
   /// per-run segment files that each restart near t=0.
   bool rebase_segments = false;
-  Duration rebase_gap = Duration::ms(1);
 
   // -- sequential evidence ------------------------------------------------
 
@@ -64,23 +80,13 @@ struct SentinelConfig {
   /// threshold before an alarm fires. By Ville's inequality this bounds
   /// the probability a clean stream ever alarms on one accumulator.
   double evidence_alpha = 1e-3;
-  /// Minimum samples per side before a window's KS result feeds the
-  /// sequential exec-time accumulator (lower than min_samples: evidence
-  /// merely accumulates, it does not alarm by itself).
-  std::size_t sequential_min_samples = 4;
-  /// Clamp on one window's e-value contribution, so a single aberrant
-  /// window (or an optimistic small-sample p approximation) cannot carry
-  /// an alarm alone.
-  double max_window_e_value = 20.0;
   /// Consecutive windows a structural difference must persist before its
   /// alarm fires; debounces transient drops and window-boundary effects.
   std::size_t structural_hits = 2;
-  /// CUSUM geometry for the period/latency delta axes, as fractions of
-  /// the matching per-window tolerance: the reference (allowance)
-  /// absorbs reference_fraction * tolerance of drift per window, and the
-  /// alarm threshold sits at threshold_fraction * tolerance of
-  /// accumulated excess.
-  double cusum_reference_fraction = 0.5;
+  /// CUSUM alarm threshold of the period/latency delta axes, as a
+  /// fraction of the matching per-window tolerance: the alarm fires at
+  /// cusum_threshold_fraction * tolerance of accumulated excess over the
+  /// kCusumReferenceFraction allowance.
   double cusum_threshold_fraction = 2.0;
 
   // -- baseline auto-refresh ----------------------------------------------

@@ -203,7 +203,7 @@ api::Error DriftEngine::ensure_baseline() {
 
   const analysis::InstanceTimeline timeline(events.value().view());
   const auto enumeration =
-      analysis::enumerate_chains(baseline_.model.dag, config_.max_chains);
+      analysis::enumerate_chains(baseline_.model.dag, kMaxChains);
   for (const auto& chain : enumeration.chains) {
     BaselineChain entry;
     entry.topics = analysis::chain_topics(baseline_.model.dag, chain);
@@ -265,12 +265,12 @@ api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventColumns events) {
                               window.dag, analysis.observations);
 
   // Axis 2: per-callback execution-time distributions (two-sample KS on
-  // the raw samples). The test runs from sequential_min_samples per side
+  // the raw samples). The test runs from kSequentialMinSamples per side
   // so streaming evidence can accumulate early, but a per-window finding
   // still requires min_samples (the asymptotic p-value is unreliable
   // below that, in both directions).
   const std::size_t ks_gate =
-      std::min(config_.min_samples, config_.sequential_min_samples);
+      std::min(config_.min_samples, kSequentialMinSamples);
   const auto window_samples = collect_exec_samples(window);
   for (const auto& [label, base] : baseline_.exec_samples) {
     const auto it = window_samples.find(label);

@@ -140,7 +140,7 @@ api::Result<std::vector<WindowVerdict>> StreamSentinel::feed(
   trace::sort_by_time(events);
 
   if (config_.rebase_segments && have_origin_ && !events.empty()) {
-    events.shift((stream_end_ + config_.rebase_gap) -
+    events.shift((stream_end_ + kRebaseGap) -
                  TimePoint{events.view().time[0]});
   }
   trace::ColumnsView batch = events.view();
@@ -314,11 +314,11 @@ CusumAccumulator StreamSentinel::make_accumulator(DriftKind kind) const {
           0.5, 0.5 * static_cast<double>(config_.structural_hits));
     case DriftKind::PeriodShift:
       return CusumAccumulator(
-          config_.cusum_reference_fraction * config_.period_tolerance,
+          kCusumReferenceFraction * config_.period_tolerance,
           config_.cusum_threshold_fraction * config_.period_tolerance);
     case DriftKind::LatencyEnvelope:
       return CusumAccumulator(
-          config_.cusum_reference_fraction * config_.latency_tolerance,
+          kCusumReferenceFraction * config_.latency_tolerance,
           config_.cusum_threshold_fraction * config_.latency_tolerance);
     case DriftKind::ExecTimeShift:
       // Restarted e-process: log e-values accumulate with no allowance;
@@ -364,12 +364,11 @@ WindowVerdict StreamSentinel::evaluate_window(TimePoint begin, TimePoint end,
         accumulators_.try_emplace(key, make_accumulator(obs.kind));
     CusumAccumulator& acc = it->second;
     if (obs.kind == DriftKind::ExecTimeShift) {
-      if (obs.n_baseline < config_.sequential_min_samples ||
-          obs.n_window < config_.sequential_min_samples) {
+      if (obs.n_baseline < kSequentialMinSamples ||
+          obs.n_window < kSequentialMinSamples) {
         continue;  // starved window: no evidence either way
       }
-      acc.observe(std::log(
-          p_to_e_value(obs.p_value, config_.max_window_e_value)));
+      acc.observe(std::log(p_to_e_value(obs.p_value, kMaxWindowEValue)));
     } else {
       acc.observe(obs.value);
     }

@@ -65,7 +65,7 @@ class StreamSentinel {
   /// alpha or evidence_alpha lies outside (0, 1), advance * refresh_after
   /// overflows Duration, or no baseline was ingested. With
   /// config.rebase_segments each batch after the first is shifted to
-  /// start rebase_gap after the previous batch's last event; without it,
+  /// start kRebaseGap after the previous batch's last event; without it,
   /// events older than the current window start are dropped (and
   /// counted in late_events()).
   api::Result<std::vector<WindowVerdict>> feed(trace::EventColumns events);

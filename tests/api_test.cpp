@@ -3,19 +3,21 @@
 // into K segments and ingesting them in shuffled order yields a model
 // identical to whole-trace synthesis (property-tested across scenario
 // generator seeds plus the seed7 golden trace), while per-trace worker
-// pools and incremental re-synthesis leave results unchanged.
+// pools and re-synthesis of dirty traces leave results unchanged.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/session.hpp"
 #include "core/model_synthesis.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/runner.hpp"
+#include "telemetry/metrics.hpp"
 #include "trace/serialize.hpp"
 
 namespace tetra::api {
@@ -298,7 +300,7 @@ TEST(SynthesisSessionTest, ModeTaggedIngestKeepsRunsAndModes) {
                   "city mode");
 }
 
-// -- incremental re-synthesis ----------------------------------------------
+// -- re-synthesis of dirty traces -------------------------------------------
 
 TEST(SynthesisSessionTest, IncrementalIngestMatchesFromScratch) {
   const trace::EventVector first = scenario_trace(10);
@@ -314,6 +316,34 @@ TEST(SynthesisSessionTest, IncrementalIngestMatchesFromScratch) {
   batch.ingest(first, {.trace_id = "a", .mode = ""});
   batch.ingest(second, {.trace_id = "b", .mode = ""});
   expect_same_dag(stepwise.dag, batch.model().value().dag, "incremental");
+}
+
+TEST(SynthesisSessionTest, QueryResynthesizesOnlyDirtyTraces) {
+  // A query synthesizes the traces ingested into since the last one and
+  // serves every other trace from its cached model.
+  const telemetry::Counter& rebuilds =
+      telemetry::MetricsRegistry::global().counter("session.dirty_rebuilds");
+  const telemetry::Counter& hits =
+      telemetry::MetricsRegistry::global().counter("session.cache_hits");
+  using Deltas = std::pair<std::uint64_t, std::uint64_t>;  // rebuilds, hits
+  const auto query = [&](SynthesisSession& session) {
+    const Deltas before{rebuilds.value(), hits.value()};
+    EXPECT_TRUE(session.model().ok());
+    return Deltas{rebuilds.value() - before.first,
+                  hits.value() - before.second};
+  };
+
+  const trace::EventVector a = scenario_trace(14);
+  const auto half = static_cast<std::ptrdiff_t>(a.size() / 2);
+  SynthesisSession session;
+  session.ingest(trace::EventVector(a.begin(), a.begin() + half),
+                 {.trace_id = "a", .mode = ""});
+  session.ingest(scenario_trace(15), {.trace_id = "b", .mode = ""});
+  EXPECT_EQ(query(session), (Deltas{2, 0}));
+  session.ingest(trace::EventVector(a.begin() + half, a.end()),
+                 {.trace_id = "a", .mode = ""});
+  EXPECT_EQ(query(session), (Deltas{1, 1}));
+  EXPECT_EQ(query(session), (Deltas{0, 2}));
 }
 
 TEST(SynthesisSessionTest, WorkerPoolMatchesSequential) {

@@ -1,9 +1,9 @@
-// Tests for the fleet-scale ingest path: incremental re-synthesis must be
-// byte-identical to full synthesis over many generated scenarios and
+// Tests for the fleet-scale ingest path: a trace ingested in segments, in
+// any order and with queries in between, must synthesize byte-identically
+// to one pass over the whole trace across many generated scenarios and
 // arbitrary segmentations, and the sharded ingest service must produce the
 // same model regardless of shard count. The reference is the core free-
-// function pipeline, which shares no code path with the session's
-// synthesizer.
+// function pipeline over a one-pass index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +17,7 @@
 #include "api/session.hpp"
 #include "core/dag_builder.hpp"
 #include "core/export.hpp"
-#include "core/incremental.hpp"
+#include "core/model_synthesis.hpp"
 #include "scenario/generator.hpp"
 #include "scenario/runner.hpp"
 #include "trace/serialize.hpp"
@@ -34,20 +34,11 @@ std::string model_json(const core::TimingModel& model) {
   return core::to_json(model.dag);
 }
 
-/// Events packed as the synthesizer takes them.
-trace::EventColumns columns_of(const trace::EventVector& events) {
-  trace::EventColumns columns;
-  columns.append(events);
-  return columns;
-}
-
 /// Full synthesis from the core functions alone: one index over the whole
 /// trace, Alg. 1 per node, worker merging, labels, the DAG.
-core::Dag reference_dag(const trace::EventVector& events,
-                        const core::ExtractOptions& extract = {}) {
+core::Dag reference_dag(const trace::EventVector& events) {
   const core::TraceIndex index(events);
-  std::vector<core::CallbackList> lists =
-      core::extract_all_nodes(index, extract);
+  std::vector<core::CallbackList> lists = core::extract_all_nodes(index);
   core::merge_worker_lists(lists);
   core::normalize_labels(lists);
   return core::build_dag(lists, core::DagOptions{});
@@ -73,8 +64,8 @@ std::vector<trace::EventVector> random_cuts(const trace::EventVector& events,
 
 TEST(IncrementalTest, MatchesFullSynthesisAcrossSeeds) {
   // The acceptance bar: over >= 20 generator seeds, a session that ingests
-  // the trace in random segments (each trace keeps one synthesizer, which
-  // re-extracts only what a segment touched) produces a model
+  // the trace in random segments (each query appends the queued segments
+  // to the trace's index and synthesizes it) produces a model
   // byte-identical to one full-synthesis pass.
   for (std::uint64_t seed = 1; seed <= 22; ++seed) {
     const trace::EventVector events = scenario_trace(seed);
@@ -85,7 +76,7 @@ TEST(IncrementalTest, MatchesFullSynthesisAcrossSeeds) {
       ASSERT_TRUE(
           inc.ingest(std::move(segment), {.trace_id = "t", .mode = ""}).ok());
       // Query mid-stream too: interleaved model() calls must not perturb
-      // the final result (they exercise the re-extraction bookkeeping).
+      // the final result (they index the trace a segment at a time).
       ASSERT_TRUE(inc.model().ok());
     }
     EXPECT_EQ(model_json(inc.model().value()), expected) << "seed " << seed;
@@ -108,13 +99,12 @@ TEST(IncrementalTest, MatchesFullSynthesisOnPerPidPartition) {
   EXPECT_EQ(model_json(inc.model().value()), expected);
 }
 
-TEST(IncrementalTest, LateRequestWriteReextractsExactlyItsReaders) {
+TEST(IncrementalTest, LateRequestWriteResolvesTheCaller) {
   // Node a's timer calls service /sv on node b; node c is unrelated. The
   // trace ends before any client takes the reply, so b's only read of
   // a's activity is FindCaller's (topic, src_ts) key. Holding back the
   // request write leaves that lookup unresolved ('?'); appending the
-  // write alone must re-extract a (its own stream grew) and b (through
-  // the recorded miss), and nothing else.
+  // write alone must resolve it to a's timer.
   constexpr Pid kA = 1000, kB = 1001, kC = 1002;
   const trace::TraceEvent request =
       trace::make_dds_write(TimePoint{150}, kA, "/svRequest", TimePoint{150});
@@ -138,10 +128,11 @@ TEST(IncrementalTest, LateRequestWriteReextractsExactlyItsReaders) {
   events.push_back(request);
   trace::sort_by_time(events);
 
-  core::IncrementalSynthesizer inc;
-  inc.append(columns_of(early));
-  const auto server_in_topic = [&inc] {
-    for (const core::CallbackList& list : inc.model().node_callbacks) {
+  core::TraceIndex index;
+  index.append(early);
+  const auto server_in_topic = [&index] {
+    for (const core::CallbackList& list :
+         core::synthesize(index).node_callbacks) {
       if (list.pid == kB) return list.records.at(0).in_topic;
     }
     return std::string();
@@ -149,19 +140,18 @@ TEST(IncrementalTest, LateRequestWriteReextractsExactlyItsReaders) {
   EXPECT_EQ(core::split_annotated_topic(server_in_topic()).second,
             core::kUnknownAnnotation);
 
-  inc.append(columns_of({request}));
-  const std::string model = model_json(inc.model());
-  EXPECT_EQ(inc.last_extracted(), 2u);
+  index.append(trace::EventVector{request});
   EXPECT_EQ(core::split_annotated_topic(server_in_topic()).second,
             "node_a/T1");
-  EXPECT_EQ(model, core::to_json(reference_dag(events)));
+  EXPECT_EQ(model_json(core::synthesize(index)),
+            core::to_json(reference_dag(events)));
 }
 
-TEST(IncrementalTest, LateSchedSwitchesReextractExactlyTheirThread) {
+TEST(IncrementalTest, LateSchedSwitchesRemeasureTheirThread) {
   // Node a's timer runs over [100, 400], node b's over [500, 600]. A late
   // segment of two sched_switch rows preempts a's thread over [200, 300]
-  // in favour of a thread that is no node: Alg. 2 must re-measure a, and
-  // only a.
+  // in favour of a thread that is no node: Alg. 2 must charge a only for
+  // the time its thread ran, and leave b as it was.
   constexpr Pid kA = 1000, kB = 1001, kOther = 3000;
   const trace::EventVector early = {
       trace::make_node_event(TimePoint{0}, kA, "node_a"),
@@ -185,12 +175,10 @@ TEST(IncrementalTest, LateSchedSwitchesReextractExactlyTheirThread) {
   events.insert(events.end(), switches.begin(), switches.end());
   trace::sort_by_time(events);
 
-  core::IncrementalSynthesizer inc;
-  inc.append(columns_of(early));
-  inc.model();
-  inc.append(columns_of(switches));
-  const core::TimingModel model = inc.model();
-  EXPECT_EQ(inc.last_extracted(), 1u);
+  core::TraceIndex index;
+  index.append(early);
+  index.append(switches);
+  const core::TimingModel model = core::synthesize(index);
   const auto exec_time_of = [&model](Pid pid) {
     for (const core::CallbackList& list : model.node_callbacks) {
       if (list.pid == pid) return list.records.at(0).exec_times.at(0);
@@ -200,60 +188,6 @@ TEST(IncrementalTest, LateSchedSwitchesReextractExactlyTheirThread) {
   EXPECT_EQ(exec_time_of(kA), Duration::ns(200));
   EXPECT_EQ(exec_time_of(kB), Duration::ns(100));
   EXPECT_EQ(model_json(model), core::to_json(reference_dag(events)));
-}
-
-TEST(IncrementalTest, RepeatQueryExtractsNothing) {
-  core::IncrementalSynthesizer inc;
-  inc.append(columns_of(scenario_trace(5)));
-  inc.model();
-  EXPECT_GT(inc.last_extracted(), 0u);
-  inc.model();
-  // Nothing changed between the queries: the dependency tracking must
-  // report zero re-extracted nodes, not a silent full pass.
-  EXPECT_EQ(inc.last_extracted(), 0u);
-}
-
-TEST(IncrementalTest, ChangedExtractOptionsReextractEveryNode) {
-  // The session passes per-query options (a re-estimated compensation
-  // cost); lists cached under other options must all be re-extracted.
-  const trace::EventVector events = scenario_trace(5);
-  core::IncrementalSynthesizer inc;
-  inc.append(columns_of(events));
-  inc.model();
-  core::ExtractOptions compensated;
-  compensated.compensate_per_hit = Duration::us(1);
-  const std::string model = model_json(inc.model(compensated));
-  EXPECT_EQ(inc.last_extracted(), inc.index().nodes().size());
-  EXPECT_EQ(model, core::to_json(reference_dag(events, compensated)));
-  inc.model(compensated);
-  EXPECT_EQ(inc.last_extracted(), 0u);
-}
-
-TEST(IncrementalTest, TakeModelMatchesModel) {
-  // take_model() moves the lists out instead of copying them; the model
-  // must not change, whether an earlier query cached the lists or the
-  // take extracts them itself.
-  const trace::EventVector events = scenario_trace(4);
-  core::IncrementalSynthesizer queried;
-  core::IncrementalSynthesizer fresh;
-  for (const auto& segment : random_cuts(events, 3, 4242)) {
-    queried.append(columns_of(segment));
-    fresh.append(columns_of(segment));
-    queried.model();
-  }
-  const core::TimingModel expected = queried.model();
-  const core::TimingModel from_cache =
-      std::move(queried).take_model(core::ExtractOptions{});
-  const core::TimingModel extracted =
-      std::move(fresh).take_model(core::ExtractOptions{});
-  for (const core::TimingModel* taken : {&from_cache, &extracted}) {
-    EXPECT_EQ(model_json(*taken), model_json(expected));
-    ASSERT_EQ(taken->node_callbacks.size(), expected.node_callbacks.size());
-    for (std::size_t i = 0; i < expected.node_callbacks.size(); ++i) {
-      EXPECT_EQ(taken->node_callbacks[i].records.size(),
-                expected.node_callbacks[i].records.size());
-    }
-  }
 }
 
 TEST(IncrementalTest, MergedEventsReproducesChronologicalStream) {
@@ -313,7 +247,7 @@ TEST(IncrementalTest, ShuffledFileIsSortedOnIngest) {
 
 TEST(IncrementalTest, MergeTracesReadsSegmentsWhereTheyLive) {
   // Segments A.s0, B.s0, A.s1 arrive interleaved; per-trace queries drain
-  // some of A's segments into A's synthesizer. The merged model must still
+  // some of A's segments into A's index. The merged model must still
   // append every segment in ingestion order, exactly as the core
   // pipeline over one index does.
   const trace::EventVector a = scenario_trace(6);

@@ -279,9 +279,8 @@ std::string compensated_reference(const trace::EventVector& events) {
 }
 
 TEST(OverheadCompensationTest, IncrementalCompensationMatchesFullSynthesis) {
-  // Every query re-estimates the probe cost from the events so far; an
-  // incremental session must re-extract whatever a changed estimate moves
-  // and match a full compensated synthesis of the same events, byte for
+  // Every query re-estimates the probe cost from the events so far and
+  // must match a full compensated synthesis of the same events, byte for
   // byte. The jittered profile makes the estimate move between queries.
   for (const char* profile : {"5us", "5us~2us"}) {
     const trace::EventVector events =
@@ -289,7 +288,7 @@ TEST(OverheadCompensationTest, IncrementalCompensationMatchesFullSynthesis) {
             .trace;
     // Contiguous cuts touch every node. Holding back one node's ROS2
     // events leaves the other node untouched by the last segment, so only
-    // the changed estimate can re-extract it.
+    // the changed estimate can move its model.
     std::vector<std::vector<trace::EventVector>> splits(1);
     constexpr std::size_t kCuts = 4;
     for (std::size_t i = 0; i < kCuts; ++i) {

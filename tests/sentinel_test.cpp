@@ -669,8 +669,7 @@ TEST(StreamSentinelSweepTest, DetectsMidStreamMutantsWithoutFalseAlarms) {
       StreamSentinel stream(stream_sweep_config());
       ASSERT_TRUE(stream.ingest_baseline(baseline_trace).ok());
       trace::EventVector clean_segment = prefix_trace;
-      const TimePoint seam =
-          last_event_time(clean_segment) + stream.config().rebase_gap;
+      const TimePoint seam = last_event_time(clean_segment) + kRebaseGap;
 
       bool pre_seam_alarm = false;
       auto clean_verdicts = stream.feed(std::move(clean_segment));
