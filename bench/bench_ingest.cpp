@@ -147,6 +147,7 @@ int main() {
   if (jsonl_rows != total_events || ttb_rows != total_events) {
     std::fprintf(stderr, "FAIL: ingest row counts diverge (%zu / %zu / %zu)\n",
                  jsonl_rows, ttb_rows, total_events);
+    std::filesystem::remove_all(dir);
     return 1;
   }
   const double ttb_speedup = ttb_s > 0.0 ? jsonl_s / ttb_s : 0.0;
@@ -180,6 +181,9 @@ int main() {
       }
     }
   }
+  // Nothing below reads the fleet files, so every later exit (the shard
+  // error's included) leaves no files behind.
+  std::filesystem::remove_all(dir);
   (void)sharded_pass(shards, items);  // warm-up
   const double sharded_1_s = sharded_pass(1, items);
   const double sharded_n_s = sharded_pass(shards, items);

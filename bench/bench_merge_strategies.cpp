@@ -42,9 +42,9 @@ int main() {
 
   const auto clock = [] { return std::chrono::steady_clock::now(); };
 
-  // Option (i): every segment k-way merged into one stream, one synthesis.
-  api::SynthesisSession merge_traces_session(
-      api::SynthesisConfig().merge_strategy(api::MergeStrategy::MergeTraces));
+  // Option (i): every segment under one trace id, merged into one stream,
+  // one synthesis.
+  api::SynthesisSession merge_traces_session;
   for (const auto& segment : traces) {
     merge_traces_session.ingest(segment, {.trace_id = "run", .mode = ""});
   }
@@ -52,9 +52,8 @@ int main() {
   const core::Dag from_traces = merge_traces_session.model().value().dag;
   auto t1 = clock();
 
-  // Option (ii): one DAG per segment, merged afterwards.
-  api::SynthesisSession merge_dags_session(
-      api::SynthesisConfig().merge_strategy(api::MergeStrategy::MergeDags));
+  // Option (ii): one trace id, so one DAG, per segment, merged afterwards.
+  api::SynthesisSession merge_dags_session;
   for (const auto& segment : traces) merge_dags_session.ingest(segment);
   auto t2 = clock();
   const core::Dag from_dags = merge_dags_session.model().value().dag;

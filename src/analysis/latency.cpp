@@ -50,6 +50,12 @@ InstanceTimeline::InstanceTimeline(const trace::ColumnsView& events) {
         }
         break;
       }
+      case trace::EventType::TakeTypeErased: {
+        // A response taken but not dispatched (P14 false): the instance
+        // consumed nothing, and Alg. 1 drops it too (lines 24-25).
+        if (v.aux[i] == 0) open.erase(pid);
+        break;
+      }
       case trace::EventType::DdsWrite: {
         const std::string topic(v.str(v.arg_c[i]));
         const TimePoint src_ts{v.arg_b[i]};

@@ -35,32 +35,6 @@ struct SessionMetrics {
   }
 };
 
-/// Runs core::synthesize over `index` once `append` has fed it the new
-/// segments. Overhead compensation is resolved against the index: an
-/// explicit probe-cost hint wins, otherwise the per-hit cost is estimated
-/// from the trace itself (zero for probe-free traces, which makes
-/// compensation a no-op).
-template <typename Append>
-core::TimingModel synthesize(const SynthesisConfig& config,
-                             core::TraceIndex& index,
-                             std::uint64_t span_parent, Append&& append) {
-  telemetry::ScopedSpan span("synth.trace", span_parent, 0);
-  {
-    telemetry::ScopedSpan merge_span("synth.merge");
-    append();
-    merge_span.set_items(index.size());
-  }
-  span.set_items(index.size());
-  core::SynthesisOptions options = config.core_options();
-  Duration& per_hit = options.extract.compensate_per_hit;
-  if (config.compensate_overhead() && per_hit == Duration::zero()) {
-    per_hit = config.probe_cost_hint() > Duration::zero()
-                  ? config.probe_cost_hint()
-                  : overhead::estimate_probe_cost(index).per_hit;
-  }
-  return core::synthesize(index, options);
-}
-
 }  // namespace
 
 SynthesisSession::TraceState& SynthesisSession::trace_for(
@@ -120,12 +94,8 @@ Result<SegmentInfo> SynthesisSession::ingest(trace::EventColumns columns,
   event_count_ += columns.size();
   SessionMetrics::get().segments.inc();
   SessionMetrics::get().events.add(columns.size());
-  segment_locator_.push_back(
-      {trace_index_.at(trace.id), trace.segment_rows.size()});
-  trace.segment_rows.push_back(columns.size());
   trace.pending.push_back(std::move(columns));
   trace.dirty = true;
-  merged_dirty_ = true;
   segments_.push_back(info);
   return info;
 }
@@ -151,23 +121,29 @@ Result<SegmentInfo> SynthesisSession::ingest_file(const std::string& path,
 void SynthesisSession::synthesize_trace(TraceState& trace,
                                         const SynthesisConfig& config,
                                         std::uint64_t span_parent) {
-  trace.model = synthesize(config, trace.index, span_parent, [&] {
+  telemetry::ScopedSpan span("synth.trace", span_parent, 0);
+  {
+    telemetry::ScopedSpan merge_span("synth.merge");
     for (trace::EventColumns& segment : trace.pending) {
       trace.index.append(std::move(segment));
     }
     trace.pending.clear();
-  });
+    merge_span.set_items(trace.index.size());
+  }
+  span.set_items(trace.index.size());
+  // Overhead compensation is resolved against the index: an explicit
+  // probe-cost hint wins, otherwise the per-hit cost is estimated from the
+  // trace itself (zero for probe-free traces, which makes compensation a
+  // no-op).
+  core::SynthesisOptions options = config.core_options();
+  Duration& per_hit = options.extract.compensate_per_hit;
+  if (config.compensate_overhead() && per_hit == Duration::zero()) {
+    per_hit = config.probe_cost_hint() > Duration::zero()
+                  ? config.probe_cost_hint()
+                  : overhead::estimate_probe_cost(trace.index).per_hit;
+  }
+  trace.model = core::synthesize(trace.index, options);
   trace.dirty = false;
-}
-
-trace::ColumnsView SynthesisSession::segment_view(std::size_t trace_idx,
-                                                  std::size_t ordinal) const {
-  const TraceState& trace = traces_[trace_idx];
-  const std::size_t drained = trace.segment_rows.size() - trace.pending.size();
-  if (ordinal >= drained) return trace.pending[ordinal - drained].view();
-  std::size_t first = 0;
-  for (std::size_t k = 0; k < ordinal; ++k) first += trace.segment_rows[k];
-  return trace.index.view().rows(first, trace.segment_rows[ordinal]);
 }
 
 Error SynthesisSession::synthesize_dirty() {
@@ -222,33 +198,6 @@ Result<core::TimingModel> SynthesisSession::model() {
                       "no events ingested before model()", "");
   }
   telemetry::ScopedSpan model_span("session.model", event_count_);
-
-  if (config_.merge_strategy() == MergeStrategy::MergeTraces) {
-    if (merged_dirty_) {
-      SessionMetrics::get().dirty_rebuilds.inc();
-      // One short-lived index over every segment, in ingestion order,
-      // each read where it lives.
-      try {
-        core::TraceIndex index;
-        const auto append_all = [&] {
-          for (const auto& [trace_idx, ordinal] : segment_locator_) {
-            index.append(segment_view(trace_idx, ordinal));
-          }
-        };
-        merged_model_ = synthesize(config_, index,
-                                   telemetry::ScopedSpan::current_id(),
-                                   append_all);
-      } catch (const std::exception& e) {
-        return make_error(ErrorCode::SynthesisFailed, e.what(),
-                          "merged stream");
-      }
-      merged_dirty_ = false;
-    } else {
-      SessionMetrics::get().cache_hits.inc();
-    }
-    return merged_model_;
-  }
-
   if (Error error = synthesize_dirty(); error.code != ErrorCode::None) {
     return error;
   }
@@ -346,11 +295,6 @@ Result<trace::EventVector> SynthesisSession::merged_events(
 
 Result<std::size_t> SynthesisSession::release_events(
     const std::string& trace_id) {
-  if (config_.merge_strategy() == MergeStrategy::MergeTraces) {
-    return make_error(ErrorCode::InvalidArgument,
-                      "release_events requires the MergeDags strategy",
-                      trace_id);
-  }
   Result<TraceState*> trace = synthesized(trace_id);
   if (!trace.ok()) return trace.error();
   // Synthesis drained every pending segment into the index.
@@ -371,11 +315,8 @@ void SynthesisSession::clear() {
   traces_.clear();
   trace_index_.clear();
   segments_.clear();
-  segment_locator_.clear();
   event_count_ = 0;
   auto_trace_counter_ = 0;
-  merged_model_ = {};
-  merged_dirty_ = true;
 }
 
 }  // namespace tetra::api

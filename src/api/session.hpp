@@ -3,9 +3,7 @@
 // Traces arrive as many segments across runs and modes; a session accepts
 // them incrementally and serves models at any point:
 //
-//   api::SynthesisSession session(
-//       api::SynthesisConfig().merge_strategy(api::MergeStrategy::MergeDags)
-//                             .threads(4));
+//   api::SynthesisSession session(api::SynthesisConfig().threads(4));
 //   session.ingest(run1_events, {.trace_id = "run-1"});
 //   session.ingest_file("run2.jsonl", {.trace_id = "run-2"});
 //   auto model = session.model();            // synthesizes run-1 + run-2
@@ -18,9 +16,9 @@
 // ingestion order, to the trace's index and runs core::synthesize over
 // it, and a clean trace is served from its cached model. Distinct trace
 // ids are synthesized independently — in parallel on a small worker pool
-// when config.threads(N) > 1 — and combined per the configured merge
-// strategy. Results carry typed api::Error diagnostics instead of bare
-// exceptions.
+// when config.threads(N) > 1 — and their DAGs merged: the segments of one
+// id form one stream (§V option i), distinct ids are option (ii). Results
+// carry typed api::Error diagnostics instead of bare exceptions.
 #pragma once
 
 #include <cstddef>
@@ -40,8 +38,8 @@
 namespace tetra::api {
 
 /// Per-ingest options. An empty trace_id opens a fresh auto-named trace
-/// ("trace-<n>"): the right default under MergeDags, where each ingest is
-/// typically one run. Segments of the same run/mode should share an id.
+/// ("trace-<n>"): the right default when each ingest is one run.
+/// Segments of the same run/mode should share an id.
 struct IngestOptions {
   std::string trace_id;
   std::string mode;  ///< operating-mode tag; "" = "nominal"
@@ -73,9 +71,9 @@ class SynthesisSession {
 
   // -- queries ------------------------------------------------------------
 
-  /// The combined model over everything ingested so far, per the merge
-  /// strategy. Under MergeDags only traces dirtied since the last query
-  /// are re-synthesized; node_callbacks concatenates the per-trace lists.
+  /// The combined model over everything ingested so far: the DAGs of
+  /// every trace merged. Only traces dirtied since the last query are
+  /// re-synthesized; node_callbacks concatenates the per-trace lists.
   Result<core::TimingModel> model();
 
   /// Per-mode models (§V option iv): per-trace DAGs merged into the mode
@@ -100,11 +98,10 @@ class SynthesisSession {
       const predict::PredictionConfig& config = {});
 
   /// Frees the events of one trace while keeping its cached model, so
-  /// long-lived sessions over heavy trace volume stay bounded in memory
-  /// (MergeDags only — MergeTraces needs every event for the global
-  /// merge). Synthesizes the trace first if it is still dirty. The trace
-  /// is sealed afterwards: further ingests into it are rejected. Returns
-  /// the number of events freed.
+  /// long-lived sessions over heavy trace volume stay bounded in memory.
+  /// Synthesizes the trace first if it is still dirty. The trace is
+  /// sealed afterwards: further ingests into it are rejected. Returns the
+  /// number of events freed.
   Result<std::size_t> release_events(const std::string& trace_id);
 
   // -- introspection ------------------------------------------------------
@@ -125,9 +122,6 @@ class SynthesisSession {
     std::string id;
     std::string mode;
     std::vector<trace::EventColumns> pending;  ///< sorted, not yet indexed
-    /// Rows of every segment ingested, in order; all but the last
-    /// pending.size() are row ranges of the index.
-    std::vector<std::size_t> segment_rows;
     core::TraceIndex index;
     core::TimingModel model;  ///< cache, valid when !dirty
     bool dirty = true;
@@ -137,15 +131,13 @@ class SynthesisSession {
   TraceState& trace_for(const IngestOptions& options);
   /// The trace, synthesized if dirty; or UnknownTrace / SynthesisFailed.
   Result<TraceState*> synthesized(const std::string& trace_id);
-  /// Segment `ordinal` of trace `trace_idx`, wherever it now lives.
-  trace::ColumnsView segment_view(std::size_t trace_idx,
-                                  std::size_t ordinal) const;
   /// Synthesizes every dirty trace (worker pool when threads > 1).
   /// Returns an error naming the first failing trace, if any.
   Error synthesize_dirty();
-  /// `span_parent` anchors the "synth.trace" telemetry span under the
-  /// caller's open span even on pool threads (whose RAII span stacks
-  /// start empty).
+  /// Appends the trace's queued segments, in ingestion order, to its
+  /// index and runs core::synthesize over it. `span_parent` anchors the
+  /// "synth.trace" telemetry span under the caller's open span even on
+  /// pool threads (whose RAII span stacks start empty).
   static void synthesize_trace(TraceState& trace,
                                const SynthesisConfig& config,
                                std::uint64_t span_parent);
@@ -154,16 +146,8 @@ class SynthesisSession {
   std::vector<TraceState> traces_;                ///< ingestion order
   std::map<std::string, std::size_t> trace_index_;
   std::vector<SegmentInfo> segments_;
-  /// Per-segment (trace index, segment ordinal) in ingestion order — the
-  /// order MergeTraces appends every segment in, which breaks time ties
-  /// deterministically.
-  std::vector<std::pair<std::size_t, std::size_t>> segment_locator_;
   std::size_t event_count_ = 0;
   std::size_t auto_trace_counter_ = 0;
-
-  /// MergeTraces caches one global model instead of per-trace models.
-  core::TimingModel merged_model_;
-  bool merged_dirty_ = true;
 };
 
 }  // namespace tetra::api

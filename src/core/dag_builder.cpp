@@ -128,7 +128,7 @@ Dag build_dag(const std::vector<CallbackList>& lists, const DagOptions& options)
         }
       }
     }
-    if (options.mark_or_junctions && distinct_producers.size() > 1) {
+    if (distinct_producers.size() > 1) {
       dag.find_vertex(ref.key)->is_or_junction = true;
     }
   }

@@ -31,9 +31,6 @@ struct DagOptions {
   /// proposal). When false, sync members connect directly to downstream
   /// subscribers like ordinary callbacks.
   bool model_sync_with_and_junction = true;
-
-  /// Annotate vertices whose in-topic has several producers as OR.
-  bool mark_or_junctions = true;
 };
 
 /// Builds the DAG for one trace from normalized CBlists (labels assigned).

@@ -159,10 +159,8 @@ ScenarioRunner::TracedRun ScenarioRunner::trace_run(
   return traced;
 }
 
-api::SynthesisConfig ScenarioRunner::session_config(
-    api::MergeStrategy strategy) const {
+api::SynthesisConfig ScenarioRunner::session_config() const {
   return api::SynthesisConfig()
-      .merge_strategy(strategy)
       .core_options(options_.synthesis)
       .threads(options_.threads)
       .compensate_overhead(options_.compensate_overhead);
@@ -176,8 +174,7 @@ ScenarioRunResult ScenarioRunner::run(const ScenarioSpec& spec,
   // Merge the init and runtime tracer outputs once; ingested as a single
   // sorted segment, merged_events() is a plain copy (its sort finds the
   // events already in order).
-  api::SynthesisSession session(
-      session_config(api::MergeStrategy::MergeTraces));
+  api::SynthesisSession session(session_config());
   session.ingest(trace::merge_sorted({std::move(traced.init_trace),
                                       std::move(traced.runtime_trace)}),
                  {.trace_id = "run", .mode = ""});
@@ -201,8 +198,7 @@ core::MultiModeDag ScenarioRunner::run_modes(const ScenarioSpec& spec) const {
   // One session accumulates all per-mode traces; the per-mode DAG merge
   // (§V option iv) happens in multi_mode_model, with per-trace synthesis
   // parallelized across options_.threads workers.
-  api::SynthesisSession session(
-      session_config(api::MergeStrategy::MergeDags));
+  api::SynthesisSession session(session_config());
   for (std::size_t i = 0; i < modes.size(); ++i) {
     TracedRun traced = trace_run(spec, modes[i].demand_scale, i + 1);
     const api::IngestOptions segment{
@@ -289,8 +285,7 @@ OverheadRoundTripResult run_overhead_round_trip(
       compare_to_truth(truth.model.dag, probed.model.dag);
   const core::TimingModel compensated = synthesize_events(
       probed.trace,
-      probed_runner.session_config(api::MergeStrategy::MergeTraces)
-          .compensate_overhead(true));
+      probed_runner.session_config().compensate_overhead(true));
   result.compensated = compare_to_truth(truth.model.dag, compensated.dag);
   return result;
 }

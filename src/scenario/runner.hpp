@@ -79,7 +79,7 @@ class ScenarioRunner {
 
   const RunnerOptions& options() const { return options_; }
 
-  api::SynthesisConfig session_config(api::MergeStrategy strategy) const;
+  api::SynthesisConfig session_config() const;
 
  private:
   /// One traced simulation without synthesis: the init/runtime tracer

@@ -54,8 +54,7 @@ struct SentinelConfig {
   /// instance above the deadline raises DeadlineViolation — immediately,
   /// even in streaming mode (a hard violation is not statistical).
   std::map<std::string, Duration> chain_deadlines;
-  /// Synthesis pipeline configuration. Must keep MergeStrategy::MergeDags
-  /// (the sentinel compares per-trace models and releases window events).
+  /// Synthesis pipeline configuration.
   api::SynthesisConfig synthesis;
 
   // -- streaming window geometry ------------------------------------------

@@ -21,7 +21,6 @@ CaseStudyResult run_case_study(
   const bool eager = static_cast<bool>(per_run);
   api::SynthesisSession session(
       api::SynthesisConfig()
-          .merge_strategy(api::MergeStrategy::MergeDags)
           .core_options(config.synthesis)
           .threads(config.threads));
   Rng run_rng(config.seed);

@@ -209,6 +209,41 @@ TEST(LatencyTest, InstanceTimelineLinksTakesAndWrites) {
   EXPECT_TRUE(timeline.consumers_of("/in", TimePoint{91}).empty());
 }
 
+TEST(LatencyTest, UndispatchedClientInstanceConsumesNothing) {
+  // Two clients of one service take the same reply; only `a` dispatches
+  // it (P14 true). `b` takes it without dispatching (P14 false, then
+  // P15), an instance Alg. 1 drops (lines 24-25), so the reply has one
+  // consumer and the chain ends with a's callback.
+  using namespace tetra::trace;
+  EventVector ev;
+  ev.push_back(make_callback_start(TimePoint{1}, 1, CallbackKind::Timer));
+  ev.push_back(make_dds_write(TimePoint{2}, 1, "/svRequest", TimePoint{2}));
+  ev.push_back(make_callback_end(TimePoint{3}, 1, CallbackKind::Timer));
+  ev.push_back(make_callback_start(TimePoint{4}, 2, CallbackKind::Service));
+  ev.push_back(make_take(TimePoint{5}, 2, TakeKind::Request, 0x2,
+                         "/svRequest", TimePoint{2}));
+  ev.push_back(make_dds_write(TimePoint{6}, 2, "/svReply", TimePoint{6}));
+  ev.push_back(make_callback_end(TimePoint{7}, 2, CallbackKind::Service));
+  ev.push_back(make_callback_start(TimePoint{10}, 1, CallbackKind::Client));
+  ev.push_back(make_take(TimePoint{11}, 1, TakeKind::Response, 0x1,
+                         "/svReply", TimePoint{6}));
+  ev.push_back(make_take_type_erased(TimePoint{12}, 1, true));
+  ev.push_back(make_callback_end(TimePoint{20}, 1, CallbackKind::Client));
+  ev.push_back(make_callback_start(TimePoint{25}, 3, CallbackKind::Client));
+  ev.push_back(make_take(TimePoint{26}, 3, TakeKind::Response, 0x3,
+                         "/svReply", TimePoint{6}));
+  ev.push_back(make_take_type_erased(TimePoint{27}, 3, false));
+  ev.push_back(make_callback_end(TimePoint{28}, 3, CallbackKind::Client));
+  const InstanceTimeline timeline(ev);
+  const auto consumers = timeline.consumers_of("/svReply", TimePoint{6});
+  ASSERT_EQ(consumers.size(), 1u);
+  EXPECT_EQ(consumers[0]->pid, 1);
+  const ChainLatencyResult latency =
+      measure_chain_latency(timeline, {"/svRequest", "/svReply"});
+  ASSERT_EQ(latency.complete, 1u);
+  EXPECT_EQ(latency.max(), Duration::ns(18));
+}
+
 TEST(LatencyTest, InstanceTimelineIgnoresInputOrder) {
   ros2::Context ctx;
   ebpf::TracerSuite suite(ctx);

@@ -91,8 +91,7 @@ core::TimingModel synthesize_segmented(const trace::EventVector& events,
   std::vector<trace::EventVector> segments = split_segments(events, k);
   std::mt19937_64 rng(shuffle_seed);
   std::shuffle(segments.begin(), segments.end(), rng);
-  SynthesisSession session(
-      SynthesisConfig().merge_strategy(MergeStrategy::MergeTraces));
+  SynthesisSession session;
   for (auto& segment : segments) {
     session.ingest(std::move(segment), {.trace_id = "t", .mode = ""});
   }
@@ -268,12 +267,6 @@ TEST(SynthesisSessionTest, ReleaseEventsKeepsModelAndSealsTrace) {
   EXPECT_EQ(session.merged_events("r").error().code,
             ErrorCode::InvalidArgument);
   EXPECT_EQ(session.ingest(events, {.trace_id = "r", .mode = ""}).error().code,
-            ErrorCode::InvalidArgument);
-
-  SynthesisSession merge_traces(
-      SynthesisConfig().merge_strategy(MergeStrategy::MergeTraces));
-  merge_traces.ingest(events, {.trace_id = "r", .mode = ""});
-  EXPECT_EQ(merge_traces.release_events("r").error().code,
             ErrorCode::InvalidArgument);
 }
 

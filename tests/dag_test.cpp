@@ -208,11 +208,6 @@ TEST(DagBuilderTest, OrJunctionMarked) {
   const Dag dag = build_dag({writers, reader});
   EXPECT_TRUE(dag.find_vertex("r/SC1")->is_or_junction);
   EXPECT_EQ(dag.in_edges("r/SC1").size(), 2u);
-
-  DagOptions no_or;
-  no_or.mark_or_junctions = false;
-  const Dag plain = build_dag({writers, reader}, no_or);
-  EXPECT_FALSE(plain.find_vertex("r/SC1")->is_or_junction);
 }
 
 TEST(DagBuilderTest, DanglingTopicsProduceNoEdges) {

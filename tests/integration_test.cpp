@@ -310,7 +310,9 @@ TEST(CaseStudyTest, MergeStrategiesAgreeStructurally) {
   // *segments of one run* (PIDs and callback ids are stable while the
   // applications keep running); across separate runs, ids and timestamps
   // collide and the paper's option (ii), DAG-level merging, is the right
-  // tool. Both strategies must agree structurally on segmented traces.
+  // tool. A session merges segments of one trace id as option (i) and
+  // distinct ids as option (ii); both must agree structurally on
+  // segmented traces.
   ros2::Context ctx;
   ebpf::TracerSuite suite(ctx);
   suite.start_init();
@@ -323,14 +325,16 @@ TEST(CaseStudyTest, MergeStrategiesAgreeStructurally) {
     segments.push_back(
         trace::merge_sorted({init_trace, suite.stop_runtime()}));
   }
-  const auto session_dag = [&segments](api::MergeStrategy strategy) {
-    api::SynthesisSession session(
-        api::SynthesisConfig().merge_strategy(strategy));
-    for (const auto& segment : segments) session.ingest(segment);
+  // An empty shared id gives every segment a fresh auto-named trace.
+  const auto session_dag = [&segments](const std::string& shared_id) {
+    api::SynthesisSession session;
+    for (const auto& segment : segments) {
+      session.ingest(segment, {.trace_id = shared_id, .mode = ""});
+    }
     return session.model().value().dag;
   };
-  const core::Dag from_traces = session_dag(api::MergeStrategy::MergeTraces);
-  const core::Dag from_dags = session_dag(api::MergeStrategy::MergeDags);
+  const core::Dag from_traces = session_dag("run");
+  const core::Dag from_dags = session_dag("");
   EXPECT_EQ(from_traces.vertex_count(), from_dags.vertex_count());
   EXPECT_EQ(from_traces.edge_count(), from_dags.edge_count());
   for (const auto& vertex : from_dags.vertices()) {

@@ -315,7 +315,7 @@ TEST(SynthCliTest, TtbConversionRoundTripsByteIdentical) {
 TEST(SynthCliTest, EverySynthesisModeReproducesModelGolden) {
   REQUIRE_TOOL("tetra_synth");
   // Every way of synthesizing the golden trace must write the same model,
-  // byte for byte: the merge strategies, the trace cut into two segment
+  // byte for byte: both --merge modes, the trace cut into two segment
   // files, the .ttb twin, and overhead compensation (a no-op on this
   // probe-free trace).
   namespace fs = std::filesystem;
@@ -464,6 +464,15 @@ TEST(ScenarioCliTest, StatsSnapshotIsDeterministicUnderSimClock) {
   EXPECT_NE(snapshot.find("ingest.queue_depth{shard=1}"), std::string::npos);
   EXPECT_NE(snapshot.find("\"name\":\"session.model\""), std::string::npos);
   EXPECT_NE(snapshot.find("\"name\":\"synth.extract\""), std::string::npos);
+  // The trace is synthesized once by the runner's session and once by the
+  // shard that holds it; the sharded model() reads the shard's cache.
+  std::size_t synth_traces = 0;
+  for (std::size_t at = snapshot.find("\"name\":\"synth.trace\"");
+       at != std::string::npos;
+       at = snapshot.find("\"name\":\"synth.trace\"", at + 1)) {
+    ++synth_traces;
+  }
+  EXPECT_EQ(synth_traces, 2u);
   std::remove(first.c_str());
   std::remove(second.c_str());
 }

@@ -289,9 +289,6 @@ int main(int argc, char** argv) {
                            "--merge-dags and --merge-traces are exclusive");
   }
   api::SynthesisConfig synth_config;
-  if (merge_traces) {
-    synth_config.merge_strategy(api::MergeStrategy::MergeTraces);
-  }
   synth_config.threads(threads);
   if (horizon_s > 0.0) prediction.horizon = Duration::ms_f(horizon_s * 1e3);
   if (cpus > 0) {
@@ -302,8 +299,13 @@ int main(int argc, char** argv) {
 
   try {
     api::SynthesisSession session(synth_config);
+    // --merge-traces ingests every file under one trace id (§V option i);
+    // by default each file is its own trace, keyed by its path.
+    const api::IngestOptions options{
+        .trace_id = merge_traces ? "merged stream" : "", .mode = ""};
     for (const auto& path : trace_paths) {
-      api::Result<api::SegmentInfo> segment = session.ingest_file(path);
+      api::Result<api::SegmentInfo> segment =
+          session.ingest_file(path, options);
       if (!segment.ok()) {
         std::fprintf(stderr, "error: %s\n",
                      segment.error().to_string().c_str());

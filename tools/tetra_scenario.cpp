@@ -305,8 +305,7 @@ int main(int argc, char** argv) {
           // populates the ingest.* metric family for --stats/--stats-out.
           api::IngestServiceConfig service_config;
           service_config.shards = static_cast<std::size_t>(shards);
-          service_config.session =
-              runner.session_config(api::MergeStrategy::MergeTraces);
+          service_config.session = runner.session_config();
           api::ShardedIngestService service(service_config);
           const std::size_t chunk =
               std::max<std::size_t>(1, result.trace.size() / 8);

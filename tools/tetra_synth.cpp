@@ -15,7 +15,8 @@
 // With several --trace inputs, --merge-dags (default; §V option ii)
 // synthesizes per trace — on N worker threads with --threads — and
 // merges the DAGs; --merge-traces (option i, for segments of one run)
-// merges the event streams first.
+// ingests every input under one trace id, so the event streams merge
+// before the one synthesis.
 //
 // --lenient skips malformed JSONL lines (with a warning naming how many)
 // instead of failing, for synthesis and conversion alike.
@@ -125,7 +126,6 @@ int main(int argc, char** argv) {
     return cli.usage_error(argv[0],
                            "--merge-dags and --merge-traces are exclusive");
   }
-  if (merge_traces) config.merge_strategy(api::MergeStrategy::MergeTraces);
   config.threads(threads);
 
   // Conversion and --lenient synthesis read through here, so one corrupt
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
     api::SynthesisSession session(config);
     for (const auto& path : trace_paths) {
       api::IngestOptions options;
-      options.trace_id = path;
+      options.trace_id = merge_traces ? "merged stream" : path;
       const api::Result<api::SegmentInfo> segment =
           lenient ? session.ingest(read(path), options)
                   : session.ingest_file(path, options);
