@@ -1,5 +1,6 @@
 // Fleet ingest benchmark: the binary trace path vs the JSONL path, the
-// sharded ingest service's scaling, and re-synthesis after a late delta.
+// ingest service's decode-worker scaling, and re-synthesis after a late
+// delta.
 // Emits machine-readable results as BENCH_ingest.json.
 //
 // Three measurements:
@@ -7,8 +8,10 @@
 //      (gate: >= 2x events/sec, the format exists to beat per-line JSON;
 //      the JSONL side is read_trace_file's single-pass field scanner
 //      writing columns the index adopts, as SynthesisSession does)
-//   2. sharded submit_jsonl throughput, 1 shard vs TETRA_SHARDS
-//      (gate: >= 0.7 scaling efficiency when the host has enough cores)
+//   2. submit_jsonl + flush throughput, 1 decode worker ("shard") vs
+//      TETRA_SHARDS, as the median of alternating pairs (gate: >= 0.7
+//      median scaling efficiency when a spin probe beside the pairs
+//      measures TETRA_SHARDS cores, rounded to whole cores)
 //   3. re-synthesis of an index that received a small per-pid delta last
 //      vs a one-pass index, with a hard byte-identity check on the
 //      resulting DAG JSON
@@ -16,10 +19,13 @@
 // Knobs:
 //   TETRA_ROBOTS     fleet size (default 8)
 //   TETRA_DURATION   per-robot simulated seconds (default 6)
-//   TETRA_SHARDS     worker shards for the scaling pass (default 4)
+//   TETRA_SHARDS     decode workers for the scaling pass (default 4)
 //   TETRA_BENCH_JSON output path (default BENCH_ingest.json)
 //   TETRA_REQUIRE_SPEEDUP  0 = report only, never fail the gates
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -69,13 +75,18 @@ struct FleetItem {
   std::string jsonl;
 };
 
-/// One full ingest pass through the sharded service; returns wall seconds.
-double sharded_pass(std::size_t shards, const std::vector<FleetItem>& items) {
+/// One full ingest pass through the service with `shards` decode workers;
+/// returns wall seconds. The pass copies the uploads before the clock
+/// starts and hands each text over, as an uploader that owns its buffer
+/// does, so the time is the service's and not the copy's.
+double sharded_pass(std::size_t shards, std::vector<FleetItem> uploads) {
   api::IngestServiceConfig config;
   config.shards = shards;
   api::ShardedIngestService service(config);
   const auto t0 = std::chrono::steady_clock::now();
-  for (const auto& item : items) service.submit_jsonl(item.id, item.jsonl);
+  for (auto& item : uploads) {
+    service.submit_jsonl(item.id, std::move(item.jsonl));
+  }
   service.flush();
   const double elapsed = bench::seconds_since(t0);
   if (service.first_error().code != api::ErrorCode::None) {
@@ -84,6 +95,43 @@ double sharded_pass(std::size_t shards, const std::vector<FleetItem>& items) {
     std::exit(1);
   }
   return elapsed;
+}
+
+/// Effective parallelism the host gives `threads` threads right now:
+/// `threads` times the wall time of one thread's fixed integer work over
+/// the wall time of `threads` threads doing that work each at once. It
+/// reads about `threads` on an idle host with that many cores, and less
+/// when other load or fewer cores share them.
+double effective_parallelism(std::size_t threads) {
+  constexpr std::uint64_t kIterations = 20'000'000;
+  std::atomic<std::uint64_t> sink{0};
+  const auto timed_spin = [&](std::size_t count) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < count; ++t) {
+      pool.emplace_back([&sink, seed = count + t] {
+        std::uint64_t x = 0x2545F4914F6CDD1DULL ^ seed;
+        for (std::uint64_t i = 0; i < kIterations; ++i) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+        }
+        sink.fetch_xor(x);
+      });
+    }
+    for (auto& thread : pool) thread.join();
+    return bench::seconds_since(t0);
+  };
+  const double one = timed_spin(1);
+  const double all = timed_spin(threads);
+  return all > 0.0 ? static_cast<double>(threads) * one / all : 0.0;
+}
+
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
 }
 
 }  // namespace
@@ -152,45 +200,43 @@ int main() {
   }
   const double ttb_speedup = ttb_s > 0.0 ? jsonl_s / ttb_s : 0.0;
 
-  // ---- 2. sharded ingest scaling ------------------------------------------
-  // Each robot's stream is cut into per-shard-count segments, and robot ids
-  // are chosen so the hash routing spreads the fleet evenly — the bench
-  // measures parse/ingest scaling, not hash luck.
+  // ---- 2. decode-worker scaling -------------------------------------------
+  // Each robot's stream is cut into four segments; the workers share one
+  // decode queue, so any robot ids keep them evenly loaded.
   std::vector<FleetItem> items;
-  {
-    api::IngestServiceConfig probe_config;
-    probe_config.shards = shards;
-    const api::ShardedIngestService probe(probe_config);
-    std::vector<int> per_shard(shards, 0);
-    const int target = (robots + static_cast<int>(shards) - 1) /
-                       static_cast<int>(shards);
-    int candidate = 0;
-    for (int robot = 0; robot < robots; ++robot) {
-      std::string id;
-      for (;; ++candidate) {
-        id = "fleet-" + std::to_string(candidate);
-        if (per_shard[probe.shard_of(id)] < target) break;
-      }
-      ++per_shard[probe.shard_of(id)];
-      ++candidate;
-      std::ifstream f(jsonl_paths[robot], std::ios::binary);
-      const std::string text((std::istreambuf_iterator<char>(f)),
-                             std::istreambuf_iterator<char>());
-      for (auto& chunk : split_lines(text, 4)) {
-        items.push_back({id, std::move(chunk)});
-      }
+  for (int robot = 0; robot < robots; ++robot) {
+    std::ifstream f(jsonl_paths[robot], std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(f)),
+                           std::istreambuf_iterator<char>());
+    for (auto& chunk : split_lines(text, 4)) {
+      items.push_back({"robot-" + std::to_string(robot), std::move(chunk)});
     }
   }
   // Nothing below reads the fleet files, so every later exit (the shard
   // error's included) leaves no files behind.
   std::filesystem::remove_all(dir);
   (void)sharded_pass(shards, items);  // warm-up
-  const double sharded_1_s = sharded_pass(1, items);
-  const double sharded_n_s = sharded_pass(shards, items);
-  const double scaling_efficiency =
-      sharded_n_s > 0.0
-          ? sharded_1_s / (sharded_n_s * static_cast<double>(shards))
-          : 0.0;
+  // One pair of passes swings widely with the host's load, so the gate
+  // reads the median of alternating 1-worker/N-worker pairs, each run
+  // right after a spin probe of the parallelism the host gives N threads.
+  constexpr int kPairs = 9;
+  std::vector<double> passes_1_s, passes_n_s, efficiencies, probes;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    probes.push_back(effective_parallelism(shards));
+    const bool one_first = pair % 2 == 0;
+    const double first = sharded_pass(one_first ? 1 : shards, items);
+    const double second = sharded_pass(one_first ? shards : 1, items);
+    const double t1 = one_first ? first : second;
+    const double tn = one_first ? second : first;
+    passes_1_s.push_back(t1);
+    passes_n_s.push_back(tn);
+    efficiencies.push_back(tn > 0.0 ? t1 / (tn * static_cast<double>(shards))
+                                    : 0.0);
+  }
+  const double sharded_1_s = median(passes_1_s);
+  const double sharded_n_s = median(passes_n_s);
+  const double scaling_efficiency = median(efficiencies);
+  const double parallelism = median(probes);
 
   // ---- 3. re-synthesis after a late delta ---------------------------------
   // Hold back the second half of one pid's ROS events and append them
@@ -243,7 +289,11 @@ int main() {
   row("sharded jsonl ingest, 1 shard", sharded_1_s);
   row(format("sharded jsonl ingest, %zu shards", shards), sharded_n_s);
   std::printf("%-40s %12.2fx\n", "ttb speedup", ttb_speedup);
-  std::printf("%-40s %12.2f\n", "scaling efficiency", scaling_efficiency);
+  std::printf("%-40s %12.2f (median of %d pairs)\n", "scaling efficiency",
+              scaling_efficiency, kPairs);
+  std::printf("%-40s %12.2f (median of %d probes)\n",
+              format("effective parallelism, %zu threads", shards).c_str(),
+              parallelism, kPairs);
   std::printf("%-40s %12.1f vs %.1f ms one pass (%s)\n",
               "re-synthesis after a late delta", late_s * 1e3, full_s * 1e3,
               identical ? "identical" : "DIVERGED");
@@ -292,8 +342,15 @@ int main() {
                  ttb_speedup);
     return 1;
   }
-  // The scaling bar needs real cores under the shards.
-  if (strict && hardware >= shards && scaling_efficiency < 0.7) {
+  // The scaling bar needs `shards` cores under the workers, as the spin
+  // probe measured them beside the pairs. The probe is rounded to whole
+  // cores: outside busy spells it reads near but rarely at its thread
+  // count (3.7-4.1 for 4 threads on a 4-vCPU x86-64 host).
+  if (strict && std::lround(parallelism) < static_cast<long>(shards)) {
+    std::printf("scaling gate skipped: the spin probe read %.2f effective "
+                "cores for %zu shards\n",
+                parallelism, shards);
+  } else if (strict && scaling_efficiency < 0.7) {
     std::fprintf(stderr, "FAIL: scaling efficiency %.2f < 0.7 required\n",
                  scaling_efficiency);
     return 1;

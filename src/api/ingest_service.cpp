@@ -4,6 +4,7 @@
 #include <exception>
 #include <utility>
 
+#include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "trace/serialize.hpp"
 
@@ -20,12 +21,14 @@ struct IngestMetrics {
       "ingest.events_ingested");
   telemetry::Counter& stalls = telemetry::MetricsRegistry::global().counter(
       "ingest.backpressure_stalls");
-  /// Time submit() spent blocked on a full shard queue; observed only on
-  /// actual stalls so uncontended runs stay deterministic.
+  /// Time submit_jsonl() spent blocked on a full decode queue; observed
+  /// only on actual stalls so uncontended runs stay deterministic.
   telemetry::Histogram& block_ns =
       telemetry::MetricsRegistry::global().histogram(
           "ingest.enqueue_block_ns",
           {1'000, 10'000, 100'000, 1'000'000, 10'000'000, 100'000'000});
+  telemetry::Gauge& queue_depth =
+      telemetry::MetricsRegistry::global().gauge("ingest.queue_depth");
 
   static IngestMetrics& get() {
     static IngestMetrics metrics;
@@ -33,54 +36,48 @@ struct IngestMetrics {
   }
 };
 
+/// model() synthesizes on at least one thread per decode worker.
+SynthesisConfig session_config(const IngestServiceConfig& config) {
+  SynthesisConfig session = config.session;
+  return session.threads(
+      std::max(session.threads(), static_cast<int>(config.shards)));
+}
+
 }  // namespace
 
 ShardedIngestService::ShardedIngestService(IngestServiceConfig config)
-    : config_(std::move(config)) {
-  if (config_.shards == 0) config_.shards = 1;
-  if (config_.queue_capacity == 0) config_.queue_capacity = 1;
-  shards_.reserve(config_.shards);
-  for (std::size_t i = 0; i < config_.shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->session = SynthesisSession(config_.session);
-    shard->depth_gauge = &telemetry::MetricsRegistry::global().gauge(
-        "ingest.queue_depth", {{"shard", std::to_string(i)}});
-    shard->depth_gauge->set(0);
-    shards_.push_back(std::move(shard));
-  }
-  for (auto& shard : shards_) {
-    shard->thread = std::thread([this, raw = shard.get()] { worker(*raw); });
-  }
-}
-
-ShardedIngestService::~ShardedIngestService() {
-  for (auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    shard->stop = true;
-    shard->cv.notify_all();
-  }
-  for (auto& shard : shards_) {
-    if (shard->thread.joinable()) shard->thread.join();
+    : queue_capacity_(std::max<std::size_t>(config.queue_capacity, 1)),
+      session_(session_config(config)) {
+  // Set at construction so the gauge shows up in snapshots even when idle.
+  IngestMetrics::get().queue_depth.set(0);
+  const std::size_t workers = std::max<std::size_t>(config.shards, 1);
+  workers_.reserve(workers);
+  try {
+    for (std::size_t i = 0; i < workers; ++i) {
+      workers_.emplace_back([this] { worker(); });
+    }
+  } catch (...) {
+    stop_workers();
+    throw;
   }
 }
 
-std::size_t ShardedIngestService::shard_of(const std::string& trace_id) const {
-  // FNV-1a 64: stable across runs and platforms, good spread for the
-  // short robot/run identifiers trace ids tend to be.
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : trace_id) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
+ShardedIngestService::~ShardedIngestService() { stop_workers(); }
+
+void ShardedIngestService::stop_workers() {
+  {
+    std::lock_guard lock(mutex_);
+    stop_ = true;
   }
-  return static_cast<std::size_t>(hash % shards_.size());
+  cv_.notify_all();
+  for (std::thread& thread : workers_) thread.join();
 }
 
 void ShardedIngestService::submit(const std::string& trace_id,
                                   trace::EventColumns events) {
-  Item item;
-  item.trace_id = trace_id;
-  item.events = std::move(events);
-  enqueue(shard_of(trace_id), std::move(item));
+  std::lock_guard lock(mutex_);
+  IngestMetrics::get().routed.inc();
+  uploads_.push_back(Upload{trace_id, {}, std::move(events), {}});
 }
 
 void ShardedIngestService::submit(const std::string& trace_id,
@@ -90,139 +87,93 @@ void ShardedIngestService::submit(const std::string& trace_id,
 
 void ShardedIngestService::submit_jsonl(const std::string& trace_id,
                                         std::string jsonl) {
-  Item item;
-  item.trace_id = trace_id;
-  item.jsonl = std::move(jsonl);
-  item.parse = true;
-  enqueue(shard_of(trace_id), std::move(item));
+  IngestMetrics& metrics = IngestMetrics::get();
+  std::unique_lock lock(mutex_);
+  const auto has_space = [&] { return queue_.size() < queue_capacity_; };
+  if (!has_space()) {
+    metrics.stalls.inc();
+    const std::int64_t blocked_at = telemetry::clock_now();
+    cv_.wait(lock, has_space);
+    metrics.block_ns.observe(telemetry::clock_now() - blocked_at);
+  }
+  metrics.routed.inc();
+  uploads_.push_back(Upload{trace_id, std::move(jsonl), {}, {}});
+  queue_.push_back(&uploads_.back());
+  metrics.queue_depth.set(static_cast<std::int64_t>(queue_.size()));
+  cv_.notify_all();
 }
 
-void ShardedIngestService::enqueue(std::size_t shard_index, Item item) {
-  Shard& shard = *shards_[shard_index];
-  std::unique_lock lock(shard.mutex);
-  const auto has_space = [&] {
-    return shard.queue.size() < config_.queue_capacity;
-  };
-  if (!has_space()) {
-    IngestMetrics::get().stalls.inc();
-    const std::int64_t blocked_at = telemetry::clock_now();
-    shard.cv.wait(lock, has_space);
-    IngestMetrics::get().block_ns.observe(telemetry::clock_now() - blocked_at);
+void ShardedIngestService::worker() {
+  std::unique_lock lock(mutex_);
+  for (;;) {
+    cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stop requested, queue drained
+    Upload& upload = *queue_.front();
+    queue_.pop_front();
+    IngestMetrics::get().queue_depth.set(
+        static_cast<std::int64_t>(queue_.size()));
+    ++decoding_;
+    cv_.notify_all();  // a slot freed up
+
+    trace::EventColumns events;
+    Error error;
+    {
+      const std::string jsonl = std::exchange(upload.jsonl, {});
+      lock.unlock();
+      try {
+        events = trace::columns_from_jsonl(jsonl);
+      } catch (const std::exception& e) {
+        error = Error{ErrorCode::Io, e.what(), upload.trace_id};
+      }
+    }  // the text is freed before the lock is taken again
+    lock.lock();
+    upload.events = std::move(events);
+    upload.error = std::move(error);
+    --decoding_;
+    cv_.notify_all();
   }
-  if (!item.synthesize) IngestMetrics::get().routed.inc();
-  shard.queue.push_back(std::move(item));
-  shard.depth_gauge->set(static_cast<std::int64_t>(shard.queue.size()));
-  shard.cv.notify_all();
 }
 
 void ShardedIngestService::flush() {
-  for (auto& shard : shards_) {
-    std::unique_lock lock(shard->mutex);
-    shard->cv.wait(lock, [&] { return shard->queue.empty() && !shard->busy; });
+  IngestMetrics& metrics = IngestMetrics::get();
+  std::unique_lock lock(mutex_);
+  cv_.wait(lock, [&] { return queue_.empty() && decoding_ == 0; });
+  for (Upload& upload : uploads_) {
+    Error error = std::move(upload.error);
+    if (error.code == ErrorCode::None) {
+      IngestOptions options;
+      options.trace_id = upload.trace_id;
+      Result<SegmentInfo> result =
+          session_.ingest(std::move(upload.events), options);
+      if (result.ok()) {
+        metrics.events.add(result->event_count);
+      } else {
+        error = result.error();
+      }
+    }
+    metrics.processed.inc();
+    if (error.code != ErrorCode::None && error_.code == ErrorCode::None) {
+      error_ = std::move(error);
+    }
   }
+  uploads_.clear();
 }
 
-void ShardedIngestService::worker(Shard& shard) {
-  std::unique_lock lock(shard.mutex);
-  for (;;) {
-    shard.cv.wait(lock, [&] { return shard.stop || !shard.queue.empty(); });
-    if (shard.queue.empty()) return;  // stop requested, queue drained
-    Item item = std::move(shard.queue.front());
-    shard.queue.pop_front();
-    shard.depth_gauge->set(static_cast<std::int64_t>(shard.queue.size()));
-    shard.busy = true;
-    shard.cv.notify_all();  // a slot freed up
-    lock.unlock();
-
-    Error error;
-    std::size_t ingested = 0;
-    try {
-      if (item.synthesize) {
-        Result<core::TimingModel> result = shard.session.model();
-        // An idle shard legitimately has nothing to synthesize.
-        if (!result.ok() && result.error().code != ErrorCode::EmptySession) {
-          error = result.error();
-        }
-      } else {
-        IngestOptions options;
-        options.trace_id = item.trace_id;
-        if (item.parse) item.events = trace::columns_from_jsonl(item.jsonl);
-        Result<SegmentInfo> result =
-            shard.session.ingest(std::move(item.events), options);
-        if (!result.ok()) error = result.error();
-        ingested = result.ok() ? result->event_count : 0;
-      }
-    } catch (const std::exception& e) {
-      error = Error{ErrorCode::Io, e.what(), item.trace_id};
-    }
-    if (!item.synthesize) {
-      IngestMetrics::get().processed.inc();
-      IngestMetrics::get().events.add(ingested);
-    }
-    if (ingested > 0) events_ingested_.fetch_add(ingested);
-
-    lock.lock();
-    if (error.code != ErrorCode::None &&
-        shard.error.code == ErrorCode::None) {
-      shard.error = error;
-    }
-    shard.busy = false;
-    shard.cv.notify_all();
-  }
+std::uint64_t ShardedIngestService::events_ingested() const {
+  std::lock_guard lock(mutex_);
+  return session_.event_count();
 }
 
 Error ShardedIngestService::first_error() const {
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    if (shard->error.code != ErrorCode::None) return shard->error;
-  }
-  return {};
+  std::lock_guard lock(mutex_);
+  return error_;
 }
 
 Result<core::TimingModel> ShardedIngestService::model() {
   flush();
-  if (Error error = first_error(); error.code != ErrorCode::None) {
-    return error;
-  }
-  // Synthesize all shards in parallel: each worker runs its session's
-  // model() (which only re-synthesizes dirty traces), …
-  for (auto& shard : shards_) {
-    Item token;
-    token.synthesize = true;
-    std::lock_guard lock(shard->mutex);
-    shard->queue.push_back(std::move(token));
-    shard->depth_gauge->set(static_cast<std::int64_t>(shard->queue.size()));
-    shard->cv.notify_all();
-  }
-  flush();
-  if (Error error = first_error(); error.code != ErrorCode::None) {
-    return error;
-  }
-
-  // … then combine the cached per-trace models in lexicographic trace-id
-  // order, which no shard count can perturb.
-  std::vector<std::pair<std::string, SynthesisSession*>> traces;
-  for (auto& shard : shards_) {
-    for (const std::string& id : shard->session.trace_ids()) {
-      traces.emplace_back(id, &shard->session);
-    }
-  }
-  if (traces.empty()) {
-    return Error{ErrorCode::EmptySession,
-                 "no events ingested before model()", ""};
-  }
-  std::sort(traces.begin(), traces.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  core::TimingModel combined;
-  for (auto& [id, session] : traces) {
-    Result<core::TimingModel> result = session->trace_model(id);
-    if (!result.ok()) return result.error();
-    combined.dag.merge(result.value().dag);
-    combined.node_callbacks.insert(combined.node_callbacks.end(),
-                                   result.value().node_callbacks.begin(),
-                                   result.value().node_callbacks.end());
-  }
-  return combined;
+  std::lock_guard lock(mutex_);
+  if (error_.code != ErrorCode::None) return error_;
+  return session_.model();
 }
 
 }  // namespace tetra::api

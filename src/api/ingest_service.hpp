@@ -1,25 +1,20 @@
 // ShardedIngestService: the fleet-scale ingest loop (ROADMAP north star —
 // many robots continuously uploading trace segments).
 //
-// Segments arrive tagged with a logical trace id (one per robot/run) and
-// are routed by hash onto N worker shards. Each shard owns a private
-// SynthesisSession and a bounded FIFO queue: JSONL parsing and ingestion
-// happen on the shard worker (that is where the parallelism pays), segments
-// of one trace id always land on the same shard (so per-trace merge order
-// is arrival order, exactly like a single session), and a full queue blocks
-// the producer (backpressure instead of unbounded memory).
-//
-// model() synthesizes every shard's dirty traces in parallel — each shard
-// processes a synthesize token on its own worker — then combines the
-// per-trace models over lexicographically sorted trace ids, so the result
-// is independent of the shard count.
+// Segments arrive tagged with a logical trace id (one per robot/run). A
+// shard is a decode worker: the service's `shards` threads parse JSONL
+// uploads from one bounded FIFO queue (that is where the parallelism pays;
+// whichever worker is free takes the next upload, so load balances itself),
+// and a full queue blocks the producer (backpressure instead of unbounded
+// memory). flush() ingests every submission, in submission order, into the
+// service's one SynthesisSession, so the service's model is the model a
+// session fed the same submissions would build, whatever the worker count.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -28,16 +23,17 @@
 #include "api/config.hpp"
 #include "api/result.hpp"
 #include "api/session.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace tetra::api {
 
 struct IngestServiceConfig {
-  /// Worker shards; each owns one SynthesisSession and one thread.
+  /// Decode workers (the name predates the single session: a shard is now
+  /// one thread that decodes JSONL uploads). model() also synthesizes on
+  /// at least this many threads.
   std::size_t shards = 1;
-  /// Max queued items per shard before submit() blocks.
+  /// Max JSONL uploads waiting for a worker before submit_jsonl() blocks.
   std::size_t queue_capacity = 256;
-  /// Configuration of every shard session.
+  /// Configuration of the service's session.
   SynthesisConfig session;
 };
 
@@ -49,60 +45,55 @@ class ShardedIngestService {
   ShardedIngestService(const ShardedIngestService&) = delete;
   ShardedIngestService& operator=(const ShardedIngestService&) = delete;
 
-  /// Routes an already-parsed segment to its trace's shard. Blocks while
-  /// the shard queue is full.
+  /// Submits an already-parsed segment; the next flush() ingests it.
   void submit(const std::string& trace_id, trace::EventColumns events);
   /// Packs heap events and submits the columns.
   void submit(const std::string& trace_id, const trace::EventVector& events);
 
-  /// Routes raw JSONL text; the shard worker parses it. This is the
-  /// scalable path — parsing dominates ingest cost.
+  /// Submits raw JSONL text, which a decode worker parses. This is the
+  /// scalable path — parsing dominates ingest cost. Blocks while the
+  /// decode queue is full.
   void submit_jsonl(const std::string& trace_id, std::string jsonl);
 
-  /// Blocks until every queued item has been ingested.
+  /// Waits until every upload is decoded, then ingests every submission
+  /// not yet ingested into the session, in submission order. A submission
+  /// that fails to decode or ingest is skipped, and the first such error
+  /// in submission order is latched.
   void flush();
 
-  /// The combined model over everything ingested so far. Implies flush();
-  /// must not run concurrently with submissions. Surfaces the first
-  /// latched ingest error, if any.
+  /// flush(), then the first latched error if any, then the session's
+  /// combined model, synthesized on max(session threads, shards) threads.
   Result<core::TimingModel> model();
 
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t shard_of(const std::string& trace_id) const;
-  std::uint64_t events_ingested() const { return events_ingested_.load(); }
+  /// Events flush() has ingested into the session so far.
+  std::uint64_t events_ingested() const;
 
-  /// First error any shard hit (ErrorCode::None when clean).
+  /// First error flush() latched (ErrorCode::None when clean).
   Error first_error() const;
 
  private:
-  struct Item {
+  struct Upload {
     std::string trace_id;
+    std::string jsonl;  ///< text still to decode; moved out by a worker
     trace::EventColumns events;
-    std::string jsonl;
-    bool parse = false;       ///< events come from parsing `jsonl`
-    bool synthesize = false;  ///< token: synthesize this shard's session
+    Error error;  ///< decode failure
   };
 
-  struct Shard {
-    std::mutex mutex;
-    std::condition_variable cv;  ///< any state change (items, space, idle)
-    std::deque<Item> queue;
-    bool busy = false;
-    bool stop = false;
-    Error error;  ///< first failure, latched
-    SynthesisSession session;
-    std::thread thread;
-    /// "ingest.queue_depth{shard=i}" — registered at construction so every
-    /// shard shows up in snapshots even when idle.
-    telemetry::Gauge* depth_gauge = nullptr;
-  };
+  void worker();
+  void stop_workers();
 
-  void worker(Shard& shard);
-  void enqueue(std::size_t shard_index, Item item);
-
-  IngestServiceConfig config_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> events_ingested_{0};
+  const std::size_t queue_capacity_;
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;  ///< any state change (uploads, space, idle)
+  /// Submissions not yet ingested, in submission order. A deque keeps
+  /// element addresses across push_back, so `queue_` can point into it.
+  std::deque<Upload> uploads_;
+  std::deque<Upload*> queue_;  ///< uploads waiting for a decode worker
+  std::size_t decoding_ = 0;   ///< uploads a worker is decoding now
+  bool stop_ = false;
+  Error error_;  ///< first failure in submission order, latched
+  SynthesisSession session_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace tetra::api

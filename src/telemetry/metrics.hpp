@@ -1,19 +1,19 @@
 // Process-wide metrics registry: counters, gauges and fixed-boundary
-// histograms, optionally labeled ("shard=3", "stage=extract").
+// histograms, optionally labeled ("kind=vertex-added", "stage=extract").
 //
 // Registration (name + label lookup) takes a mutex and is expected to run
 // once per call site; the returned handle is a stable reference whose
 // update path is a single relaxed atomic op — safe and cheap to hammer
-// from the worker pool and the shard threads. The whole subsystem can be
+// from the worker pool and the decode workers. The whole subsystem can be
 // switched off at runtime via set_enabled(false) for overhead A/B
 // measurements (bench_telemetry).
 //
 //   auto& hits = telemetry::MetricsRegistry::global().counter(
 //       "session.cache_hits");
 //   hits.inc();
-//   auto& depth = telemetry::MetricsRegistry::global().gauge(
-//       "ingest.queue_depth", {{"shard", "3"}});
-//   depth.set(queue.size());
+//   auto& findings = telemetry::MetricsRegistry::global().counter(
+//       "sentinel.findings", {{"kind", "vertex-added"}});
+//   findings.inc();
 #pragma once
 
 #include <atomic>
@@ -28,8 +28,9 @@
 
 namespace tetra::telemetry {
 
-/// Label set of one metric instance, e.g. {{"shard", "0"}}. Stored sorted
-/// by key; two sets with the same pairs address the same instance.
+/// Label set of one metric instance, e.g. {{"kind", "vertex-added"}}.
+/// Stored sorted by key; two sets with the same pairs address the same
+/// instance.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
 /// Runtime kill switch (default on). Disabling stops counters, gauges,

@@ -1,9 +1,9 @@
 // Tests for the fleet-scale ingest path: a trace ingested in segments, in
 // any order and with queries in between, must synthesize byte-identically
 // to one pass over the whole trace across many generated scenarios and
-// arbitrary segmentations, and the sharded ingest service must produce the
-// same model regardless of shard count. The reference is the core free-
-// function pipeline over a one-pass index.
+// arbitrary segmentations, and the ingest service must produce the model a
+// session fed the same submissions builds, whatever its worker count. The
+// reference is the core free-function pipeline over a one-pass index.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -278,33 +278,62 @@ TEST(IncrementalTest, QueryBetweenSegmentsKeepsIngestionOrder) {
 }
 
 TEST(ShardedIngestTest, ModelIndependentOfShardCount) {
-  std::vector<std::pair<std::string, trace::EventVector>> fleet;
-  for (std::uint64_t seed = 10; seed < 14; ++seed) {
-    fleet.emplace_back("robot-" + std::to_string(seed), scenario_trace(seed));
+  // Four robots submitted out of id order, each as two segments (one of
+  // them as JSONL text) interleaved across robots: whatever the worker
+  // count, the service's model must be the one a session fed the same
+  // (id, segment) sequence builds, whose trace order is first-ingest order.
+  struct Segment {
+    std::string id;
+    trace::EventVector events;
+    bool as_jsonl = false;
+  };
+  const std::vector<std::uint64_t> seeds{13, 10, 12, 11};
+  std::vector<trace::EventVector> traces;
+  for (const std::uint64_t seed : seeds) traces.push_back(scenario_trace(seed));
+  std::vector<Segment> segments;
+  for (int half = 0; half < 2; ++half) {
+    for (std::size_t robot = 0; robot < seeds.size(); ++robot) {
+      const trace::EventVector& events = traces[robot];
+      const auto cut = events.begin() + events.size() / 2;
+      Segment segment;
+      segment.id = "robot-" + std::to_string(seeds[robot]);
+      segment.events = half == 0 ? trace::EventVector(events.begin(), cut)
+                                 : trace::EventVector(cut, events.end());
+      segment.as_jsonl = (robot + half) % 2 == 0;
+      segments.push_back(std::move(segment));
+    }
   }
-  std::string expected;
+  api::SynthesisSession session;
+  for (const Segment& s : segments) {
+    ASSERT_TRUE(session.ingest(s.events, {.trace_id = s.id, .mode = ""}).ok());
+  }
+  const auto reference = session.model();
+  ASSERT_TRUE(reference.ok()) << reference.error().to_string();
+  const std::string expected = model_json(reference.value());
+  // The session in turn merges the per-robot reference DAGs in
+  // first-ingest order.
+  core::Dag merged;
+  for (const trace::EventVector& events : traces) {
+    merged.merge(reference_dag(events));
+  }
+  EXPECT_EQ(core::to_json(merged), expected);
+
   for (const std::size_t shards : {1u, 2u, 4u}) {
     api::IngestServiceConfig config;
     config.shards = shards;
     api::ShardedIngestService service(config);
-    for (const auto& [id, events] : fleet) service.submit(id, events);
+    for (const Segment& segment : segments) {
+      if (segment.as_jsonl) {
+        service.submit_jsonl(segment.id, trace::to_jsonl(segment.events));
+      } else {
+        service.submit(segment.id, segment.events);
+      }
+    }
     const auto model = service.model();
     ASSERT_TRUE(model.ok()) << model.error().to_string();
-    const std::string json = model_json(model.value());
-    if (expected.empty()) {
-      expected = json;
-    } else {
-      EXPECT_EQ(json, expected) << shards << " shards diverged";
-    }
+    EXPECT_EQ(model_json(model.value()), expected)
+        << shards << " workers diverged from the session";
   }
-  ASSERT_FALSE(expected.empty());
-
-  // And the service agrees with the per-robot reference DAGs merged in
-  // the service's lexicographic combine order (the fleet's ids already
-  // sort that way).
-  core::Dag merged;
-  for (const auto& [id, events] : fleet) merged.merge(reference_dag(events));
-  EXPECT_EQ(core::to_json(merged), expected);
 }
 
 TEST(ShardedIngestTest, JsonlSubmissionMatchesParsedSubmission) {
@@ -327,11 +356,9 @@ TEST(ShardedIngestTest, RoutesThousandsOfTraceIds) {
   api::IngestServiceConfig config;
   config.shards = 4;
   api::ShardedIngestService service(config);
-  std::vector<std::size_t> per_shard(service.shard_count(), 0);
   std::uint64_t total = 0;
   for (int i = 0; i < 1000; ++i) {
     const std::string id = "robot-" + std::to_string(i);
-    ++per_shard[service.shard_of(id)];
     trace::EventVector tiny;
     tiny.push_back(
         trace::make_node_event(TimePoint{0}, 1000 + i, "node"));
@@ -346,20 +373,24 @@ TEST(ShardedIngestTest, RoutesThousandsOfTraceIds) {
   service.flush();
   EXPECT_EQ(service.events_ingested(), total);
   EXPECT_EQ(service.first_error().code, api::ErrorCode::None);
-  for (std::size_t shard = 0; shard < per_shard.size(); ++shard) {
-    EXPECT_GT(per_shard[shard], 0u) << "shard " << shard << " never used";
-  }
   EXPECT_TRUE(service.model().ok());
 }
 
 TEST(ShardedIngestTest, LatchesAndSurfacesParseErrors) {
-  api::ShardedIngestService service;
-  service.submit_jsonl("bad", "{\"t\":0,\"pid\":1,\"probe\":\"P1\"");
-  service.flush();
-  EXPECT_NE(service.first_error().code, api::ErrorCode::None);
-  const auto model = service.model();
-  ASSERT_FALSE(model.ok());
-  EXPECT_EQ(model.error().context, "bad");
+  // The latched error is the first in submission order, whichever worker
+  // finishes decoding first.
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    api::IngestServiceConfig config;
+    config.shards = shards;
+    api::ShardedIngestService service(config);
+    service.submit_jsonl("b", "{\"t\":0,\"pid\":1,\"probe\":\"P1\"");
+    service.submit_jsonl("a", "{\"t\":0,\"pid\":2,\"probe\":");
+    service.flush();
+    EXPECT_NE(service.first_error().code, api::ErrorCode::None);
+    const auto model = service.model();
+    ASSERT_FALSE(model.ok());
+    EXPECT_EQ(model.error().context, "b") << shards << " workers";
+  }
 }
 
 TEST(ShardedIngestTest, EmptyServiceReportsEmptySession) {

@@ -458,14 +458,14 @@ TEST(ScenarioCliTest, StatsSnapshotIsDeterministicUnderSimClock) {
   EXPECT_EQ(snapshot, slurp(second));
   EXPECT_FALSE(snapshot.empty());
   // The instrumented run must actually report: ingested segments, the
-  // per-shard queue gauges and the synthesis span tree.
+  // decode queue gauge and the synthesis span tree.
   EXPECT_NE(snapshot.find("\"session.segments_ingested\":"),
             std::string::npos);
-  EXPECT_NE(snapshot.find("ingest.queue_depth{shard=1}"), std::string::npos);
+  EXPECT_NE(snapshot.find("\"ingest.queue_depth\":"), std::string::npos);
   EXPECT_NE(snapshot.find("\"name\":\"session.model\""), std::string::npos);
   EXPECT_NE(snapshot.find("\"name\":\"synth.extract\""), std::string::npos);
   // The trace is synthesized once by the runner's session and once by the
-  // shard that holds it; the sharded model() reads the shard's cache.
+  // ingest service's session.
   std::size_t synth_traces = 0;
   for (std::size_t at = snapshot.find("\"name\":\"synth.trace\"");
        at != std::string::npos;

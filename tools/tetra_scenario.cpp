@@ -39,10 +39,11 @@
 // regression test); --ttb-out writes the same merged trace in the
 // compact binary format (docs/TRACE_FORMAT.md).
 //
-// --shards N re-ingests the first scenario's merged trace through a
-// ShardedIngestService in chunks and cross-checks the resulting model
-// against the session-synthesized one (exit 1 on mismatch); --stats /
-// --stats-out dump the telemetry snapshot (docs/TELEMETRY.md).
+// --shards N re-ingests the first scenario's merged trace in chunks
+// through a ShardedIngestService with N decode workers and requires its
+// model JSON to equal the session-synthesized one byte for byte (exit 1
+// on mismatch); --stats / --stats-out dump the telemetry snapshot
+// (docs/TELEMETRY.md).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -194,7 +195,8 @@ int main(int argc, char** argv) {
       .flag("--ttb-out", "FILE", "same trace in the binary .ttb format",
             &ttb_path)
       .flag("--quiet", "suppress per-scenario stdout output", &quiet)
-      .flag("--shards", "N", "cross-check through a sharded ingest service",
+      .flag("--shards", "N",
+            "cross-check through an ingest service with N decode workers",
             &shards, 1)
       .flag("--stats", "print the telemetry summary table", &stats.summary)
       .flag("--stats-out", "FILE", "write the telemetry JSON snapshot",
@@ -299,10 +301,10 @@ int main(int argc, char** argv) {
         }
         if (k == 0 && shards > 0) {
           // Fleet-path cross-check: re-ingest the merged trace through the
-          // sharded service in chunks under one trace id (all chunks land
-          // on one shard, so merge order is submission order) and require
-          // the same model shape the in-process session produced. This also
-          // populates the ingest.* metric family for --stats/--stats-out.
+          // ingest service in chunks under one trace id and require the
+          // model the in-process session produced, byte for byte. This
+          // also populates the ingest.* metric family for
+          // --stats/--stats-out.
           api::IngestServiceConfig service_config;
           service_config.shards = static_cast<std::size_t>(shards);
           service_config.session = runner.session_config();
@@ -323,15 +325,13 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "seed %llu: sharded ingest failed: %s\n",
                          static_cast<unsigned long long>(scenario_seed),
                          sharded.error().to_string().c_str());
-          } else if (sharded->dag.vertex_count() !=
-                         result.model.dag.vertex_count() ||
-                     sharded->dag.edge_count() !=
-                         result.model.dag.edge_count()) {
+          } else if (core::to_json(sharded->dag) !=
+                     core::to_json(result.model.dag)) {
             ++mismatches;
             std::fprintf(
                 stderr,
-                "seed %llu: sharded model (%zu vertices, %zu edges) != "
-                "session model (%zu vertices, %zu edges)\n",
+                "seed %llu: sharded model (%zu vertices, %zu edges) differs "
+                "from session model (%zu vertices, %zu edges)\n",
                 static_cast<unsigned long long>(scenario_seed),
                 sharded->dag.vertex_count(), sharded->dag.edge_count(),
                 result.model.dag.vertex_count(),
