@@ -1,6 +1,5 @@
 #include "trace/serialize.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -53,6 +52,33 @@ constexpr std::string_view kFieldNames[kFieldCount] = {
     "kind",     "cb",        "take_kind", "topic",     "src_ts",
     "dispatch", "cpu",       "prev_pid",  "prev_prio", "prev_state",
     "next_pid", "next_prio", "woken_pid"};
+
+// The key to_jsonl writes after each key, laid out as kFieldNames, and
+// last for a key outside the schema. kFieldCount where an object ends and
+// after "type", whose value picks the next key (key_after_type).
+constexpr Field kNextField[kFieldCount + 1] = {
+    kPid,        kProbe,      kType,     kFieldCount, kFieldCount,
+    kFieldCount, kTopic,      kCb,       kSrcTs,      kFieldCount,
+    kFieldCount, kPrevPid,    kPrevPrio, kPrevState,  kNextPid,
+    kNextPrio,   kFieldCount, kCpu,      kFieldCount};
+
+// The first key to_jsonl writes after "type", from the type's name told
+// apart by length as event_type_from_string does. A name that is no event
+// type predicts a key that then only misses.
+Field key_after_type(std::string_view type) {
+  switch (type.size()) {
+    case 4: return kTakeKind;                           // take
+    case 6:                                             // cb_end
+    case 8: return kKind;                               // cb_start
+    case 9: return kTopic;                              // dds_write
+    case 10:                                            // timer_call
+    case 13: return kCb;                                // sync_operator
+    case 12: return type[6] == 's' ? kCpu : kWokenPid;  // sched_*
+    case 15: return kNode;                              // rmw_create_node
+    case 16: return kDispatch;                          // take_type_erased
+    default: return kFieldCount;
+  }
+}
 
 // Length and first letter pick at most one candidate; one compare confirms
 // it. Returns kFieldCount for a key outside the schema.
@@ -216,19 +242,27 @@ class LineDecoder {
     if (pos_ < line_.size() && line_[pos_] == '}') {
       ++pos_;
     } else {
+      Field next = kTime;  // the key to_jsonl writes next, tried first
       while (true) {
         skip_ws();
         if (next_char() != '"') fail("expected string");
-        Slot key;
-        scan_string(key);
-        const Field f = field_of(view(key));
-        skip_ws();
-        if (next_char() != ':') fail("expected ':'");
+        Field f = next;
+        if (f == kFieldCount || !take_key(f)) {
+          Slot key;
+          scan_string(key);
+          f = field_of(view(key));
+          skip_ws();
+          if (next_char() != ':') fail("expected ':'");
+        }
         // A repeated or unknown key scans into the spare last slot.
         const std::uint32_t bit = 1u << f;
         Slot& slot = slots_[(present_ & bit) != 0 ? kFieldCount : f];
         present_ |= bit;
         scan_value(slot);
+        next = kNextField[f];
+        if (f == kType && slot.kind == Slot::Text) {
+          next = key_after_type(view(slot));
+        }
         skip_ws();
         const char c = next_char();
         if (c == '}') break;
@@ -271,6 +305,21 @@ class LineDecoder {
     }
   }
 
+  // pos_ is just past a key's opening quote. Consumes the rest of the key,
+  // its closing quote and the colon, if they are `f`'s name as to_jsonl
+  // writes it; a scan of the key would read the same field.
+  bool take_key(Field f) {
+    const std::string_view name = kFieldNames[f];
+    if (line_.size() - pos_ < name.size() + 2 ||
+        line_.compare(pos_, name.size(), name) != 0 ||
+        line_[pos_ + name.size()] != '"' ||
+        line_[pos_ + name.size() + 1] != ':') {
+      return false;
+    }
+    pos_ += name.size() + 2;
+    return true;
+  }
+
   void scan_word(std::string_view word) {
     if (line_.substr(pos_, word.size()) != word) fail("expected keyword");
     pos_ += word.size();
@@ -297,16 +346,38 @@ class LineDecoder {
     parse_json_prefix(line_, pos_);
   }
 
-  // Takes the same token as the JSON parser. [+-]?digits is read by
-  // from_chars, which agrees with the parser's strtoll; every other token,
-  // and an integer beyond int64, goes to strtod as it does there.
+  // A byte the JSON parser takes into a number after its digits.
+  static bool continues_number(char c) {
+    return c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+';
+  }
+
+  // Takes the same token as the JSON parser. -?digits with at most 18
+  // digits cannot overflow int64, so it is read in the loop that finds its
+  // end; the rest of [+-]?digits is read by from_chars, which agrees with
+  // the parser's strtoll. Every other token, and an integer beyond int64,
+  // goes to strtod as it does there.
   void scan_number(Slot& slot) {
     const std::size_t start = pos_;
     if (line_[pos_] == '-' || line_[pos_] == '+') ++pos_;
+    const std::size_t first_digit = pos_;
+    std::uint64_t magnitude = 0;
+    while (pos_ < line_.size() && line_[pos_] >= '0' && line_[pos_] <= '9') {
+      magnitude =
+          magnitude * 10 + static_cast<std::uint64_t>(line_[pos_] - '0');
+      ++pos_;
+    }
+    const std::size_t digits = pos_ - first_digit;
+    if (digits >= 1 && digits <= 18 && line_[start] != '+' &&
+        (pos_ == line_.size() || !continues_number(line_[pos_]))) {
+      const auto value = static_cast<std::int64_t>(magnitude);
+      slot.kind = Slot::Int;
+      slot.integer = line_[start] == '-' ? -value : value;
+      return;
+    }
     bool digits_only = true;
     while (pos_ < line_.size()) {
       const char c = line_[pos_];
-      if (c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') {
+      if (continues_number(c)) {
         digits_only = false;
       } else if (c < '0' || c > '9') {
         break;
@@ -412,6 +483,17 @@ class LineDecoder {
   Slot slots_[kFieldCount + 1];
 };
 
+// The number of lines in `text`, counting a last line that lacks its
+// '\n'. find is memchr, where std::count over chars is not vectorized.
+std::size_t line_count(std::string_view text) {
+  std::size_t lines = 0;
+  for (std::size_t end = text.find('\n'); end != std::string_view::npos;
+       end = text.find('\n', end + 1)) {
+    ++lines;
+  }
+  return lines + (!text.empty() && text.back() != '\n' ? 1 : 0);
+}
+
 // Calls `fn` on every non-empty line, without its terminator.
 template <typename Fn>
 void for_each_line(std::string_view text, Fn&& fn) {
@@ -505,9 +587,7 @@ EventColumns columns_from_jsonl(std::string_view text,
                                 JsonlParseStats* lenient) {
   EventColumns out;
   // Room for one event per line, so a decoded segment is held at exact size.
-  out.reserve(static_cast<std::size_t>(
-                  std::count(text.begin(), text.end(), '\n')) +
-              (!text.empty() && text.back() != '\n' ? 1 : 0));
+  out.reserve(line_count(text));
   std::size_t malformed = 0;
   for_each_line(text, [&](std::string_view line) {
     try {

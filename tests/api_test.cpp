@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <random>
 #include <string>
@@ -126,14 +127,20 @@ TEST(SynthesisSessionTest, UnknownTraceAndMissingFileErrors) {
 
 // -- malformed JSONL ingestion ----------------------------------------------
 
-std::string write_temp_trace(const std::string& name,
-                             const std::string& content) {
-  const std::string path = ::testing::TempDir() + name;
-  std::ofstream f(path, std::ios::trunc | std::ios::binary);
-  EXPECT_TRUE(f.good()) << path;
-  f << content;
-  return path;
-}
+/// A trace file in the test temp dir, removed when the guard leaves scope
+/// (on an ASSERT exit too).
+struct TempTrace {
+  TempTrace(const std::string& name, const std::string& content)
+      : path(::testing::TempDir() + name) {
+    std::ofstream f(path, std::ios::trunc | std::ios::binary);
+    EXPECT_TRUE(f.good()) << path;
+    f << content;
+  }
+  ~TempTrace() { std::remove(path.c_str()); }
+  TempTrace(const TempTrace&) = delete;
+  TempTrace& operator=(const TempTrace&) = delete;
+  const std::string path;
+};
 
 constexpr const char* kValidLine =
     R"({"t":1000,"pid":1004,"probe":"P5","type":"cb_start","kind":"subscriber"})";
@@ -142,7 +149,8 @@ constexpr const char* kValidLine =
 /// and leave the session empty (the bad segment is rejected whole).
 void expect_io_rejection(const std::string& name, const std::string& content) {
   SynthesisSession session;
-  const auto path = write_temp_trace(name, content);
+  const TempTrace trace(name, content);
+  const std::string& path = trace.path;
   const auto result = session.ingest_file(path);
   ASSERT_FALSE(result.ok()) << name;
   EXPECT_EQ(result.error().code, ErrorCode::Io) << name;

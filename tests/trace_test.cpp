@@ -8,6 +8,7 @@
 #include <fstream>
 #include <limits>
 #include <optional>
+#include <sstream>
 
 #include "support/json_parser.hpp"
 #include "support/rng.hpp"
@@ -170,6 +171,46 @@ TEST(SerializeTest, ParsesMixedLineEndings) {
   std::string mixed = lines.substr(0, first_break) + "\r\n" +
                       lines.substr(first_break + 1);
   EXPECT_EQ(events_from_jsonl(mixed), events);
+
+  // Blank lines, a line of only \r, a last line without \n, text of only
+  // newlines, empty text, and a malformed line for the lenient decoder: the
+  // rows must be the non-empty lines decoded one by one.
+  const std::string a = to_jsonl(events[0]), b = to_jsonl(events[1]);
+  const std::string documents[] = {
+      a + "\n\n" + b + "\n\n",
+      a + "\n\r\n" + b + "\r\n",
+      a + "\n" + b,
+      a + "\r\n" + b + "\r",
+      "\n\n\n",
+      "\r\n",
+      "\r",
+      "",
+      a + "\n{\"t\":1}\n\n" + b,
+      "{\n" + b + "\r\n\r",
+  };
+  for (const std::string& text : documents) {
+    EventVector expected;
+    std::size_t malformed = 0;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      if (line.empty()) continue;
+      try {
+        expected.push_back(from_jsonl(line));
+      } catch (const std::exception&) {
+        ++malformed;
+      }
+    }
+    JsonlParseStats stats;
+    EXPECT_EQ(materialize(columns_from_jsonl(text, &stats).view()), expected)
+        << "text: " << text;
+    EXPECT_EQ(stats.malformed_skipped, malformed) << "text: " << text;
+    if (malformed == 0) {
+      EXPECT_EQ(events_from_jsonl(text), expected) << "text: " << text;
+    } else {
+      EXPECT_ANY_THROW(events_from_jsonl(text)) << "text: " << text;
+    }
+  }
 }
 
 TEST(SerializeTest, RejectsOutOfRangeTakeKind) {
@@ -363,8 +404,25 @@ TEST(SerializeTest, DecodesHandWrittenLinesLikeTheObjectModel) {
   const TraceEvent escaped_take =
       make_take(TimePoint{123}, 1001, TakeKind::Request, 0xdeadbeef,
                 "/sv1\nRequest\"", TimePoint{100});
+  const std::string after_t = take.substr(take.find("\"pid\""));
+  const std::string after_pid = take.substr(take.find("\"probe\""));
+  // Escapes are built from a lone backslash, so no editor decodes them:
+  // the `i` of "pid" and the key "t" (both keys the decoder predicts), the
+  // digits of "P10", an escaped '/' in the topic and the `a` of "take".
+  const std::string bs(1, '\\');
+  const std::string escaped_keys =
+      "{\"" + bs + "u0074\":123,\"p" + bs + "u0069d\":1001," + after_pid;
+  const std::string escaped_values = with_field(
+      with_field(take, "probe", "\"P" + bs + "u0031" + bs + "u0030\""),
+      "topic", "\"" + bs + "/sv1Request\"");
+  const std::string escaped_type =
+      with_field(take, "type", "\"t" + bs + "u0061ke\"");
+  for (const std::string* line :
+       {&escaped_keys, &escaped_values, &escaped_type}) {
+    ASSERT_NE(line->find('\\'), std::string::npos) << *line;
+  }
   // Each line with the event it must decode to, or nullopt if it must throw.
-  const std::vector<std::pair<std::string, std::optional<TraceEvent>>> cases = {
+  std::vector<std::pair<std::string, std::optional<TraceEvent>>> cases = {
       {take, sample_take()},
       // Any key order and any JSON whitespace.
       {R"({"src_ts":100,"topic":"/sv1Request","cb":3735928559,"take_kind":1,)"
@@ -375,14 +433,10 @@ TEST(SerializeTest, DecodesHandWrittenLinesLikeTheObjectModel) {
        "\"topic\":\"/sv1Request\",\"src_ts\":100 } \r\t",
        sample_take()},
       // Escapes in keys and in values.
-      {with_field(with_field(take, "probe", R"("P10")"), "topic",
-                  R"("/sv1Request")"),
-       sample_take()},
-      {R"({"t":123,"pid":1001,"probe":"P10","type":"take",)"
-       R"("take_kind":1,"cb":3735928559,"topic":"/sv1Request","src_ts":100})",
-       sample_take()},
+      {escaped_keys, sample_take()},
+      {escaped_values, sample_take()},
+      {escaped_type, sample_take()},
       {with_field(take, "topic", R"("/sv1\nRequest\"")"), escaped_take},
-      {with_field(take, "type", R"("take")"), sample_take()},
       {with_field(take, "topic", R"("/sv1Request\u")"), std::nullopt},
       {with_field(take, "topic", R"("/sv1Request\q")"), std::nullopt},
       // Duplicate keys keep the first value; later ones must still parse.
@@ -395,6 +449,24 @@ TEST(SerializeTest, DecodesHandWrittenLinesLikeTheObjectModel) {
        sample_take()},
       {R"({"x":[1,)" + take.substr(1), std::nullopt},
       {R"({"x":nul,)" + take.substr(1), std::nullopt},
+      // Keys where the decoder predicts another: a longer or shorter name,
+      // whitespace before the colon, an unknown key, a repeat.
+      {R"({"t":123,"pidx":7,)" + after_t, sample_take()},
+      {R"({"t":123,"pidx":1001,)" + after_pid, std::nullopt},
+      {R"({"t":123,"pi":1001,)" + after_pid, std::nullopt},
+      {R"({"t":123,"pid::":1001,)" + after_pid, std::nullopt},
+      {R"({"t":123,"pi)", std::nullopt},
+      {R"({"t":123,"pid")", std::nullopt},
+      {R"({"t":123,"pid" :1001,)" + after_pid, sample_take()},
+      {"{\"t\":123,\"pid\"\t\r\n:\t1001 ," + after_pid, sample_take()},
+      {R"({"t":123,"x":{"pid":5},)" + after_t, sample_take()},
+      {R"({"t":123,"pid":1001,"pid":5,)" + after_pid, sample_take()},
+      {R"({"pid":1001,"t":123,"pid":5,)" + after_pid, sample_take()},
+      {R"({"pid":1001,"t":123,"pid":"x",)" + after_pid, sample_take()},
+      {R"({"t":123,"pid":1001,"type":"take","probe":"P10",)" +
+           take.substr(take.find("\"take_kind\"")),
+       sample_take()},
+      {with_field(take, "type", R"("sched_wakeup")"), std::nullopt},
       // Numbers: a sign, exponents and fractions truncate like the parser.
       {with_field(take, "t", "+5"), timed(5)},
       {with_field(take, "t", "1e3"), timed(1000)},
@@ -440,6 +512,50 @@ TEST(SerializeTest, DecodesHandWrittenLinesLikeTheObjectModel) {
       {"", std::nullopt},
       {" \t", std::nullopt},
   };
+  // Integers in predicted slots besides "t": up to 18 digits are read while
+  // the token's end is found, longer runs and other tokens as before.
+  const std::string sw = to_jsonl(make_sched_switch(
+      TimePoint{9},
+      SchedSwitchInfo{2, 10, 5, ThreadRunState::Sleeping, 11, 0}));
+  const std::pair<std::string, std::optional<std::int64_t>> integers[] = {
+      {"999999999999999999", 999'999'999'999'999'999},
+      {"-999999999999999999", -999'999'999'999'999'999},
+      {"1000000000000000000", 1'000'000'000'000'000'000},
+      {"-9223372036854775807", -kMax},
+      {"10000000000000000000", std::nullopt},
+      {"-10000000000000000000", std::nullopt},
+      {"007", 7},
+      {"-0", 0},
+      {"5-3", std::nullopt},
+      {"1e3", 1000},
+  };
+  const auto take_with = [](Pid pid, std::int64_t src_ts) {
+    return make_take(TimePoint{123}, pid, TakeKind::Request, 0xdeadbeef,
+                     "/sv1Request", TimePoint{src_ts});
+  };
+  const auto switch_with = [](Pid prev_pid) {
+    TraceEvent e = make_sched_switch(
+        TimePoint{9},
+        SchedSwitchInfo{2, prev_pid, 5, ThreadRunState::Sleeping, 11, 0});
+    e.pid = 10;  // the line keeps its own pid
+    return e;
+  };
+  const auto event_if = [](bool accepted, const TraceEvent& e) {
+    return accepted ? std::optional(e) : std::nullopt;
+  };
+  for (const auto& [token, value] : integers) {
+    const bool fits_int32 =
+        value && *value >= std::numeric_limits<std::int32_t>::min() &&
+        *value <= std::numeric_limits<std::int32_t>::max();
+    const auto pid = static_cast<Pid>(value.value_or(0));
+    cases.push_back({with_field(take, "pid", token),
+                     event_if(fits_int32, take_with(pid, 100))});
+    cases.push_back({with_field(take, "src_ts", token),
+                     event_if(value.has_value(),
+                              take_with(1001, value.value_or(0)))});
+    cases.push_back({with_field(sw, "prev_pid", token),
+                     event_if(fits_int32, switch_with(pid))});
+  }
   for (const auto& [line, event] : cases) {
     EXPECT_EQ(expect_same_outcome(line).event, event) << "line: " << line;
   }

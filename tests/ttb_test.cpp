@@ -20,9 +20,16 @@
 namespace tetra::trace {
 namespace {
 
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::path(::testing::TempDir()) / name).string();
-}
+/// A path in the test temp dir whose file is removed when the guard leaves
+/// scope (on an ASSERT exit too).
+struct TempFile {
+  explicit TempFile(const std::string& name)
+      : path((std::filesystem::path(::testing::TempDir()) / name).string()) {}
+  ~TempFile() { std::remove(path.c_str()); }
+  TempFile(const TempFile&) = delete;
+  TempFile& operator=(const TempFile&) = delete;
+  const std::string path;
+};
 
 std::string read_file(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
@@ -219,7 +226,8 @@ TEST(TtbTest, ReadTraceFileKeepsACanonicalTable) {
   // the same string indices, so .ttb -> .ttb conversion is an identity.
   EventColumns written;
   written.append(one_of_each());
-  const std::string path = temp_path("canonical.ttb");
+  const TempFile file("canonical.ttb");
+  const std::string& path = file.path;
   write_ttb_file(path, written);
   const EventColumns read = read_trace_file(path);
   const ColumnsView a = written.view(), b = read.view();
@@ -231,7 +239,8 @@ TEST(TtbTest, ReadTraceFileKeepsACanonicalTable) {
 
 TEST(TtbTest, FileRoundTripsEveryEventType) {
   const EventVector events = one_of_each();
-  const std::string path = temp_path("roundtrip.ttb");
+  const TempFile file("roundtrip.ttb");
+  const std::string& path = file.path;
   write_ttb_file(path, events);
   EXPECT_EQ(materialize(read_trace_file(path).view()), events);  // as .ttb
   const TtbReader reader(path);
@@ -249,7 +258,8 @@ TEST(TtbTest, PreservesUnsortedOrder) {
   events.push_back(make_dds_write(TimePoint{30}, 1, "/a", TimePoint{30}));
   events.push_back(make_dds_write(TimePoint{10}, 1, "/a", TimePoint{10}));
   events.push_back(make_dds_write(TimePoint{20}, 1, "/a", TimePoint{20}));
-  const std::string path = temp_path("unsorted.ttb");
+  const TempFile file("unsorted.ttb");
+  const std::string& path = file.path;
   write_ttb_file(path, events);
   EXPECT_EQ(TtbReader(path).materialize(), events);
 }
@@ -259,8 +269,10 @@ TEST(TtbTest, JsonlToTtbToJsonlIsByteIdentical) {
       std::string(TETRA_TEST_DATA_DIR) + "/scenario_seed7_trace.jsonl";
   const EventVector events = read_jsonl_file(source);
   ASSERT_GT(events.size(), 100u);
-  const std::string ttb = temp_path("seed7.ttb");
-  const std::string back = temp_path("seed7_back.jsonl");
+  const TempFile ttb_file("seed7.ttb");
+  const std::string& ttb = ttb_file.path;
+  const TempFile back_file("seed7_back.jsonl");
+  const std::string& back = back_file.path;
   write_ttb_file(ttb, events);
   write_jsonl_file(back, TtbReader(ttb).materialize());
   EXPECT_EQ(read_file(back), read_file(source));
@@ -270,7 +282,8 @@ TEST(TtbTest, JsonlToTtbToJsonlIsByteIdentical) {
 }
 
 TEST(TtbTest, EmptyTraceRoundTrips) {
-  const std::string path = temp_path("empty.ttb");
+  const TempFile file("empty.ttb");
+  const std::string& path = file.path;
   write_ttb_file(path, EventVector{});
   const TtbReader reader(path);
   EXPECT_EQ(reader.size(), 0u);
@@ -280,7 +293,8 @@ TEST(TtbTest, EmptyTraceRoundTrips) {
 TEST(TtbTest, RejectsMissingAndForeignFiles) {
   EXPECT_THROW(TtbReader("/nonexistent/nope.ttb"), std::runtime_error);
   EXPECT_THROW(read_trace_file("/nonexistent/nope.ttb"), std::runtime_error);
-  const std::string jsonl = temp_path("foreign.jsonl");
+  const TempFile jsonl_file("foreign.jsonl");
+  const std::string& jsonl = jsonl_file.path;
   const EventVector events{make_node_event(TimePoint{1}, 1, "n")};
   write_jsonl_file(jsonl, events);
   EXPECT_EQ(materialize(read_trace_file(jsonl).view()), events);  // JSONL
@@ -288,7 +302,8 @@ TEST(TtbTest, RejectsMissingAndForeignFiles) {
 }
 
 TEST(TtbTest, RejectsTruncatedFile) {
-  const std::string path = temp_path("trunc.ttb");
+  const TempFile file("trunc.ttb");
+  const std::string& path = file.path;
   write_ttb_file(path, one_of_each());
   const std::string full = read_file(path);
   for (const std::size_t keep :
@@ -302,7 +317,8 @@ TEST(TtbTest, RejectsTruncatedFile) {
 }
 
 TEST(TtbTest, RejectsBadVersionAndCorruptRows) {
-  const std::string path = temp_path("corrupt.ttb");
+  const TempFile file("corrupt.ttb");
+  const std::string& path = file.path;
   write_ttb_file(path, one_of_each());
   const std::string full = read_file(path);
 
@@ -344,7 +360,8 @@ TEST(TtbTest, MutatedFilesReadAsValidColumnsOrThrow) {
   std::sort(goldens.begin(), goldens.end());
   ASSERT_FALSE(goldens.empty());
 
-  const std::string path = temp_path("mutated.ttb");
+  const TempFile file("mutated.ttb");
+  const std::string& path = file.path;
   std::size_t accepted = 0, rejected = 0;
   for (const auto& golden : goldens) {
     JsonlParseStats lenient;
@@ -383,7 +400,6 @@ TEST(TtbTest, MutatedFilesReadAsValidColumnsOrThrow) {
       }
     }
   }
-  std::remove(path.c_str());
   // Both outcomes must be well represented, or the matrix proves little.
   EXPECT_GT(accepted, 20u);
   EXPECT_GT(rejected, 20u);
