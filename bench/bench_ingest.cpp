@@ -24,7 +24,6 @@
 //   TETRA_BENCH_JSON output path (default BENCH_ingest.json)
 //   TETRA_REQUIRE_SPEEDUP  0 = report only, never fail the gates
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -108,43 +107,6 @@ double sharded_pass(std::size_t shards, const std::vector<FleetItem>& fleet) {
     std::exit(1);
   }
   return elapsed;
-}
-
-/// Effective parallelism the host gives `threads` threads right now:
-/// `threads` times the wall time of one thread's fixed integer work over
-/// the wall time of `threads` threads doing that work each at once. It
-/// reads about `threads` on an idle host with that many cores, and less
-/// when other load or fewer cores share them.
-double effective_parallelism(std::size_t threads) {
-  constexpr std::uint64_t kIterations = 20'000'000;
-  std::atomic<std::uint64_t> sink{0};
-  const auto timed_spin = [&](std::size_t count) {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> pool;
-    for (std::size_t t = 0; t < count; ++t) {
-      pool.emplace_back([&sink, seed = count + t] {
-        std::uint64_t x = 0x2545F4914F6CDD1DULL ^ seed;
-        for (std::uint64_t i = 0; i < kIterations; ++i) {
-          x ^= x << 13;
-          x ^= x >> 7;
-          x ^= x << 17;
-        }
-        sink.fetch_xor(x);
-      });
-    }
-    for (auto& thread : pool) thread.join();
-    return bench::seconds_since(t0);
-  };
-  const double one = timed_spin(1);
-  const double all = timed_spin(threads);
-  return all > 0.0 ? static_cast<double>(threads) * one / all : 0.0;
-}
-
-double median(std::vector<double> values) {
-  std::sort(values.begin(), values.end());
-  const std::size_t mid = values.size() / 2;
-  return values.size() % 2 == 1 ? values[mid]
-                                : 0.5 * (values[mid - 1] + values[mid]);
 }
 
 }  // namespace
@@ -235,7 +197,7 @@ int main() {
   constexpr int kPairs = 9;
   std::vector<double> passes_1_s, passes_n_s, efficiencies, probes;
   for (int pair = 0; pair < kPairs; ++pair) {
-    probes.push_back(effective_parallelism(shards));
+    probes.push_back(bench::effective_parallelism(shards));
     const bool one_first = pair % 2 == 0;
     const double first = sharded_pass(one_first ? 1 : shards, items);
     const double second = sharded_pass(one_first ? shards : 1, items);
@@ -246,10 +208,10 @@ int main() {
     efficiencies.push_back(tn > 0.0 ? t1 / (tn * static_cast<double>(shards))
                                     : 0.0);
   }
-  const double sharded_1_s = median(passes_1_s);
-  const double sharded_n_s = median(passes_n_s);
-  const double scaling_efficiency = median(efficiencies);
-  const double parallelism = median(probes);
+  const double sharded_1_s = bench::median(passes_1_s);
+  const double sharded_n_s = bench::median(passes_n_s);
+  const double scaling_efficiency = bench::median(efficiencies);
+  const double parallelism = bench::median(probes);
 
   // ---- 3. re-synthesis after a late delta ---------------------------------
   // Hold back the second half of one pid's ROS events and append them

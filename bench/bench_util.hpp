@@ -1,14 +1,19 @@
 // Shared helpers for the reproduction benches: environment-variable knobs
 // for run counts/durations (so CI can run fast while the full paper
 // configuration remains the default), banner/printing utilities, wall-clock
-// timing, the common SYN-app trace producer and mean/std/CI summaries.
+// timing, the common SYN-app trace producer, mean/std/CI summaries, and the
+// spin probe and median that the scaling gates read.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ebpf/tracers.hpp"
@@ -94,6 +99,43 @@ inline Summary summarize(const std::vector<double>& samples) {
   s.stddev = std::sqrt(sq / static_cast<double>(s.n - 1));
   s.ci95 = 1.96 * s.stddev / std::sqrt(static_cast<double>(s.n));
   return s;
+}
+
+/// Effective parallelism the host gives `threads` threads right now:
+/// `threads` times the wall time of one thread's fixed integer work over
+/// the wall time of `threads` threads doing that work each at once. It
+/// reads about `threads` on an idle host with that many cores, and less
+/// when other load or fewer cores share them.
+inline double effective_parallelism(std::size_t threads) {
+  constexpr std::uint64_t kIterations = 20'000'000;
+  std::atomic<std::uint64_t> sink{0};
+  const auto timed_spin = [&](std::size_t count) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < count; ++t) {
+      pool.emplace_back([&sink, seed = count + t] {
+        std::uint64_t x = 0x2545F4914F6CDD1DULL ^ seed;
+        for (std::uint64_t i = 0; i < kIterations; ++i) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+        }
+        sink.fetch_xor(x);
+      });
+    }
+    for (auto& thread : pool) thread.join();
+    return seconds_since(t0);
+  };
+  const double one = timed_spin(1);
+  const double all = timed_spin(threads);
+  return all > 0.0 ? static_cast<double>(threads) * one / all : 0.0;
+}
+
+inline double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
 }
 
 }  // namespace tetra::bench

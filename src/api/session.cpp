@@ -258,9 +258,16 @@ Result<SynthesisSession::TraceState*> SynthesisSession::synthesized(
 
 Result<core::TimingModel> SynthesisSession::trace_model(
     const std::string& trace_id) {
+  Result<const core::TimingModel*> model = cached_trace_model(trace_id);
+  if (!model.ok()) return model.error();
+  return *model.value();
+}
+
+Result<const core::TimingModel*> SynthesisSession::cached_trace_model(
+    const std::string& trace_id) {
   Result<TraceState*> trace = synthesized(trace_id);
   if (!trace.ok()) return trace.error();
-  return (*trace)->model;
+  return &(*trace)->model;
 }
 
 Result<trace::EventColumns> SynthesisSession::merged_columns(

@@ -82,6 +82,10 @@ class SynthesisSession {
 
   /// The model of one logical trace (its segments merged by time).
   Result<core::TimingModel> trace_model(const std::string& trace_id);
+  /// trace_model() without the copy: the session's cached model, valid
+  /// until the session next ingests, clears or is destroyed.
+  Result<const core::TimingModel*> cached_trace_model(
+      const std::string& trace_id);
 
   /// The chronologically merged rows of one trace (a copy; ties keep
   /// ingestion order).

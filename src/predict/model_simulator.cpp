@@ -30,9 +30,9 @@ std::string plain_topic(const std::string& topic) {
 /// One queued callback activation of a vertex.
 struct Activation {
   std::size_t vertex = 0;
-  /// The (interned topic, src_ts) this activation consumes; nullopt for
-  /// timers.
-  std::optional<std::pair<const std::string*, TimePoint>> take;
+  /// The sample (interned topic, src_ts) this activation consumes;
+  /// nullopt for timers.
+  std::optional<analysis::TopicSample> take;
 };
 
 /// The whole replay state; built fresh per ModelSimulator::replay() so
@@ -59,8 +59,9 @@ class Engine {
     sim_.run_until(TimePoint::zero() + config_.horizon);
 
     ModelSimulator::Replay replay;
+    replay.topics = std::move(topics_);
     replay.instances = std::move(instances_);
-    replay.external_writes = std::move(external_writes_);
+    replay.writes = std::move(writes_);
     replay.activations = activations_;
     replay.deliveries = deliveries_;
     return replay;
@@ -69,10 +70,10 @@ class Engine {
  private:
   struct Hop {
     std::size_t target = 0;
-    /// Interned plain topic (nullptr for junction hops): deliveries are
-    /// scheduled per sample, so the captured topic must be a pointer, not
-    /// a per-event string copy.
-    const std::string* topic = nullptr;
+    /// Interned plain topic (kNoTopic for junction hops): deliveries are
+    /// scheduled per sample, so the captured topic must be an id, not a
+    /// per-event string copy.
+    analysis::TopicId topic = analysis::InstanceTimeline::kNoTopic;
     bool to_junction = false;
   };
 
@@ -90,7 +91,7 @@ class Engine {
     std::optional<Duration> timer_period;
     std::vector<Hop> hops;
     /// Distinct plain topics this vertex writes on completion (interned).
-    std::vector<const std::string*> write_topics;
+    std::vector<analysis::TopicId> write_topics;
     /// AND junctions: expected member count and per-member pending sample
     /// (producer instance index), cleared on each firing.
     std::size_t member_count = 0;
@@ -124,7 +125,7 @@ class Engine {
     TimePoint time;
     std::uint64_t seq = 0;  ///< FIFO tie-break (deterministic replay)
     std::size_t target = 0;
-    const std::string* topic = nullptr;
+    analysis::TopicId topic = 0;
     TimePoint src_ts;
   };
   struct DeliveryLater {
@@ -135,13 +136,16 @@ class Engine {
   };
 
   struct SourceState {
-    const std::string* topic = nullptr;  ///< interned plain topic
+    analysis::TopicId topic = 0;  ///< interned plain topic
     Duration period = Duration::zero();
     std::vector<std::size_t> targets;
   };
 
-  const std::string* intern(const std::string& topic) {
-    return &*topic_pool_.insert(topic).first;
+  analysis::TopicId intern(const std::string& topic) {
+    const auto [it, inserted] = topic_ids_.try_emplace(
+        topic, static_cast<analysis::TopicId>(topics_.size()));
+    if (inserted) topics_.push_back(topic);
+    return it->second;
   }
 
   void build_vertices() {
@@ -308,7 +312,7 @@ class Engine {
     sim_.post_after(period, [this, s] {
       const SourceState& source = sources_[s];
       const TimePoint now = sim_.now();
-      external_writes_[*source.topic].push_back(now);
+      writes_.push_back({analysis::kNoInstance, {source.topic, now}});
       for (const std::size_t target : source.targets) {
         deliver_after_hop(target, source.topic, now);
       }
@@ -316,7 +320,7 @@ class Engine {
     });
   }
 
-  void deliver_after_hop(std::size_t target, const std::string* topic,
+  void deliver_after_hop(std::size_t target, analysis::TopicId topic,
                          TimePoint src_ts) {
     const Duration hop =
         hop_rng_.uniform(config_.hop_latency.lo, config_.hop_latency.hi);
@@ -344,7 +348,8 @@ class Engine {
       ++deliveries_;
       if (!vertices_[delivery.target].pruned) {
         enqueue(
-            Activation{delivery.target, {{delivery.topic, delivery.src_ts}}});
+            Activation{delivery.target,
+                       analysis::TopicSample{delivery.topic, delivery.src_ts}});
       }
     }
     if (!pending_deliveries_.empty()) {
@@ -465,15 +470,12 @@ class Engine {
     instance.kind = vertex.dv->kind;
     instance.start = start;
     instance.end = end;
-    if (activation.take.has_value()) {
-      instance.take = {{*activation.take->first, activation.take->second}};
+    instance.take = activation.take;
+    const auto instance_index = static_cast<std::uint32_t>(instances_.size());
+    instances_.push_back(instance);
+    for (const analysis::TopicId topic : vertex.write_topics) {
+      writes_.push_back({instance_index, {topic, end}});
     }
-    instance.writes.reserve(vertex.write_topics.size());
-    for (const std::string* topic : vertex.write_topics) {
-      instance.writes.push_back({*topic, end});
-    }
-    const std::size_t instance_index = instances_.size();
-    instances_.push_back(std::move(instance));
 
     for (const Hop& hop : vertex.hops) {
       if (hop.to_junction) {
@@ -489,16 +491,15 @@ class Engine {
   /// publication (its traversal completes, the others' die out — the
   /// substrate's message_filters behaviour).
   void junction_arrival(std::size_t junction_index, std::size_t member,
-                        std::size_t member_instance, TimePoint now) {
+                        std::uint32_t member_instance, TimePoint now) {
     VertexState& junction = vertices_[junction_index];
     if (junction.pruned) return;
     junction.barrier[member] = member_instance;
     if (junction.barrier.size() < junction.member_count) return;
     junction.barrier.clear();
 
-    analysis::CallbackInstance& trigger = instances_[member_instance];
-    for (const std::string* topic : junction.write_topics) {
-      trigger.writes.push_back({*topic, now});
+    for (const analysis::TopicId topic : junction.write_topics) {
+      writes_.push_back({member_instance, {topic, now}});
     }
     for (const Hop& hop : junction.hops) {
       deliver_after_hop(hop.target, hop.topic, now);
@@ -507,8 +508,9 @@ class Engine {
 
   const core::Dag& dag_;
   const PredictionConfig& config_;
-  /// Stable storage for interned topic names (set nodes never move).
-  std::set<std::string> topic_pool_;
+  /// Interned plain topic names, indexed by the replay's topic ids.
+  std::vector<std::string> topics_;
+  std::map<std::string, analysis::TopicId> topic_ids_;
   sim::Simulator sim_;
   std::optional<sched::Machine> machine_;
   SplitMix64 hop_rng_;
@@ -526,7 +528,9 @@ class Engine {
   std::set<TimePoint> armed_pumps_;
 
   std::vector<analysis::CallbackInstance> instances_;
-  std::map<std::string, std::vector<TimePoint>> external_writes_;
+  /// Every write in the order made: the instances', and the external
+  /// inputs' (analysis::kNoInstance).
+  std::vector<analysis::InstanceWrite> writes_;
   std::size_t activations_ = 0;
   std::size_t deliveries_ = 0;
 };
@@ -603,8 +607,8 @@ PredictionResult ModelSimulator::predict() const {
   Replay run = replay();
   result.activations = run.activations;
   result.deliveries = run.deliveries;
-  const analysis::InstanceTimeline timeline(std::move(run.instances),
-                                            std::move(run.external_writes));
+  const analysis::InstanceTimeline timeline(
+      run.topics, std::move(run.instances), run.writes);
 
   for (analysis::Chain& chain : enumeration.chains) {
     const bool pruned =

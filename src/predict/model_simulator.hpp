@@ -130,11 +130,14 @@ class ModelSimulator {
  public:
   explicit ModelSimulator(const core::Dag& dag, PredictionConfig config = {});
 
-  /// The recorded replay: activations as CallbackInstances plus the bare
-  /// external-input writes, ready for analysis::InstanceTimeline.
+  /// The recorded replay, ready for analysis::InstanceTimeline:
+  /// activations as CallbackInstances, and every write in the order made,
+  /// the activations' and the bare external inputs'. Topic ids index
+  /// `topics`.
   struct Replay {
+    std::vector<std::string> topics;
     std::vector<analysis::CallbackInstance> instances;
-    std::map<std::string, std::vector<TimePoint>> external_writes;
+    std::vector<analysis::InstanceWrite> writes;
     std::size_t activations = 0;
     std::size_t deliveries = 0;
   };

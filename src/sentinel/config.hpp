@@ -74,10 +74,12 @@ struct SentinelConfig {
 
   // -- sequential evidence ------------------------------------------------
 
-  /// Per-stream alarm budget: sequential evidence must reach
-  /// ln(1/evidence_alpha) (exec-time e-process) or the per-axis CUSUM
-  /// threshold before an alarm fires. By Ville's inequality this bounds
-  /// the probability a clean stream ever alarms on one accumulator.
+  /// Alarm level of the sequential evidence: ln(1/evidence_alpha) for the
+  /// exec-time e-detectors, beside the per-axis CUSUM thresholds. An
+  /// e-detector restarts at zero, so this bounds the mean number of clean
+  /// windows before one accumulator false-alarms (at least
+  /// 1/evidence_alpha), not the chance of ever alarming; a monitor runs
+  /// one accumulator per callback label (ROADMAP.md, item 1).
   double evidence_alpha = 1e-3;
   /// Consecutive windows a structural difference must persist before its
   /// alarm fires; debounces transient drops and window-boundary effects.

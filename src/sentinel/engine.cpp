@@ -247,9 +247,10 @@ api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventColumns events) {
   ingest.trace_id = "window";
   auto segment = window_session.ingest(std::move(events), ingest);
   if (!segment.ok()) return segment.error();
-  auto model = window_session.trace_model(ingest.trace_id);
+  // The session dies with this call, so its model is read, not copied.
+  auto model = window_session.cached_trace_model(ingest.trace_id);
   if (!model.ok()) return model.error();
-  const core::TimingModel& window = model.value();
+  const core::TimingModel& window = *model.value();
 
   WindowAnalysis analysis;
   DriftVerdict& verdict = analysis.verdict;
@@ -271,13 +272,38 @@ api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventColumns events) {
   // below that, in both directions).
   const std::size_t ks_gate =
       std::min(config_.min_samples, kSequentialMinSamples);
-  const auto window_samples = collect_exec_samples(window);
+  // The window's labeled records in label order, walked in step with the
+  // baseline's labels; one buffer holds each label's samples in turn.
+  std::vector<const core::CallbackRecord*> records;
+  for (const auto& list : window.node_callbacks) {
+    for (const auto& record : list.records) {
+      if (!record.label.empty()) records.push_back(&record);
+    }
+  }
+  std::sort(records.begin(), records.end(),
+            [](const core::CallbackRecord* a, const core::CallbackRecord* b) {
+              return a->label < b->label;
+            });
+  auto next_record = records.begin();
+  std::vector<double> window_samples;
   for (const auto& [label, base] : baseline_.exec_samples) {
-    const auto it = window_samples.find(label);
-    if (it == window_samples.end()) continue;  // structural finding already
-    if (base.size() < ks_gate || it->second.size() < ks_gate) continue;
+    while (next_record != records.end() && (*next_record)->label < label) {
+      ++next_record;
+    }
+    if (next_record == records.end() || (*next_record)->label != label) {
+      continue;  // structural finding already
+    }
+    window_samples.clear();
+    for (; next_record != records.end() && (*next_record)->label == label;
+         ++next_record) {
+      for (const auto exec : (*next_record)->exec_times) {
+        window_samples.push_back(static_cast<double>(exec.count_ns()));
+      }
+    }
+    if (base.size() < ks_gate || window_samples.size() < ks_gate) continue;
     const std::int64_t ks_started = telemetry::clock_now();
-    const KsTestResult ks = two_sample_ks_test(base, it->second);
+    std::sort(window_samples.begin(), window_samples.end());
+    const KsTestResult ks = two_sample_ks_test_sorted(base, window_samples);
     SentinelMetrics::get().ks_ns.observe(telemetry::clock_now() - ks_started);
 
     AxisObservation obs;
@@ -289,7 +315,7 @@ api::Result<WindowAnalysis> DriftEngine::analyze(trace::EventColumns events) {
     obs.n_window = ks.n2;
     const bool gated =
         base.size() >= config_.min_samples &&
-        it->second.size() >= config_.min_samples;
+        window_samples.size() >= config_.min_samples;
     if (gated) ++verdict.checks;
     if (gated && ks.significant(config_.alpha)) {
       obs.finding = true;

@@ -321,8 +321,10 @@ CusumAccumulator StreamSentinel::make_accumulator(DriftKind kind) const {
           kCusumReferenceFraction * config_.latency_tolerance,
           config_.cusum_threshold_fraction * config_.latency_tolerance);
     case DriftKind::ExecTimeShift:
-      // Restarted e-process: log e-values accumulate with no allowance;
-      // Ville's inequality puts the crossing budget at ln(1/alpha).
+      // E-detector: log e-values accumulate with no allowance, restarting
+      // at zero. The level ln(1/alpha) keeps the mean run of clean windows
+      // before a false alarm at 1/alpha or more; Ville's inequality does
+      // not apply to a restarted statistic.
       return CusumAccumulator(0.0,
                               e_value_log_threshold(config_.evidence_alpha));
     case DriftKind::DeadlineViolation:
@@ -400,8 +402,8 @@ WindowVerdict StreamSentinel::evaluate_window(TimePoint begin, TimePoint end,
     finding.evidence = acc.value();
     finding.windows = acc.observations();
     if (key.first == DriftKind::ExecTimeShift) {
-      // Anytime-valid bound on the accumulated e-process (satellite 3:
-      // NOT a per-window KS p-value).
+      // exp(-evidence) restates the e-detector's evidence; it is neither a
+      // per-window KS p-value nor anytime-valid (the detector restarts).
       finding.p_value = std::min(1.0, std::exp(-acc.value()));
     } else {
       finding.p_value = config_.evidence_alpha;

@@ -5,10 +5,11 @@
 // window advance re-runs the drift axes against the baseline through the
 // shared DriftEngine. Unlike a one-shot DriftEngine::analyze, per-axis
 // evidence accumulates *sequentially* across windows — a one-sided CUSUM
-// over period/latency deltas and structural presence, and a restarted
-// e-process over the per-window KS p-values — so an alarm fires when the
-// accumulated evidence crosses a budgeted level (Ville's inequality), not
-// when one window happens to look odd.
+// over period/latency deltas and structural presence, and an e-detector
+// (a CUSUM of log e-values) over the per-window KS p-values — so an alarm
+// fires when the accumulated evidence crosses its level, not when one
+// window happens to look odd. The e-detector bounds the mean number of
+// clean windows between false alarms, not the chance of one.
 //
 //   sentinel::StreamSentinel stream(config);
 //   stream.ingest_baseline_file("baseline.jsonl");

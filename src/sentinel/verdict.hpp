@@ -43,11 +43,11 @@ struct DriftFinding {
   /// sequential (streaming) findings: the accumulated CUSUM statistic.
   double statistic = 1.0;
   /// For a one-shot ExecTimeShift: the per-window KS p-value. For a
-  /// sequential finding this is NOT a per-window p-value — it is the
-  /// anytime-valid bound exp(-evidence) for the exec-time e-process, and
-  /// the configured alarm budget (SentinelConfig::evidence_alpha) for
-  /// the CUSUM axes. 0.0 where the change is certain (structural,
-  /// deadline).
+  /// sequential finding this is NOT a per-window p-value — it is
+  /// exp(-evidence) for the exec-time e-detector (not anytime-valid: the
+  /// detector restarts), and the configured alarm level
+  /// (SentinelConfig::evidence_alpha) for the CUSUM axes. 0.0 where the
+  /// change is certain (structural, deadline).
   double p_value = 0.0;
   /// Accumulated sequential evidence at emission time (CUSUM statistic,
   /// log e-value for the exec axis); 0.0 for one-shot findings.

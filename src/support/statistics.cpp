@@ -1,6 +1,7 @@
 #include "support/statistics.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -119,41 +120,38 @@ double SampleSet::quantile(double q) const {
   return samples_[idx] * (1.0 - frac) + samples_[idx + 1] * frac;
 }
 
-namespace {
-
-/// `samples` when already ascending, else a sorted copy held in `copy`.
-const std::vector<double>& ascending(const std::vector<double>& samples,
-                                     std::vector<double>& copy) {
-  if (std::is_sorted(samples.begin(), samples.end())) return samples;
-  copy = samples;
-  std::sort(copy.begin(), copy.end());
-  return copy;
-}
-
-}  // namespace
-
-double ks_statistic(const std::vector<double>& a_samples,
-                    const std::vector<double>& b_samples) {
-  if (a_samples.empty() || b_samples.empty()) return 0.0;
-  std::vector<double> a_copy, b_copy;
-  const std::vector<double>& a = ascending(a_samples, a_copy);
-  const std::vector<double>& b = ascending(b_samples, b_copy);
-  const double na = static_cast<double>(a.size());
-  const double nb = static_cast<double>(b.size());
-  std::size_t ia = 0;
-  std::size_t ib = 0;
+double ks_statistic_sorted(std::span<const double> a,
+                           std::span<const double> b) {
+  assert(std::is_sorted(a.begin(), a.end()));
+  assert(std::is_sorted(b.begin(), b.end()));
+  if (a.empty() || b.empty()) return 0.0;
+  const std::span<const double> small = a.size() <= b.size() ? a : b;
+  const std::span<const double> large = a.size() <= b.size() ? b : a;
+  const double n_small = static_cast<double>(small.size());
+  const double n_large = static_cast<double>(large.size());
+  // |F_small - F_large| at the given counts; |x - y| and |y - x| are the
+  // same double, so the result does not depend on which side is smaller.
+  const auto gap = [&](std::size_t small_count, std::size_t large_count) {
+    return std::abs(static_cast<double>(small_count) / n_small -
+                    static_cast<double>(large_count) / n_large);
+  };
   double d = 0.0;
-  while (ia < a.size() && ib < b.size()) {
-    const double x = std::min(a[ia], b[ib]);
-    // Step both ECDFs past every sample equal to x, so tied values are
-    // compared only after both sides consumed them.
-    while (ia < a.size() && a[ia] == x) ++ia;
-    while (ib < b.size() && b[ib] == x) ++ib;
-    d = std::max(d, std::abs(static_cast<double>(ia) / na -
-                             static_cast<double>(ib) / nb));
+  auto searched = large.begin();
+  for (std::size_t i = 0; i < small.size();) {
+    const double x = small[i];
+    std::size_t next = i + 1;
+    while (next < small.size() && small[next] == x) ++next;
+    const auto below = std::lower_bound(searched, large.end(), x);
+    searched = std::upper_bound(below, large.end(), x);
+    // Since the previous value the small side's ECDF has stayed at i, so
+    // the large side's lead peaks just before x, with all its samples
+    // below x counted; the small side's lead peaks at a value itself,
+    // once both sides have stepped past every sample equal to it.
+    d = std::max(d, gap(i, static_cast<std::size_t>(below - large.begin())));
+    d = std::max(d,
+                 gap(next, static_cast<std::size_t>(searched - large.begin())));
+    i = next;
   }
-  // Once one sample is exhausted its ECDF sits at 1; the remaining gap is
-  // covered by the last in-loop comparison (the other ECDF only grows).
   return d;
 }
 
@@ -174,13 +172,13 @@ double kolmogorov_q(double lambda) {
   return std::clamp(2.0 * sum, 0.0, 1.0);
 }
 
-KsTestResult two_sample_ks_test(const std::vector<double>& a,
-                                const std::vector<double>& b) {
+KsTestResult two_sample_ks_test_sorted(std::span<const double> a,
+                                       std::span<const double> b) {
   KsTestResult result;
   result.n1 = a.size();
   result.n2 = b.size();
   if (a.empty() || b.empty()) return result;
-  result.statistic = ks_statistic(a, b);
+  result.statistic = ks_statistic_sorted(a, b);
   const double na = static_cast<double>(a.size());
   const double nb = static_cast<double>(b.size());
   const double ne = na * nb / (na + nb);
@@ -191,6 +189,12 @@ KsTestResult two_sample_ks_test(const std::vector<double>& a,
   result.p_value =
       kolmogorov_q((root + 0.12 + 0.11 / root) * result.statistic);
   return result;
+}
+
+KsTestResult two_sample_ks_test(std::vector<double> a, std::vector<double> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  return two_sample_ks_test_sorted(a, b);
 }
 
 double p_to_e_value(double p, double max_e) {

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "support/time.hpp"
@@ -109,26 +110,38 @@ struct KsTestResult {
   bool significant(double alpha) const { return p_value < alpha; }
 };
 
-/// Two-sample KS statistic, exact for the given samples (ties handled by
-/// advancing both ECDFs past every equal value before comparing). Either
-/// sample empty => 0.0 by definition (nothing to compare). A side that is
-/// already ascending is walked in place; only an unsorted side is copied
-/// and sorted, so callers that test one sample many times keep it sorted.
-double ks_statistic(const std::vector<double>& a, const std::vector<double>& b);
+/// Two-sample KS statistic of two ascending samples (the order is a
+/// precondition, asserted in debug builds): sup |F_a(x) - F_b(x)| over
+/// the points x where both ECDFs have stepped past every sample equal to
+/// x, so tied values are compared only after both sides consumed them.
+/// Either sample empty => 0.0 by definition (nothing to compare).
+///
+/// It walks the smaller side's distinct values and binary-searches the
+/// larger side, O(m log n) for m <= n: between two jumps of the smaller
+/// side's ECDF the gap is largest at the jump itself or just before the
+/// next one, so those two points per value give the merge walk's
+/// distance bit for bit. A sentinel window tests ~12 samples against a
+/// baseline of hundreds, sorted once per baseline.
+double ks_statistic_sorted(std::span<const double> a,
+                           std::span<const double> b);
 
 /// Complementary CDF of the Kolmogorov distribution,
 /// Q(lambda) = 2 * sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lambda^2), clamped to
 /// [0, 1]. Q(0+) -> 1, monotonically decreasing.
 double kolmogorov_q(double lambda);
 
-/// Two-sample KS test with the asymptotic p-value (Stephens' small-sample
-/// correction on the effective sample size n1*n2/(n1+n2)). Degenerate
+/// Two-sample KS test of two ascending samples, with the asymptotic
+/// p-value (Stephens' small-sample correction on the effective sample
+/// size n1*n2/(n1+n2)). Degenerate
 /// inputs never reject: an empty side or a single-point effective sample
 /// yields p = 1. The p-value is approximate below ~8 samples per side;
 /// callers gate on a minimum sample count for decisions that must not
 /// false-alarm (see sentinel::SentinelConfig::min_samples).
-KsTestResult two_sample_ks_test(const std::vector<double>& a,
-                                const std::vector<double>& b);
+KsTestResult two_sample_ks_test_sorted(std::span<const double> a,
+                                       std::span<const double> b);
+
+/// two_sample_ks_test_sorted of samples in any order: sorts its copies.
+KsTestResult two_sample_ks_test(std::vector<double> a, std::vector<double> b);
 
 /// Calibrates a p-value into an e-value with the square-root calibrator
 /// e(p) = 1 / (2 sqrt(p)). The calibrator integrates to 1 over p in
@@ -151,9 +164,10 @@ double e_value_log_threshold(double alpha);
 /// in-control drift per observation; the restart at zero makes the
 /// statistic forget stretches of clean data instead of banking credit
 /// against a future change. With reference 0 and x_t = log(e-value) this
-/// is a restarted e-process: evidence compounds across windows and the
-/// crossing level e_value_log_threshold(alpha) keeps the per-run false
-/// alarm probability at alpha (Ville).
+/// is an e-detector: evidence compounds across windows, and the crossing
+/// level e_value_log_threshold(alpha) keeps the mean number of in-control
+/// observations before a false alarm at 1/alpha or more. The restart
+/// voids Ville's bound, so it does not bound the chance of ever alarming.
 class CusumAccumulator {
  public:
   CusumAccumulator() = default;

@@ -136,6 +136,12 @@ ScopedSpan::ScopedSpan(std::string_view name, std::uint64_t items)
 ScopedSpan::ScopedSpan(std::string_view name, std::uint64_t parent_id,
                        std::uint64_t items) {
   if (!enabled()) return;
+  // The registry arms TETRA_STATS_CLOCK; a span can open before anything
+  // else touched telemetry (a tool's first trace read), and its start
+  // must come from the clock its end reads. Arming through the registry,
+  // not init_from_environment() directly, constructs the registry before
+  // the at-exit dump that reads it is registered.
+  (void)MetricsRegistry::global();
   record_.name = std::string(name);
   record_.id = SpanRecorder::global().next_id();
   record_.parent = parent_id;

@@ -3,16 +3,28 @@
 // simplified response-time estimate, and convergence tracking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
+#include <span>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "analysis/chains.hpp"
 #include "analysis/convergence.hpp"
 #include "analysis/latency.hpp"
 #include "analysis/load.hpp"
 #include "analysis/response_time.hpp"
+#include "api/session.hpp"
 #include "core/dag_builder.hpp"
 #include "ebpf/tracers.hpp"
+#include "scenario/generator.hpp"
+#include "scenario/runner.hpp"
 #include "trace/merge.hpp"
+#include "trace/ttb.hpp"
 #include "workloads/avp_localization.hpp"
 #include "workloads/syn_app.hpp"
 
@@ -191,6 +203,265 @@ TEST(ConvergenceTest, SeriesGrowsAndSettles) {
   EXPECT_EQ(tracker.mwcet_settling_run("unknown"), 0u);
 }
 
+// -- reference: the string-keyed event walker the interned timeline
+// replaced, kept verbatim but for its names (ReferenceTimeline,
+// ReferenceInstance, reference_*). The interned timeline must agree with
+// it on instances, consumers, writes and chain latencies.
+
+/// One observed callback execution with its data-flow endpoints.
+struct ReferenceInstance {
+  Pid pid = kInvalidPid;
+  CallbackId callback_id = kInvalidCallbackId;
+  CallbackKind kind = CallbackKind::Timer;
+  TimePoint start;
+  TimePoint end;
+  /// The (topic, srcTS) this instance consumed, if any.
+  std::optional<std::pair<std::string, TimePoint>> take;
+  /// The (topic, srcTS) samples this instance wrote.
+  std::vector<std::pair<std::string, TimePoint>> writes;
+
+  friend bool operator==(const ReferenceInstance&,
+                         const ReferenceInstance&) = default;
+};
+
+class ReferenceTimeline {
+ public:
+  explicit ReferenceTimeline(const trace::ColumnsView& events) {
+    trace::EventColumns copy;
+    if (!trace::is_time_sorted(events)) {
+      copy.append(events);
+      trace::sort_by_time(copy);
+    }
+    const trace::ColumnsView v = copy.empty() ? events : copy.view();
+    consumers_.reserve(v.count / 4);
+
+    // Per-PID in-flight instance assembly, mirroring the single-threaded
+    // executor assumption: one open instance per PID at a time.
+    std::map<Pid, ReferenceInstance> open;
+    for (std::size_t i = 0; i < v.count; ++i) {
+      const Pid pid = static_cast<Pid>(v.pid[i]);
+      switch (static_cast<trace::EventType>(v.type[i])) {
+        case trace::EventType::CallbackStart: {
+          ReferenceInstance inst;
+          inst.pid = pid;
+          inst.kind = static_cast<CallbackKind>(v.aux[i]);
+          inst.start = TimePoint{v.time[i]};
+          open[pid] = std::move(inst);
+          break;
+        }
+        case trace::EventType::TimerCall: {
+          auto it = open.find(pid);
+          if (it != open.end()) {
+            it->second.callback_id = static_cast<CallbackId>(v.arg_a[i]);
+          }
+          break;
+        }
+        case trace::EventType::Take: {
+          auto it = open.find(pid);
+          if (it != open.end()) {
+            it->second.callback_id = static_cast<CallbackId>(v.arg_a[i]);
+            it->second.take = {std::string(v.str(v.arg_c[i])),
+                               TimePoint{v.arg_b[i]}};
+          }
+          break;
+        }
+        case trace::EventType::TakeTypeErased: {
+          // A response taken but not dispatched (P14 false): the instance
+          // consumed nothing, and Alg. 1 drops it too (lines 24-25).
+          if (v.aux[i] == 0) open.erase(pid);
+          break;
+        }
+        case trace::EventType::DdsWrite: {
+          const std::string topic(v.str(v.arg_c[i]));
+          const TimePoint src_ts{v.arg_b[i]};
+          writes_by_topic_[topic].push_back(src_ts);
+          auto it = open.find(pid);
+          if (it != open.end()) it->second.writes.push_back({topic, src_ts});
+          break;
+        }
+        case trace::EventType::CallbackEnd: {
+          auto it = open.find(pid);
+          if (it != open.end()) {
+            it->second.end = TimePoint{v.time[i]};
+            const std::size_t index = instances_.size();
+            if (it->second.take.has_value()) {
+              consumers_[Key{it->second.take->first,
+                             it->second.take->second.count_ns()}]
+                  .push_back(index);
+            }
+            instances_.push_back(std::move(it->second));
+            open.erase(it);
+          }
+          break;
+        }
+        default:
+          break;
+      }
+    }
+  }
+
+  const std::vector<ReferenceInstance>& instances() const { return instances_; }
+
+  const std::vector<std::size_t>* consumer_indices(const std::string& topic,
+                                                   TimePoint src_ts) const {
+    auto it = consumers_.find(Key{topic, src_ts.count_ns()});
+    return it == consumers_.end() ? nullptr : &it->second;
+  }
+
+  const std::map<std::string, std::vector<TimePoint>>& writes_by_topic() const {
+    return writes_by_topic_;
+  }
+
+  const std::vector<TimePoint>& writes_on(const std::string& topic) const {
+    auto it = writes_by_topic_.find(topic);
+    return it == writes_by_topic_.end() ? kNoWrites : it->second;
+  }
+
+ private:
+  using Key = std::pair<std::string, std::int64_t>;
+  struct KeyHash {
+    std::size_t operator()(const Key& key) const {
+      return std::hash<std::string>()(key.first) ^
+             (static_cast<std::size_t>(key.second) * 0x9e3779b97f4a7c15ULL);
+    }
+  };
+  std::vector<ReferenceInstance> instances_;
+  std::unordered_map<Key, std::vector<std::size_t>, KeyHash> consumers_;
+  std::map<std::string, std::vector<TimePoint>> writes_by_topic_;
+  inline static const std::vector<TimePoint> kNoWrites{};
+};
+
+std::optional<TimePoint> reference_follow(const ReferenceTimeline& timeline,
+                                          const std::vector<std::string>& topics,
+                                          std::size_t depth, TimePoint src_ts) {
+  const std::vector<std::size_t>* consumers =
+      timeline.consumer_indices(topics[depth], src_ts);
+  if (consumers == nullptr) return std::nullopt;
+  std::optional<TimePoint> best;
+  for (const std::size_t index : *consumers) {
+    const ReferenceInstance* instance = &timeline.instances()[index];
+    if (depth + 1 == topics.size()) {
+      // Last hop: the chain completes when the final consumer finishes.
+      if (!best.has_value() || instance->end > *best) best = instance->end;
+      continue;
+    }
+    // Find this instance's write on the next topic (if it produced one).
+    for (const auto& [topic, ts] : instance->writes) {
+      if (topic == topics[depth + 1]) {
+        auto completed = reference_follow(timeline, topics, depth + 1, ts);
+        if (completed.has_value() && (!best.has_value() || *completed > *best)) {
+          best = completed;
+        }
+      }
+    }
+  }
+  return best;
+}
+
+ChainLatencyResult reference_chain_latency(const ReferenceTimeline& timeline,
+                                           const std::vector<std::string>& topics) {
+  ChainLatencyResult result;
+  if (topics.empty()) return result;
+  for (TimePoint src_ts : timeline.writes_on(topics[0])) {
+    auto completed = reference_follow(timeline, topics, 0, src_ts);
+    if (completed.has_value()) {
+      result.latencies.add(*completed - src_ts);
+      ++result.complete;
+    } else {
+      ++result.incomplete;
+    }
+  }
+  return result;
+}
+
+/// An interned instance spelled out with its timeline's topic names.
+ReferenceInstance named(const InstanceTimeline& timeline,
+                        const CallbackInstance& instance) {
+  ReferenceInstance out{instance.pid, instance.callback_id, instance.kind,
+                        instance.start, instance.end, std::nullopt, {}};
+  if (instance.take.has_value()) {
+    out.take = {timeline.topic_name(instance.take->topic),
+                instance.take->src_ts};
+  }
+  for (const TopicSample& write : timeline.writes_of(instance)) {
+    out.writes.emplace_back(timeline.topic_name(write.topic), write.src_ts);
+  }
+  return out;
+}
+
+/// Indices into instances() of the consumers of (topic, src_ts).
+std::vector<std::size_t> consumer_indices(const InstanceTimeline& timeline,
+                                          const std::string& topic,
+                                          TimePoint src_ts) {
+  std::vector<std::size_t> out;
+  for (const CallbackInstance* instance : timeline.consumers_of(topic, src_ts)) {
+    out.push_back(static_cast<std::size_t>(instance -
+                                           timeline.instances().data()));
+  }
+  return out;
+}
+
+/// Holds the interned timeline over `events` to the reference: every
+/// instance, the consumers and writes of every sample the trace names,
+/// and the latency of every chain in `chains`. Returns the number of
+/// chain traversals the reference completed.
+std::size_t expect_timeline_matches_reference(
+    const trace::ColumnsView& events,
+    const std::vector<std::vector<std::string>>& chains) {
+  const ReferenceTimeline want(events);
+  const InstanceTimeline got(events);
+  EXPECT_EQ(got.instances().size(), want.instances().size());
+  if (got.instances().size() != want.instances().size()) return 0;
+  for (std::size_t i = 0; i < want.instances().size(); ++i) {
+    EXPECT_EQ(named(got, got.instances()[i]), want.instances()[i]);
+  }
+  std::set<std::pair<std::string, TimePoint>> samples;
+  for (const auto& [topic, writes] : want.writes_by_topic()) {
+    const std::span<const TimePoint> got_writes = got.writes_on(topic);
+    EXPECT_EQ(std::vector<TimePoint>(got_writes.begin(), got_writes.end()),
+              writes)
+        << topic;
+    for (const TimePoint src_ts : writes) samples.insert({topic, src_ts});
+  }
+  for (const ReferenceInstance& instance : want.instances()) {
+    if (instance.take.has_value()) samples.insert(*instance.take);
+  }
+  for (const auto& [topic, src_ts] : samples) {
+    const std::vector<std::size_t>* want_consumers =
+        want.consumer_indices(topic, src_ts);
+    EXPECT_EQ(consumer_indices(got, topic, src_ts),
+              want_consumers == nullptr ? std::vector<std::size_t>{}
+                                        : *want_consumers)
+        << topic << " @ " << src_ts.count_ns();
+  }
+  std::size_t complete = 0;
+  for (const std::vector<std::string>& chain : chains) {
+    const ChainLatencyResult want_latency = reference_chain_latency(want, chain);
+    const ChainLatencyResult got_latency = measure_chain_latency(got, chain);
+    EXPECT_EQ(got_latency.complete, want_latency.complete);
+    EXPECT_EQ(got_latency.incomplete, want_latency.incomplete);
+    EXPECT_EQ(got_latency.latencies.samples(), want_latency.latencies.samples());
+    complete += want_latency.complete;
+  }
+  return complete;
+}
+
+/// The topic sequence of every chain of `dag`, plus chains through topics
+/// the trace never names.
+std::vector<std::vector<std::string>> chains_of(const core::Dag& dag) {
+  std::vector<std::vector<std::string>> chains;
+  for (const Chain& chain : enumerate_chains(dag).chains) {
+    std::vector<std::string> topics = chain_topics(dag, chain);
+    if (topics.empty()) continue;
+    chains.push_back(topics);
+    topics.push_back("/never-written");
+    chains.push_back(std::move(topics));
+  }
+  chains.push_back({"/never-written"});
+  chains.push_back({});
+  return chains;
+}
+
 TEST(LatencyTest, InstanceTimelineLinksTakesAndWrites) {
   using namespace tetra::trace;
   EventVector ev;
@@ -202,9 +473,9 @@ TEST(LatencyTest, InstanceTimelineLinksTakesAndWrites) {
   InstanceTimeline timeline(ev);
   ASSERT_EQ(timeline.instances().size(), 1u);
   const auto& instance = timeline.instances()[0];
-  EXPECT_EQ(instance.take->first, "/in");
-  ASSERT_EQ(instance.writes.size(), 1u);
-  EXPECT_EQ(instance.writes[0].first, "/out");
+  EXPECT_EQ(timeline.topic_name(instance.take->topic), "/in");
+  ASSERT_EQ(timeline.writes_of(instance).size(), 1u);
+  EXPECT_EQ(timeline.topic_name(timeline.writes_of(instance)[0].topic), "/out");
   EXPECT_EQ(timeline.consumers_of("/in", TimePoint{90}).size(), 1u);
   EXPECT_TRUE(timeline.consumers_of("/in", TimePoint{91}).empty());
 }
@@ -281,32 +552,62 @@ TEST(LatencyTest, InstanceTimelineIgnoresInputOrder) {
   ASSERT_GT(from_sorted.instances().size(), 100u);
   ASSERT_EQ(from_shuffled.instances().size(), from_sorted.instances().size());
   for (std::size_t i = 0; i < from_sorted.instances().size(); ++i) {
-    const CallbackInstance& want = from_sorted.instances()[i];
-    const CallbackInstance& got = from_shuffled.instances()[i];
-    EXPECT_EQ(got.pid, want.pid);
-    EXPECT_EQ(got.callback_id, want.callback_id);
-    EXPECT_EQ(got.kind, want.kind);
-    EXPECT_EQ(got.start, want.start);
-    EXPECT_EQ(got.end, want.end);
-    EXPECT_EQ(got.take, want.take);
-    EXPECT_EQ(got.writes, want.writes);
+    EXPECT_EQ(named(from_shuffled, from_shuffled.instances()[i]),
+              named(from_sorted, from_sorted.instances()[i]));
   }
   for (const auto& event : sorted) {
     if (const auto* write = std::get_if<trace::DdsWriteInfo>(&event.payload)) {
-      EXPECT_EQ(from_shuffled.writes_on(write->topic),
-                from_sorted.writes_on(write->topic));
+      const std::span<const TimePoint> got = from_shuffled.writes_on(write->topic);
+      const std::span<const TimePoint> want = from_sorted.writes_on(write->topic);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
     } else if (const auto* take =
                    std::get_if<trace::TakeInfo>(&event.payload)) {
-      const auto* want =
-          from_sorted.consumer_indices(take->topic, take->src_ts);
-      const auto* got =
-          from_shuffled.consumer_indices(take->topic, take->src_ts);
-      ASSERT_EQ(got == nullptr, want == nullptr);
-      if (want != nullptr) {
-        EXPECT_EQ(*got, *want);
-      }
+      EXPECT_EQ(consumer_indices(from_shuffled, take->topic, take->src_ts),
+                consumer_indices(from_sorted, take->topic, take->src_ts));
     }
   }
+}
+
+TEST(LatencyTest, TimelineMatchesTheReferenceWalkerOnEveryTestTrace) {
+  for (const char* name : {"scenario_seed7_trace.jsonl",
+                           "sentinel_seed7_clean.jsonl",
+                           "sentinel_seed7_drift.jsonl"}) {
+    SCOPED_TRACE(name);
+    const trace::EventColumns events =
+        trace::read_trace_file(std::string(TETRA_TEST_DATA_DIR) + "/" + name);
+    api::SynthesisSession session;
+    ASSERT_TRUE(session.ingest(events).ok());
+    const auto model = session.model();
+    ASSERT_TRUE(model.ok());
+    EXPECT_GT(expect_timeline_matches_reference(events.view(),
+                                                chains_of(model.value().dag)),
+              100u);
+  }
+}
+
+TEST(LatencyTest, TimelineMatchesTheReferenceWalkerOnGeneratedScenarios) {
+  const scenario::ScenarioGenerator generator;
+  const scenario::ScenarioRunner runner;
+  std::size_t complete = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const scenario::ScenarioRunResult run =
+        runner.run(generator.generate(seed).spec);
+    const auto chains = chains_of(run.model.dag);
+    const trace::EventColumns sorted(run.trace);
+    complete += expect_timeline_matches_reference(sorted.view(), chains);
+    // Shuffled rows: both walkers sort a copy, equal times included.
+    trace::EventVector shuffled = run.trace;
+    Rng rng(seed);
+    for (std::size_t i = shuffled.size() - 1; i > 0; --i) {
+      const auto j = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(i)));
+      std::swap(shuffled[i], shuffled[j]);
+    }
+    expect_timeline_matches_reference(trace::EventColumns(shuffled).view(),
+                                      chains);
+  }
+  EXPECT_GT(complete, 1000u);
 }
 
 TEST(LatencyTest, SynChainLatencyMeasured) {

@@ -130,7 +130,7 @@ TEST(SampleSetTest, EmptyThrows) {
 
 TEST(KsTest, IdenticalSamplesHaveZeroDistance) {
   const std::vector<double> a = {1.0, 2.0, 3.0, 4.0, 5.0};
-  EXPECT_DOUBLE_EQ(ks_statistic(a, a), 0.0);
+  EXPECT_DOUBLE_EQ(ks_statistic_sorted(a, a), 0.0);
   const KsTestResult r = two_sample_ks_test(a, a);
   EXPECT_DOUBLE_EQ(r.statistic, 0.0);
   EXPECT_DOUBLE_EQ(r.p_value, 1.0);
@@ -143,7 +143,7 @@ TEST(KsTest, DisjointSamplesHaveDistanceOne) {
     a.push_back(static_cast<double>(i));
     b.push_back(static_cast<double>(i + 100));
   }
-  EXPECT_DOUBLE_EQ(ks_statistic(a, b), 1.0);
+  EXPECT_DOUBLE_EQ(ks_statistic_sorted(a, b), 1.0);
   const KsTestResult r = two_sample_ks_test(a, b);
   EXPECT_DOUBLE_EQ(r.statistic, 1.0);
   EXPECT_LT(r.p_value, 1e-6);
@@ -159,24 +159,24 @@ TEST(KsTest, UniformVsShiftedUniformClosedForm) {
     a.push_back(static_cast<double>(i));
     b.push_back(static_cast<double>(i) + 5.0);
   }
-  EXPECT_DOUBLE_EQ(ks_statistic(a, b), 0.5);
+  EXPECT_DOUBLE_EQ(ks_statistic_sorted(a, b), 0.5);
   // A 2.5 shift off the integer grid: a has exactly {1, 2, 3} strictly
   // below c's first point 3.5, so the peak ECDF gap is 3/10.
   std::vector<double> c;
   for (int i = 1; i <= 10; ++i) c.push_back(static_cast<double>(i) + 2.5);
-  EXPECT_DOUBLE_EQ(ks_statistic(a, c), 0.3);
+  EXPECT_DOUBLE_EQ(ks_statistic_sorted(a, c), 0.3);
   // The statistic is symmetric in its arguments.
-  EXPECT_DOUBLE_EQ(ks_statistic(b, a), 0.5);
+  EXPECT_DOUBLE_EQ(ks_statistic_sorted(b, a), 0.5);
 }
 
 TEST(KsTest, TiedValuesStepBothSides) {
   // All mass tied at one point: identical distributions, distance 0.
   const std::vector<double> a = {3.0, 3.0, 3.0};
-  EXPECT_DOUBLE_EQ(ks_statistic(a, a), 0.0);
+  EXPECT_DOUBLE_EQ(ks_statistic_sorted(a, a), 0.0);
   // Half of b ties with a's single atom, half sits above: the ECDF gap
   // after the tie is |1 - 0.5| = 0.5.
   const std::vector<double> b = {3.0, 3.0, 4.0, 4.0};
-  EXPECT_DOUBLE_EQ(ks_statistic(a, b), 0.5);
+  EXPECT_DOUBLE_EQ(ks_statistic_sorted(a, b), 0.5);
 }
 
 TEST(KsTest, KolmogorovQKnownValues) {
@@ -208,8 +208,8 @@ TEST(KsTest, AlphaThresholdBoundary) {
 TEST(KsTest, DegenerateInputsNeverReject) {
   const std::vector<double> some = {1.0, 2.0, 3.0};
   const std::vector<double> none;
-  EXPECT_DOUBLE_EQ(ks_statistic(some, none), 0.0);
-  EXPECT_DOUBLE_EQ(ks_statistic(none, none), 0.0);
+  EXPECT_DOUBLE_EQ(ks_statistic_sorted(some, none), 0.0);
+  EXPECT_DOUBLE_EQ(ks_statistic_sorted(none, none), 0.0);
   KsTestResult r = two_sample_ks_test(some, none);
   EXPECT_DOUBLE_EQ(r.p_value, 1.0);
   EXPECT_FALSE(r.significant(0.5));
@@ -220,13 +220,23 @@ TEST(KsTest, DegenerateInputsNeverReject) {
   EXPECT_DOUBLE_EQ(r.p_value, 1.0);
 }
 
-// The by-value KS algorithm: both sides copied and sorted on every call.
-// ks_statistic walks ascending sides in place instead; it must return
-// the same bits.
-double by_value_ks_statistic(std::vector<double> a, std::vector<double> b) {
-  if (a.empty() || b.empty()) return 0.0;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
+// The merge-walk KS statistic the binary-search one replaced, verbatim:
+// both ECDFs advance in step over the union of the two samples, O(n + m).
+// ks_statistic_sorted must return the same bits on every input.
+const std::vector<double>& ascending(const std::vector<double>& samples,
+                                     std::vector<double>& copy) {
+  if (std::is_sorted(samples.begin(), samples.end())) return samples;
+  copy = samples;
+  std::sort(copy.begin(), copy.end());
+  return copy;
+}
+
+double reference_ks_statistic(const std::vector<double>& a_samples,
+                              const std::vector<double>& b_samples) {
+  if (a_samples.empty() || b_samples.empty()) return 0.0;
+  std::vector<double> a_copy, b_copy;
+  const std::vector<double>& a = ascending(a_samples, a_copy);
+  const std::vector<double>& b = ascending(b_samples, b_copy);
   const double na = static_cast<double>(a.size());
   const double nb = static_cast<double>(b.size());
   std::size_t ia = 0;
@@ -234,21 +244,25 @@ double by_value_ks_statistic(std::vector<double> a, std::vector<double> b) {
   double d = 0.0;
   while (ia < a.size() && ib < b.size()) {
     const double x = std::min(a[ia], b[ib]);
+    // Step both ECDFs past every sample equal to x, so tied values are
+    // compared only after both sides consumed them.
     while (ia < a.size() && a[ia] == x) ++ia;
     while (ib < b.size() && b[ib] == x) ++ib;
     d = std::max(d, std::abs(static_cast<double>(ia) / na -
                              static_cast<double>(ib) / nb));
   }
+  // Once one sample is exhausted its ECDF sits at 1; the remaining gap is
+  // covered by the last in-loop comparison (the other ECDF only grows).
   return d;
 }
 
-KsTestResult by_value_ks_test(const std::vector<double>& a,
-                              const std::vector<double>& b) {
+KsTestResult reference_ks_test(const std::vector<double>& a,
+                               const std::vector<double>& b) {
   KsTestResult result;
   result.n1 = a.size();
   result.n2 = b.size();
   if (a.empty() || b.empty()) return result;
-  result.statistic = by_value_ks_statistic(a, b);
+  result.statistic = reference_ks_statistic(a, b);
   const double na = static_cast<double>(a.size());
   const double nb = static_cast<double>(b.size());
   const double ne = na * nb / (na + nb);
@@ -257,6 +271,27 @@ KsTestResult by_value_ks_test(const std::vector<double>& a,
   result.p_value =
       kolmogorov_q((root + 0.12 + 0.11 / root) * result.statistic);
   return result;
+}
+
+/// Holds every KS entry point to the merge reference, bit for bit, on
+/// (a, b) and on (b, a).
+void expect_matches_reference(std::vector<double> a, std::vector<double> b) {
+  for (int swap = 0; swap < 2; ++swap) {
+    const KsTestResult want = reference_ks_test(a, b);
+    const KsTestResult got = two_sample_ks_test(a, b);
+    EXPECT_EQ(got.statistic, want.statistic);
+    EXPECT_EQ(got.p_value, want.p_value);
+    EXPECT_EQ(got.n1, want.n1);
+    EXPECT_EQ(got.n2, want.n2);
+    std::vector<double> sorted_a = a, sorted_b = b;
+    std::sort(sorted_a.begin(), sorted_a.end());
+    std::sort(sorted_b.begin(), sorted_b.end());
+    EXPECT_EQ(ks_statistic_sorted(sorted_a, sorted_b), want.statistic);
+    const KsTestResult sorted = two_sample_ks_test_sorted(sorted_a, sorted_b);
+    EXPECT_EQ(sorted.statistic, want.statistic);
+    EXPECT_EQ(sorted.p_value, want.p_value);
+    std::swap(a, b);
+  }
 }
 
 TEST(KsTest, SortedAndUnsortedSidesMatchTheByValueAlgorithmExactly) {
@@ -290,14 +325,61 @@ TEST(KsTest, SortedAndUnsortedSidesMatchTheByValueAlgorithmExactly) {
   }
   for (const auto& a : sides) {
     for (const auto& b : sides) {
-      EXPECT_EQ(ks_statistic(a, b), by_value_ks_statistic(a, b));
       const KsTestResult got = two_sample_ks_test(a, b);
-      const KsTestResult want = by_value_ks_test(a, b);
+      const KsTestResult want = reference_ks_test(a, b);
       EXPECT_EQ(got.statistic, want.statistic);
       EXPECT_EQ(got.p_value, want.p_value);
       EXPECT_EQ(got.n1, want.n1);
       EXPECT_EQ(got.n2, want.n2);
     }
+  }
+}
+
+TEST(KsTest, BinarySearchMatchesTheMergeReferenceOnEdgeCases) {
+  // Ties across both sides, in the middle and at either end.
+  expect_matches_reference({1, 2, 2, 3, 5, 5, 5, 8}, {2, 2, 5, 7});
+  expect_matches_reference({0, 0, 1}, {0, 1, 1, 1, 1, 1, 2});
+  expect_matches_reference({4, 4, 9}, {1, 4, 9, 9, 9});
+  // m = 1 and n = 1: below, at, inside and above the other side.
+  for (const double single : {-1.0, 0.0, 2.0, 2.5, 3.0, 7.0}) {
+    expect_matches_reference({single}, {0, 1, 2, 2, 3, 3, 3, 6});
+    expect_matches_reference({single}, {single});
+    expect_matches_reference({single}, {3.0});
+  }
+  // All values equal, on one side and on both.
+  expect_matches_reference({4, 4, 4, 4}, {4, 4});
+  expect_matches_reference({4, 4, 4, 4}, {1, 2, 3, 4, 5});
+  // Disjoint ranges, each side below the other, and touching at one value.
+  expect_matches_reference({1, 2, 3}, {10, 11, 12, 13, 14});
+  expect_matches_reference({10, 11}, {1, 2, 3, 4, 5, 6});
+  expect_matches_reference({1, 2, 3}, {3, 4, 5, 6});
+  // Equal sizes, and either side the smaller one (expect_matches_reference
+  // also swaps the arguments).
+  expect_matches_reference({1, 3, 5, 7}, {2, 3, 6, 8});
+  expect_matches_reference({0.5}, {0.25, 0.5, 0.75, 1.0, 1.25, 1.5});
+  // Empty sides.
+  expect_matches_reference({}, {1, 2});
+  expect_matches_reference({}, {});
+}
+
+TEST(KsTest, BinarySearchMatchesTheMergeReferenceOnRandomSamples) {
+  Rng rng(26);
+  for (int round = 0; round < 400; ++round) {
+    // Lopsided sizes like a sentinel window against its baseline, and
+    // balanced ones; a small value range forces ties across the sides.
+    const auto m = static_cast<std::size_t>(rng.uniform_int(1, 24));
+    const auto n = static_cast<std::size_t>(
+        round % 2 == 0 ? rng.uniform_int(1, 24) : rng.uniform_int(100, 800));
+    const std::int64_t range = round % 4 < 2 ? 12 : 1'000'000;
+    const double shift = static_cast<double>(rng.uniform_int(-3, 3));
+    std::vector<double> a, b;
+    for (std::size_t i = 0; i < m; ++i) {
+      a.push_back(static_cast<double>(rng.uniform_int(0, range)) + shift);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      b.push_back(static_cast<double>(rng.uniform_int(0, range)));
+    }
+    expect_matches_reference(std::move(a), std::move(b));
   }
 }
 

@@ -477,6 +477,26 @@ TEST(ScenarioCliTest, StatsSnapshotIsDeterministicUnderSimClock) {
   std::remove(second.c_str());
 }
 
+TEST(SynthCliTest, StatsSnapshotIsDeterministicUnderSimClock) {
+  REQUIRE_TOOL("tetra_synth");
+  // tetra_synth opens its trace.decode span before anything else touches
+  // telemetry; the span must still start on the simulated clock, or its
+  // start is a steady-clock reading and its wall time negative.
+  const std::string first = ::testing::TempDir() + "synth_stats1.json";
+  const std::string second = ::testing::TempDir() + "synth_stats2.json";
+  const std::string base = "TETRA_STATS_CLOCK=sim " + binary("tetra_synth") +
+                           " --trace " + std::string(TETRA_TEST_DATA_DIR) +
+                           "/scenario_seed7_trace.jsonl";
+  ASSERT_EQ(run_command(base + " --stats-out " + first).exit_code, 0);
+  ASSERT_EQ(run_command(base + " --stats-out " + second).exit_code, 0);
+  const std::string snapshot = slurp(first);
+  EXPECT_EQ(snapshot, slurp(second));
+  EXPECT_NE(snapshot.find("\"name\":\"trace.decode\""), std::string::npos);
+  EXPECT_EQ(snapshot.find("\"wall_ns\":-"), std::string::npos);
+  std::remove(first.c_str());
+  std::remove(second.c_str());
+}
+
 TEST(SynthCliTest, LenientSkipsMalformedLines) {
   REQUIRE_TOOL("tetra_synth");
   // Corrupt lines fail the strict parser but are skipped (and counted in
